@@ -289,6 +289,17 @@ def run_command(
     raise ValidationError(f"unknown command {command!r}")
 
 
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValidationError(message)
@@ -324,9 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
         "scan", parents=[common], help="evaluate every ordered move"
     )
     scan.add_argument(
-        "--parallel", type=int, default=1, help="worker count (output is identical)"
+        "--parallel",
+        type=_int_at_least(1),
+        default=1,
+        help="accepted for compatibility; the scan runs in one thread "
+        "and output is identical for any N >= 1",
     )
-    scan.add_argument("--cap", type=int, help="move-count cap override")
+    scan.add_argument("--cap", type=_int_at_least(1), help="move-count cap override")
     sub.add_parser(
         "discover", parents=[common], help="run the accumulation simulation"
     )

@@ -11,18 +11,22 @@ rises and at least one agent's strictly rises.  Three checkers implement this:
   bundle changes.  It is a genuinely separate evaluation route: the tests
   confirm it agrees with the definitional checker rather than assuming it.
 
-``enumerate_frontier`` likewise keeps two routes alive (a pairwise oracle and
-a dominance-pruned skyline) and insists they agree on every call.
+All three share one definition of improvement (``_tally``).
+``enumerate_frontier`` likewise keeps two routes alive (a pairwise oracle over
+the agents' cached information and a sum-presorted skyline over signatures)
+and insists they agree on every call.  Frontiers and scans read one
+``SignatureTable`` that evaluates each state's transforms once.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import (
     CapExceeded,
@@ -46,6 +50,7 @@ from .polity import (
 )
 from .transforms import (
     OwnBundle,
+    PreferenceInfo,
     RelativeToMean,
     RelativeToNeighborhood,
     TransformSpec,
@@ -118,56 +123,86 @@ def _tagged_zero_reference(exc: ZeroReferencePoint, endpoint: str) -> ZeroRefere
 
 def _evaluate_all(
     allocation: Allocation, specs: dict[int, TransformSpec], endpoint: str
-) -> dict[int, object]:
-    infos = {}
-    for agent, spec in specs.items():
-        try:
-            infos[agent] = evaluate_transform(spec, allocation, agent)
-        except ZeroReferencePoint as exc:
-            raise _tagged_zero_reference(exc, endpoint) from exc
-    return infos
+) -> tuple[PreferenceInfo, ...]:
+    """Every agent's information at ``allocation``, in agent order."""
+    try:
+        return _infos(allocation, specs)
+    except ZeroReferencePoint as exc:
+        raise _tagged_zero_reference(exc, endpoint) from exc
 
 
-def check_improvement(move: Move, transforms: Transforms) -> ImprovementVerdict:
-    """Decide by definition whether ``move`` improves on its starting state."""
-    specs = transforms_for(move.polity, transforms)
-    before = _evaluate_all(move.before, specs, "from")
-    after = _evaluate_all(move.after, specs, "to")
+def _infos(
+    allocation: Allocation, specs: dict[int, TransformSpec]
+) -> tuple[PreferenceInfo, ...]:
+    return tuple(
+        evaluate_transform(spec, allocation, agent) for agent, spec in specs.items()
+    )
+
+
+def _tally(
+    agents: Iterable[int],
+    after: Iterable[object],
+    before: Iterable[object],
+    compare: Callable[[object, object], PartialOrderResult],
+    stop_at_violator: bool = False,
+) -> tuple[list[int], list[tuple[int, ViolationKind]]]:
+    """Strict gainers and violators of a move, agent by agent.
+
+    This is the one definition of improvement: a move improves when it has
+    no violator and at least one strict gainer.  ``after`` and ``before``
+    hold each agent's information (in ``agents`` order) at the two ends;
+    ``stop_at_violator`` returns as soon as the verdict is known to be no.
+    """
     gainers, violators = [], []
-    for agent in move.polity.agents:
-        result = compare_info(after[agent], before[agent])
+    for agent, a, b in zip(agents, after, before):
+        result = compare(a, b)
         if result is PartialOrderResult.STRICTLY_GREATER:
             gainers.append(agent)
         elif result is PartialOrderResult.INCOMPARABLE:
             violators.append((agent, ViolationKind.INCOMPARABLE_INFO))
         elif not result.weakly_ge:
             violators.append((agent, ViolationKind.STRICTLY_WORSE))
+        if stop_at_violator and violators:
+            break
+    return gainers, violators
+
+
+def _improves(after: tuple[PreferenceInfo, ...], before: tuple[PreferenceInfo, ...]) -> bool:
+    """Whether moving between two states with these infos is an improvement."""
+    gainers, violators = _tally(
+        range(len(after)), after, before, compare_info, stop_at_violator=True
+    )
+    return not violators and bool(gainers)
+
+
+def _verdict(
+    tally: tuple[list[int], list[tuple[int, ViolationKind]]], method: Method
+) -> ImprovementVerdict:
+    gainers, violators = tally
     return ImprovementVerdict(
         is_improvement=not violators and bool(gainers),
         strict_gainers=tuple(gainers),
         violators=tuple(violators),
-        method=Method.DEFINITIONAL,
+        method=method,
+    )
+
+
+def check_improvement(move: Move, transforms: Transforms) -> ImprovementVerdict:
+    """Decide by definition whether ``move`` improves on its starting state."""
+    polity = move.polity
+    specs = transforms_for(polity, transforms)
+    before = _evaluate_all(move.before, specs, "from")
+    after = _evaluate_all(move.after, specs, "to")
+    return _verdict(
+        _tally(polity.agents, after, before, compare_info), Method.DEFINITIONAL
     )
 
 
 def check_improvement_neoclassical(move: Move) -> ImprovementVerdict:
     """Classical check: every agent's information is their own bundle."""
-    gainers, violators = [], []
-    for agent in move.polity.agents:
-        result = compare_bundles(
-            move.after.bundle_for(agent), move.before.bundle_for(agent)
-        )
-        if result is PartialOrderResult.STRICTLY_GREATER:
-            gainers.append(agent)
-        elif result is PartialOrderResult.INCOMPARABLE:
-            violators.append((agent, ViolationKind.INCOMPARABLE_INFO))
-        elif not result.weakly_ge:
-            violators.append((agent, ViolationKind.STRICTLY_WORSE))
-    return ImprovementVerdict(
-        is_improvement=not violators and bool(gainers),
-        strict_gainers=tuple(gainers),
-        violators=tuple(violators),
-        method=Method.NEOCLASSICAL,
+    return _verdict(
+        _tally(move.polity.agents, move.after.bundles, move.before.bundles, compare_bundles),
+        Method.NEOCLASSICAL,
     )
 
 
@@ -199,8 +234,7 @@ def check_improvement_ratio_form(move: Move, transforms: Transforms) -> Improvem
     before = _evaluate_all(move.before, specs, "from")
     after = _evaluate_all(move.after, specs, "to")
     delta_info: dict[int, Fraction] = {}
-    for agent in move.polity.agents:
-        b, a = before[agent], after[agent]
+    for agent, b, a in zip(move.polity.agents, before, after):
         if not isinstance(b, Fraction) or not isinstance(a, Fraction):
             raise HypothesisViolated("ratio-form check requires scalar information")
         delta_info[agent] = a - b
@@ -256,24 +290,81 @@ class EfficiencyVerdict:
     skipped_targets: int = 0
 
 
-def _signature(
-    allocation: Allocation, specs: dict[int, TransformSpec]
-) -> tuple[Fraction, ...]:
-    """All agents' information components, flattened in agent order.
+def _state_rows(
+    states: Iterable[Allocation],
+    specs: dict[int, TransformSpec],
+    warning: str | None = None,
+) -> Iterator[tuple[Allocation, tuple[PreferenceInfo, ...] | None]]:
+    """Each state with every agent's information there, in agent order.
+
+    The information is ``None`` for a degenerate state, where some relative
+    transform's reference mean is zero.  When ``warning`` is given, each
+    degenerate state is logged as "state <index> <warning>: <reason>".
+    """
+    for idx, state in enumerate(states):
+        try:
+            infos = _infos(state, specs)
+        except ZeroReferencePoint as exc:
+            if warning is not None:
+                logger.warning("state %d %s: %s", idx, warning, exc)
+            infos = None
+        yield state, infos
+
+
+@dataclass(frozen=True)
+class SignatureTable:
+    """Every feasible state with its information, evaluated once per agent.
+
+    Row ``i`` is the state with enumeration index ``i``.  ``infos`` holds the
+    agents' information in agent order; ``signatures`` flattens it to one
+    tuple of components and ``sums`` adds those up.  All three are ``None``
+    for a degenerate state.
 
     Improvement between two states is equivalent to strict componentwise
     dominance between their signatures: per-agent weak rises concatenate to a
     componentwise weak rise, and any strict component makes exactly one agent
-    strictly better off.
+    strictly better off.  Strict dominance in turn implies a strictly larger
+    sum, which is what lets scans and skylines skip most pairs.
     """
-    parts: list[Fraction] = []
-    for agent in sorted(specs):
-        parts.extend(info_components(evaluate_transform(specs[agent], allocation, agent)))
-    return tuple(parts)
+
+    states: tuple[Allocation, ...]
+    infos: tuple[tuple[PreferenceInfo, ...] | None, ...]
+    signatures: tuple[tuple[Fraction, ...] | None, ...]
+    sums: tuple[Fraction | None, ...]
+
+    @property
+    def live(self) -> list[int]:
+        """Indices of the non-degenerate states, in enumeration order."""
+        return [i for i, sig in enumerate(self.signatures) if sig is not None]
+
+
+def build_signature_table(
+    fs: FeasibleSet,
+    polity: Polity,
+    transforms: Transforms,
+    warning: str | None = None,
+) -> SignatureTable:
+    """Enumerate ``fs`` and evaluate every agent's transform once per state.
+
+    ``warning`` is logged for each degenerate state as in ``_state_rows``.
+    """
+    specs = transforms_for(polity, transforms)
+    states, infos, signatures, sums = [], [], [], []
+    for state, info in _state_rows(enumerate_feasible(fs, polity), specs, warning):
+        states.append(state)
+        infos.append(info)
+        if info is None:
+            signatures.append(None)
+            sums.append(None)
+            continue
+        signature = tuple(c for item in info for c in info_components(item))
+        signatures.append(signature)
+        sums.append(sum(signature, Fraction(0)))
+    return SignatureTable(tuple(states), tuple(infos), tuple(signatures), tuple(sums))
 
 
 def _dominates(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> bool:
-    return all(x >= y for x, y in zip(a, b)) and a != b
+    return all(map(operator.ge, a, b)) and a != b
 
 
 def is_pareto_efficient(
@@ -283,29 +374,22 @@ def is_pareto_efficient(
 
     Raises ``ZeroReferencePoint`` when the state itself has an undefined
     relative position; alternatives with undefined positions are skipped and
-    counted in ``skipped_targets``.
+    counted in ``skipped_targets``.  The state itself needs no skipping: a
+    move to an identical state leaves every agent equal, so it never improves.
     """
     polity = state.polity
     specs = transforms_for(polity, transforms)
     if not feasible_contains(fs, state):
         logger.warning("state %s is not in the declared feasible set", state.flat())
-    try:
-        _evaluate_all(state, specs, "from")
-    except ZeroReferencePoint:
-        raise
+    before = _evaluate_all(state, specs, "from")
     skipped = 0
-    own_flat = state.flat()
-    for target in enumerate_feasible(fs, polity):
-        if target.flat() == own_flat:
-            continue
-        move = Move(before=state, after=target)
-        try:
-            verdict = check_improvement(move, specs)
-        except ZeroReferencePoint:
+    # Targets stream through rather than filling a table: memory stays flat
+    # on large lattices and the search stops at the first witness.
+    for target, after in _state_rows(enumerate_feasible(fs, polity), specs):
+        if after is None:
             skipped += 1
-            continue
-        if verdict.is_improvement:
-            return EfficiencyVerdict(False, move, skipped)
+        elif _improves(after, before):
+            return EfficiencyVerdict(False, Move(before=state, after=target), skipped)
     return EfficiencyVerdict(True, None, skipped)
 
 
@@ -341,53 +425,55 @@ class FrontierReport:
         return tuple(e.state_id for e in self.entries if e.degenerate)
 
 
+def _skyline(table: SignatureTable) -> list[int]:
+    """The live states no other live state dominates (sort-filter skyline).
+
+    States are visited in descending order of signature sum and each is
+    tested only against the kept states of strictly larger sum, since only
+    those can dominate it.  A state dominated by a dropped state is also
+    dominated by the kept state that dropped it, which has a larger sum
+    still, so testing against kept states suffices.  When every sum is equal
+    no test is made at all.
+    """
+    signatures, sums = table.signatures, table.sums
+    order = sorted(table.live, key=sums.__getitem__, reverse=True)
+    kept: list[int] = []
+    higher = 0  # kept[:higher] have a strictly larger sum than the current state
+    previous_sum = None
+    for i in order:
+        if sums[i] != previous_sum:
+            higher, previous_sum = len(kept), sums[i]
+        signature = signatures[i]
+        if not any(_dominates(signatures[k], signature) for k in kept[:higher]):
+            kept.append(i)
+    return kept
+
+
 def enumerate_frontier(
     fs: FeasibleSet, polity: Polity, transforms: Transforms
 ) -> FrontierReport:
     """Classify every feasible state as efficient or not.
 
-    Runs two independent routes on every call: a pairwise oracle that tests
-    each state against each alternative by definition, and a dominance-pruned
-    skyline over information signatures.  Disagreement raises
-    ``InternalInvariant``; so does an empty frontier, which cannot happen on a
-    finite non-empty set unless every state is degenerate.
+    Runs two independent routes on every call over one signature table: a
+    pairwise oracle that tests each state against each alternative by
+    definition, on the agents' cached information, and a sort-filter skyline
+    over signatures.  Disagreement raises ``InternalInvariant``; so does an
+    empty frontier, which cannot happen on a finite non-empty set unless
+    every state is degenerate.
     """
-    specs = transforms_for(polity, transforms)
-    states = list(enumerate_feasible(fs, polity))
-    signatures: dict[int, tuple[Fraction, ...]] = {}
-    degenerate: set[int] = set()
-    for idx, state in enumerate(states):
-        try:
-            signatures[idx] = _signature(state, specs)
-        except ZeroReferencePoint as exc:
-            degenerate.add(idx)
-            logger.warning("state %d excluded from frontier: %s", idx, exc)
-
-    live = [i for i in range(len(states)) if i not in degenerate]
+    table = build_signature_table(fs, polity, transforms, "excluded from frontier")
+    live = table.live
+    infos = table.infos
 
     # Route 1: pairwise oracle straight from the definition.
-    naive_efficient = set()
-    for i in live:
-        improved = False
-        for j in live:
-            if i == j:
-                continue
-            verdict = check_improvement(Move(before=states[i], after=states[j]), specs)
-            if verdict.is_improvement:
-                improved = True
-                break
-        if not improved:
-            naive_efficient.add(i)
+    naive_efficient = {
+        i
+        for i in live
+        if not any(_improves(infos[j], infos[i]) for j in live if j != i)
+    }
 
     # Route 2: skyline over signatures.
-    kept: list[int] = []
-    for i in live:
-        sig = signatures[i]
-        if any(_dominates(signatures[k], sig) for k in kept):
-            continue
-        kept = [k for k in kept if not _dominates(sig, signatures[k])]
-        kept.append(i)
-    pruned_efficient = set(kept)
+    pruned_efficient = set(_skyline(table))
 
     if naive_efficient != pruned_efficient:
         raise InternalInvariant(
@@ -404,11 +490,11 @@ def enumerate_frontier(
     entries = tuple(
         FrontierEntry(
             state_id=i,
-            state=states[i],
+            state=state,
             efficient=i in naive_efficient,
-            degenerate=i in degenerate,
+            degenerate=info is None,
         )
-        for i in range(len(states))
+        for i, (state, info) in enumerate(zip(table.states, infos))
     )
     return FrontierReport(entries)
 
@@ -417,9 +503,11 @@ def enumerate_frontier(
 class ScanReport:
     """Exhaustive ordered-move scan over a feasible set.
 
-    ``moves_examined`` counts pairs actually evaluated; pairs touching a
-    degenerate state are skipped and counted separately.  Degenerate states
-    have no evaluable improving move, so they count as efficient.
+    ``moves_examined`` counts every ordered pair of live states, including
+    the pairs that the signature sums decide without a dominance test; pairs
+    touching a degenerate state are skipped and counted separately.
+    Degenerate states have no evaluable improving move, so they count as
+    efficient.
     """
 
     states_examined: int
@@ -432,24 +520,6 @@ class ScanReport:
     states: tuple[Allocation, ...] = field(default=(), repr=False)
 
 
-def _scan_chunk(
-    lo: int,
-    hi: int,
-    live: list[int],
-    signatures: dict[int, tuple[Fraction, ...]],
-) -> tuple[list[tuple[int, int]], int]:
-    found: list[tuple[int, int]] = []
-    examined = 0
-    for i in live[lo:hi]:
-        for j in live:
-            if i == j:
-                continue
-            examined += 1
-            if _dominates(signatures[j], signatures[i]):
-                found.append((i, j))
-    return found, examined
-
-
 def scan_all_moves(
     fs: FeasibleSet,
     polity: Polity,
@@ -460,53 +530,42 @@ def scan_all_moves(
     """Evaluate every ordered pair of distinct feasible states.
 
     Raises ``CapExceeded`` before enumerating when the pair count would pass
-    ``cap``.  Results are deterministic and identical for any ``workers``
-    value: the from-state range is split into contiguous chunks and merged in
-    order.
+    ``cap``.  A move from i to j can improve only if j's signature sum is
+    strictly larger, so each from-state is tested only against the states
+    above its sum in a sum-sorted order.  Improving moves are listed by
+    from-state, then to-state.  The scan runs in one thread: ``workers`` must
+    be at least 1 and is otherwise ignored, so results are identical for any
+    value.
     """
+    if workers < 1:
+        raise ValidationError(f"worker count must be at least 1, got {workers}", key="workers")
     n = count_feasible(fs, polity)
     required = n * (n - 1)
     if required > cap:
         raise CapExceeded(cap, required)
-    specs = transforms_for(polity, transforms)
-    states = list(enumerate_feasible(fs, polity))
-    signatures: dict[int, tuple[Fraction, ...]] = {}
-    degenerate: set[int] = set()
-    for idx, state in enumerate(states):
-        try:
-            signatures[idx] = _signature(state, specs)
-        except ZeroReferencePoint as exc:
-            degenerate.add(idx)
-            logger.warning("state %d skipped in scan: %s", idx, exc)
-    live = [i for i in range(n) if i not in degenerate]
-
-    workers = max(1, workers)
-    chunk = max(1, -(-len(live) // workers))
-    bounds = [(lo, min(lo + chunk, len(live))) for lo in range(0, len(live), chunk)]
-
-    results: list[tuple[list[tuple[int, int]], int]]
-    if workers == 1 or len(bounds) <= 1:
-        results = [_scan_chunk(lo, hi, live, signatures) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_scan_chunk, lo, hi, live, signatures) for lo, hi in bounds
-            ]
-            results = [f.result() for f in futures]
+    table = build_signature_table(fs, polity, transforms, "skipped in scan")
+    live = table.live
+    signatures, sums = table.signatures, table.sums
+    by_sum = sorted(live, key=sums.__getitem__)
+    sorted_sums = [sums[j] for j in by_sum]
 
     improving: list[tuple[int, int]] = []
-    examined = 0
-    for found, count in results:
-        improving.extend(found)
-        examined += count
-    improvable = {i for i, _ in improving}
+    improvable = 0
+    for i in live:
+        signature = signatures[i]
+        above = by_sum[bisect_right(sorted_sums, sums[i]) :]
+        found = sorted(j for j in above if _dominates(signatures[j], signature))
+        if found:
+            improvable += 1
+            improving.extend((i, j) for j in found)
+    examined = len(live) * (len(live) - 1)
     return ScanReport(
         states_examined=n,
         moves_examined=examined,
         improvements_found=len(improving),
         improving_moves=tuple(improving),
-        efficient_state_count=n - len(improvable),
+        efficient_state_count=n - improvable,
         skipped_moves=required - examined,
-        degenerate_states=len(degenerate),
-        states=tuple(states),
+        degenerate_states=n - len(live),
+        states=table.states,
     )

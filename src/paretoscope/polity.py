@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Union
 
-from .errors import DimensionMismatch, InfeasibleConfig, ValidationError
+from .errors import DimensionMismatch, InfeasibleConfig, InvalidAgent, ValidationError
 
 Quantity = Fraction
 
@@ -187,8 +187,6 @@ class Allocation:
         )
 
     def _check_agent(self, agent: int) -> None:
-        from .errors import InvalidAgent
-
         if not 1 <= agent <= self.n_agents:
             raise InvalidAgent(f"agent {agent} not in 1..{self.n_agents}")
 

@@ -173,6 +173,16 @@ def test_bad_arguments_exit_1(capsys):
     ) == 1
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--parallel", "0"), ("--parallel", "-5"), ("--cap", "-1")]
+)
+def test_bad_scan_flag_values_exit_1(capsys, flag, value):
+    assert main(["scan", "--scenario", str(DATA / "own_box.scn"), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert flag in err
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from paretoscope import engine
 from paretoscope import (
     BoxGrid,
     CapExceeded,
@@ -267,22 +268,98 @@ def test_frontier_matches_per_state_efficiency():
         )
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=3),
-            st.integers(min_value=0, max_value=3),
-        ),
-        min_size=1,
-        max_size=12,
-    )
+_LEVEL = st.integers(min_value=0, max_value=3)
+
+
+def _explicit_states(n_agents, commodities=1):
+    point = st.tuples(*[_LEVEL] * (n_agents * commodities))
+
+    def build(points):
+        return tuple(
+            alloc(*(p[a * commodities : (a + 1) * commodities] for a in range(n_agents)))
+            for p in points
+        )
+
+    return st.lists(point, min_size=1, max_size=12).map(build)
+
+
+_MIXED = {
+    1: OwnBundle(),
+    2: RelativeToNeighborhood(frozenset({1, 3})),
+    3: RelativeToMean(),
+}
+
+# Levels include 0, so relative transforms meet degenerate states (a zero
+# reference mean) among the random lists.
+_FRONTIER_CASES = st.one_of(
+    st.tuples(st.just(OwnBundle()), _explicit_states(2)),
+    st.tuples(st.just(RelativeToMean()), _explicit_states(3)),
+    st.tuples(st.just(_MIXED), _explicit_states(3)),
+    st.tuples(st.just(OwnBundle()), _explicit_states(2, commodities=2)),
 )
-def test_frontier_routes_agree_on_random_explicit_lists(points):
+
+
+@given(_FRONTIER_CASES)
+def test_frontier_routes_agree_on_random_explicit_lists(case):
     # enumerate_frontier cross-checks its two routes internally and raises
-    # InternalInvariant on any disagreement
-    fs = ExplicitList(tuple(alloc(x, y) for x, y in points))
-    report = enumerate_frontier(fs, Polity(2, 1), OwnBundle())
-    assert len(report.efficient_states) >= 1
+    # InternalInvariant on any disagreement; scan and per-state efficiency
+    # must then agree with it on the efficient and the degenerate states
+    spec, states = case
+    fs = ExplicitList(states)
+    polity = fs.states[0].polity
+    degenerate, efficient = set(), set()
+    for idx, state in enumerate(fs.states):
+        try:
+            verdict = is_pareto_efficient(state, fs, spec)
+        except ZeroReferencePoint:
+            degenerate.add(idx)
+            continue
+        if verdict.is_efficient:
+            efficient.add(idx)
+
+    scan = scan_all_moves(fs, polity, spec)
+    improvable = {i for i, _ in scan.improving_moves}
+    live = set(range(len(fs.states))) - degenerate
+    assert scan.degenerate_states == len(degenerate)
+    assert live - improvable == efficient
+
+    if not live:
+        with pytest.raises(InternalInvariant):
+            enumerate_frontier(fs, polity, spec)
+        return
+    report = enumerate_frontier(fs, polity, spec)
+    assert set(report.efficient_ids) == efficient
+    assert set(report.degenerate_ids) == degenerate
+
+
+def test_frontier_route_disagreement_raises(monkeypatch):
+    # a skyline that never sees dominance keeps every state, while the
+    # oracle keeps only the top corner: the cross-check must catch it
+    monkeypatch.setattr(engine, "_dominates", lambda a, b: False)
+    with pytest.raises(InternalInvariant, match="frontier routes disagree"):
+        enumerate_frontier(BoxGrid.shared([0, 1, 2]), Polity(2, 1), OwnBundle())
+
+
+@pytest.mark.parametrize(
+    "fs,polity,spec",
+    [
+        (BoxGrid.shared([0, 1, 2, 3]), Polity(2, 1), RelativeToMean()),
+        (BoxGrid.shared([0, 1, 5]), Polity(3, 1), RelativeToMean()),
+        (BoxGrid.shared([1, 2]), Polity(4, 1), RelativeToMean()),
+        (BoxGrid.shared([0, 1], commodities=2), Polity(2, 2), RelativeToMean((1, 3))),
+        (FixedTotalLattice.shared(4), Polity(3, 1), RelativeToMean()),
+    ],
+)
+def test_relative_mean_signatures_sum_to_agent_count(fs, polity, spec):
+    # sum_i x_i / mean = n: no state can dominate another, so every live
+    # state is efficient
+    table = engine.build_signature_table(fs, polity, spec)
+    assert table.live
+    for i in table.live:
+        assert sum(table.signatures[i]) == polity.n_agents
+        assert table.sums[i] == polity.n_agents
+    report = enumerate_frontier(fs, polity, spec)
+    assert report.efficient_ids == tuple(table.live)
 
 
 def test_scan_own_small_box_counts():
@@ -345,6 +422,12 @@ def test_scan_worker_count_does_not_change_results():
     baseline = scan_all_moves(fs, polity, OwnBundle(), workers=1)
     for workers in (2, 3, 4, 7):
         assert scan_all_moves(fs, polity, OwnBundle(), workers=workers) == baseline
+
+
+def test_scan_rejects_worker_count_below_one():
+    for workers in (0, -5):
+        with pytest.raises(ValidationError):
+            scan_all_moves(BoxGrid.shared([0, 1]), Polity(2, 1), OwnBundle(), workers=workers)
 
 
 def test_scan_cap():
