@@ -11,16 +11,19 @@ rises and at least one agent's strictly rises.  Three checkers implement this:
   bundle changes.  It is a genuinely separate evaluation route: the tests
   confirm it agrees with the definitional checker rather than assuming it.
 
-All three share one definition of improvement (``_tally``).
-``enumerate_frontier`` likewise keeps two routes alive (a pairwise oracle over
-the agents' cached information and a sum-presorted skyline over signatures)
-and insists they agree on every call.  Frontiers and scans read one
-``SignatureTable`` that evaluates each state's transforms once.
+All three share one definition of improvement with reasons (``_tally``);
+``_improves`` is its yes/no form for the loops that need no reasons.
+``enumerate_frontier`` keeps two routes alive (a pairwise oracle over each
+agent's information and a sum-presorted skyline over signatures) and insists
+they agree on every call.  Frontiers and scans read one ``SignatureTable``
+that evaluates each state's transforms once and scales every component to an
+exact int by one common factor.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -144,14 +147,12 @@ def _tally(
     after: Iterable[object],
     before: Iterable[object],
     compare: Callable[[object, object], PartialOrderResult],
-    stop_at_violator: bool = False,
 ) -> tuple[list[int], list[tuple[int, ViolationKind]]]:
     """Strict gainers and violators of a move, agent by agent.
 
     This is the one definition of improvement: a move improves when it has
     no violator and at least one strict gainer.  ``after`` and ``before``
-    hold each agent's information (in ``agents`` order) at the two ends;
-    ``stop_at_violator`` returns as soon as the verdict is known to be no.
+    hold each agent's information (in ``agents`` order) at the two ends.
     """
     gainers, violators = [], []
     for agent, a, b in zip(agents, after, before):
@@ -162,17 +163,28 @@ def _tally(
             violators.append((agent, ViolationKind.INCOMPARABLE_INFO))
         elif not result.weakly_ge:
             violators.append((agent, ViolationKind.STRICTLY_WORSE))
-        if stop_at_violator and violators:
-            break
     return gainers, violators
 
 
-def _improves(after: tuple[PreferenceInfo, ...], before: tuple[PreferenceInfo, ...]) -> bool:
-    """Whether moving between two states with these infos is an improvement."""
-    gainers, violators = _tally(
-        range(len(after)), after, before, compare_info, stop_at_violator=True
-    )
-    return not violators and bool(gainers)
+def _improves(after: tuple[tuple, ...], before: tuple[tuple, ...]) -> bool:
+    """Whether moving between two states is an improvement, yes or no.
+
+    ``after`` and ``before`` hold each agent's information components in
+    agent order (see ``info_components``), as ``Fraction``s or as the scaled
+    ints of a ``SignatureTable``.  Agents left equal are skipped, any agent
+    with a lower component blocks, and some agent must differ.  An agent who
+    differs with no lower component has a strictly higher one, so this is the
+    ``_tally`` verdict without its reasons.
+    """
+    gained = False
+    for a, b in zip(after, before):
+        if a == b:
+            continue
+        for x, y in zip(a, b):
+            if x < y:
+                return False
+        gained = True
+    return gained
 
 
 def _verdict(
@@ -313,12 +325,19 @@ def _state_rows(
 
 @dataclass(frozen=True)
 class SignatureTable:
-    """Every feasible state with its information, evaluated once per agent.
+    """Every feasible state with its information as exact scaled integers.
 
-    Row ``i`` is the state with enumeration index ``i``.  ``infos`` holds the
-    agents' information in agent order; ``signatures`` flattens it to one
-    tuple of components and ``sums`` adds those up.  All three are ``None``
-    for a degenerate state.
+    Row ``i`` is the state with enumeration index ``i``.  Each agent's
+    transform is evaluated once per state, and every information component
+    ``c`` is stored as the int ``c * scale``, where ``scale`` is the least
+    common multiple of the denominators of all live components.
+    ``components`` holds one int tuple per agent in agent order (a 1-tuple
+    for scalar information); ``signatures`` flattens it to one tuple and
+    ``sums`` adds that up.  All three are ``None`` for a degenerate state.
+
+    One common positive scale keeps every comparison exact: ``x < y`` exactly
+    when ``x * scale < y * scale``, and equal rational sums stay equal.
+    ``Fraction(component, scale)`` recovers the information.
 
     Improvement between two states is equivalent to strict componentwise
     dominance between their signatures: per-agent weak rises concatenate to a
@@ -328,9 +347,10 @@ class SignatureTable:
     """
 
     states: tuple[Allocation, ...]
-    infos: tuple[tuple[PreferenceInfo, ...] | None, ...]
-    signatures: tuple[tuple[Fraction, ...] | None, ...]
-    sums: tuple[Fraction | None, ...]
+    scale: int
+    components: tuple[tuple[tuple[int, ...], ...] | None, ...]
+    signatures: tuple[tuple[int, ...] | None, ...]
+    sums: tuple[int | None, ...]
 
     @property
     def live(self) -> list[int]:
@@ -349,21 +369,34 @@ def build_signature_table(
     ``warning`` is logged for each degenerate state as in ``_state_rows``.
     """
     specs = transforms_for(polity, transforms)
-    states, infos, signatures, sums = [], [], [], []
+    states, rows = [], []
     for state, info in _state_rows(enumerate_feasible(fs, polity), specs, warning):
         states.append(state)
-        infos.append(info)
-        if info is None:
+        rows.append(None if info is None else tuple(map(info_components, info)))
+    denominators = {
+        c.denominator for row in rows if row is not None for item in row for c in item
+    }
+    scale = math.lcm(*denominators)
+    components, signatures, sums = [], [], []
+    for row in rows:
+        if row is None:
+            components.append(None)
             signatures.append(None)
             sums.append(None)
             continue
-        signature = tuple(c for item in info for c in info_components(item))
+        scaled = tuple(
+            tuple(c.numerator * (scale // c.denominator) for c in item) for item in row
+        )
+        signature = tuple(c for item in scaled for c in item)
+        components.append(scaled)
         signatures.append(signature)
-        sums.append(sum(signature, Fraction(0)))
-    return SignatureTable(tuple(states), tuple(infos), tuple(signatures), tuple(sums))
+        sums.append(sum(signature))
+    return SignatureTable(
+        tuple(states), scale, tuple(components), tuple(signatures), tuple(sums)
+    )
 
 
-def _dominates(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> bool:
+def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(map(operator.ge, a, b)) and a != b
 
 
@@ -381,14 +414,14 @@ def is_pareto_efficient(
     specs = transforms_for(polity, transforms)
     if not feasible_contains(fs, state):
         logger.warning("state %s is not in the declared feasible set", state.flat())
-    before = _evaluate_all(state, specs, "from")
+    before = tuple(map(info_components, _evaluate_all(state, specs, "from")))
     skipped = 0
     # Targets stream through rather than filling a table: memory stays flat
     # on large lattices and the search stops at the first witness.
     for target, after in _state_rows(enumerate_feasible(fs, polity), specs):
         if after is None:
             skipped += 1
-        elif _improves(after, before):
+        elif _improves(tuple(map(info_components, after)), before):
             return EfficiencyVerdict(False, Move(before=state, after=target), skipped)
     return EfficiencyVerdict(True, None, skipped)
 
@@ -456,20 +489,20 @@ def enumerate_frontier(
 
     Runs two independent routes on every call over one signature table: a
     pairwise oracle that tests each state against each alternative by
-    definition, on the agents' cached information, and a sort-filter skyline
-    over signatures.  Disagreement raises ``InternalInvariant``; so does an
+    definition, agent by agent on the scaled components, and a sort-filter
+    skyline over the flattened signatures.  Disagreement raises ``InternalInvariant``; so does an
     empty frontier, which cannot happen on a finite non-empty set unless
     every state is degenerate.
     """
     table = build_signature_table(fs, polity, transforms, "excluded from frontier")
     live = table.live
-    infos = table.infos
+    components = table.components
 
-    # Route 1: pairwise oracle straight from the definition.
+    # Route 1: pairwise oracle straight from the definition, agent by agent.
     naive_efficient = {
         i
         for i in live
-        if not any(_improves(infos[j], infos[i]) for j in live if j != i)
+        if not any(_improves(components[j], components[i]) for j in live if j != i)
     }
 
     # Route 2: skyline over signatures.
@@ -492,9 +525,9 @@ def enumerate_frontier(
             state_id=i,
             state=state,
             efficient=i in naive_efficient,
-            degenerate=info is None,
+            degenerate=signature is None,
         )
-        for i, (state, info) in enumerate(zip(table.states, infos))
+        for i, (state, signature) in enumerate(zip(table.states, table.signatures))
     )
     return FrontierReport(entries)
 

@@ -45,34 +45,17 @@ def as_quantity(value: int | str | Fraction) -> Fraction:
 class PartialOrderResult(Enum):
     """Outcome of comparing two values under a partial order.
 
-    The componentwise comparison of exact vectors only ever yields ``EQUAL``,
-    ``STRICTLY_GREATER``, ``STRICTLY_LESS``, or ``INCOMPARABLE``; the weak
-    members complete the vocabulary for callers that track non-strict
-    relations explicitly.
+    The componentwise comparison of exact vectors yields one of these four.
     """
 
     EQUAL = "equal"
-    WEAKLY_GREATER = "weakly_greater"
     STRICTLY_GREATER = "strictly_greater"
-    WEAKLY_LESS = "weakly_less"
     STRICTLY_LESS = "strictly_less"
     INCOMPARABLE = "incomparable"
 
     @property
     def weakly_ge(self) -> bool:
-        return self in (
-            PartialOrderResult.EQUAL,
-            PartialOrderResult.WEAKLY_GREATER,
-            PartialOrderResult.STRICTLY_GREATER,
-        )
-
-    @property
-    def weakly_le(self) -> bool:
-        return self in (
-            PartialOrderResult.EQUAL,
-            PartialOrderResult.WEAKLY_LESS,
-            PartialOrderResult.STRICTLY_LESS,
-        )
+        return self in (PartialOrderResult.EQUAL, PartialOrderResult.STRICTLY_GREATER)
 
 
 @dataclass(frozen=True)

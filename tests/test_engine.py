@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from paretoscope import engine
+from paretoscope.transforms import info_components
 from paretoscope import (
     BoxGrid,
     CapExceeded,
@@ -40,6 +41,7 @@ from paretoscope import (
     classify_move_agents,
     enumerate_feasible,
     enumerate_frontier,
+    evaluate_transform,
     is_pareto_efficient,
     scan_all_moves,
     transforms_for,
@@ -269,10 +271,14 @@ def test_frontier_matches_per_state_efficiency():
 
 
 _LEVEL = st.integers(min_value=0, max_value=3)
+# Non-integer holdings give the signature table mixed denominators to scale.
+_FRACTIONAL_LEVEL = st.sampled_from(
+    [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2)]
+)
 
 
-def _explicit_states(n_agents, commodities=1):
-    point = st.tuples(*[_LEVEL] * (n_agents * commodities))
+def _explicit_states(n_agents, commodities=1, level=_LEVEL):
+    point = st.tuples(*[level] * (n_agents * commodities))
 
     def build(points):
         return tuple(
@@ -296,6 +302,16 @@ _FRONTIER_CASES = st.one_of(
     st.tuples(st.just(RelativeToMean()), _explicit_states(3)),
     st.tuples(st.just(_MIXED), _explicit_states(3)),
     st.tuples(st.just(OwnBundle()), _explicit_states(2, commodities=2)),
+    st.tuples(st.just(OwnBundle()), _explicit_states(3, level=_FRACTIONAL_LEVEL)),
+    st.tuples(st.just(RelativeToMean()), _explicit_states(3, level=_FRACTIONAL_LEVEL)),
+    st.tuples(st.just(_MIXED), _explicit_states(3, level=_FRACTIONAL_LEVEL)),
+    st.tuples(
+        st.just(OwnBundle()), _explicit_states(2, commodities=2, level=_FRACTIONAL_LEVEL)
+    ),
+    st.tuples(
+        st.just(WeightedOwn((Fraction(2, 7), Fraction(5, 4)))),
+        _explicit_states(2, commodities=2, level=_FRACTIONAL_LEVEL),
+    ),
 )
 
 
@@ -340,6 +356,36 @@ def test_frontier_route_disagreement_raises(monkeypatch):
         enumerate_frontier(BoxGrid.shared([0, 1, 2]), Polity(2, 1), OwnBundle())
 
 
+def test_frontier_oracle_disagreement_raises(monkeypatch):
+    # the mirror case: an oracle that never finds an improvement keeps every
+    # state, while the skyline keeps only the top corner
+    monkeypatch.setattr(engine, "_improves", lambda after, before: False)
+    with pytest.raises(InternalInvariant, match="frontier routes disagree"):
+        enumerate_frontier(BoxGrid.shared([0, 1, 2]), Polity(2, 1), OwnBundle())
+
+
+@given(_FRONTIER_CASES)
+def test_signature_table_scales_every_component_exactly(case):
+    # each stored int is the information component times the one common
+    # scale, so Fraction(component, scale) gives back the exact rational
+    spec, states = case
+    fs = ExplicitList(states)
+    polity = fs.states[0].polity
+    table = engine.build_signature_table(fs, polity, spec)
+    assert table.scale >= 1
+    specs = transforms_for(polity, spec)
+    for i in table.live:
+        state = table.states[i]
+        for components, (agent, agent_spec) in zip(table.components[i], specs.items()):
+            expected = info_components(evaluate_transform(agent_spec, state, agent))
+            assert all(type(c) is int for c in components)
+            assert tuple(Fraction(c, table.scale) for c in components) == expected
+        assert table.signatures[i] == tuple(c for item in table.components[i] for c in item)
+        assert table.sums[i] == sum(table.signatures[i])
+    for i in set(range(len(table.states))) - set(table.live):
+        assert table.components[i] is None and table.sums[i] is None
+
+
 @pytest.mark.parametrize(
     "fs,polity,spec",
     [
@@ -356,8 +402,8 @@ def test_relative_mean_signatures_sum_to_agent_count(fs, polity, spec):
     table = engine.build_signature_table(fs, polity, spec)
     assert table.live
     for i in table.live:
-        assert sum(table.signatures[i]) == polity.n_agents
-        assert table.sums[i] == polity.n_agents
+        assert sum(table.signatures[i]) == polity.n_agents * table.scale
+        assert table.sums[i] == polity.n_agents * table.scale
     report = enumerate_frontier(fs, polity, spec)
     assert report.efficient_ids == tuple(table.live)
 

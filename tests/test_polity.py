@@ -87,11 +87,8 @@ def test_compare_bundles_dimension_mismatch():
 
 def test_weak_helpers():
     assert PartialOrderResult.EQUAL.weakly_ge
-    assert PartialOrderResult.EQUAL.weakly_le
     assert PartialOrderResult.STRICTLY_GREATER.weakly_ge
-    assert not PartialOrderResult.STRICTLY_GREATER.weakly_le
     assert not PartialOrderResult.INCOMPARABLE.weakly_ge
-    assert not PartialOrderResult.INCOMPARABLE.weakly_le
 
 
 _vectors = st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=2)
