@@ -31,7 +31,7 @@ from .errors import (
     ScenarioError,
     ValidationError,
 )
-from .polity import describe_feasible, enumerate_feasible
+from .polity import describe_feasible, enumerate_feasible, unrank_feasible
 from .report import Report, emit_report, render_allocation, render_bool, render_move
 from .scenario import Scenario, load_scenario
 from .transforms import OwnBundle, transform_label
@@ -107,12 +107,10 @@ def _run_check_move(scenario: Scenario) -> Report:
 def _run_efficient(scenario: Scenario, state_id: int | None) -> Report:
     if state_id is None:
         raise MissingField("state")
-    states = list(enumerate_feasible(scenario.feasible, scenario.polity))
-    if not 0 <= state_id < len(states):
-        raise ValidationError(
-            f"state id {state_id} not in 0..{len(states) - 1}", key="state"
-        )
-    state = states[state_id]
+    try:
+        state = unrank_feasible(scenario.feasible, scenario.polity, state_id)
+    except IndexError as exc:
+        raise ValidationError(str(exc), key="state") from exc
     verdict = is_pareto_efficient(state, scenario.feasible, scenario.transforms)
     diagnostics = []
     if verdict.skipped_targets:

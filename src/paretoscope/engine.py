@@ -49,6 +49,7 @@ from .polity import (
     compare_bundles,
     count_feasible,
     enumerate_feasible,
+    enumerate_upper_cone,
     feasible_contains,
 )
 from .transforms import (
@@ -400,10 +401,34 @@ def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(map(operator.ge, a, b)) and a != b
 
 
+def _own_type(specs: dict[int, TransformSpec], commodity_dim: int) -> bool:
+    """Whether every agent's information can rise only if their own bundle does.
+
+    ``OwnBundle`` information is the bundle itself.  ``WeightedOwn`` with one
+    commodity is a positive multiple of the holding; over several
+    commodities a weighted sum can rise while some holding falls, so it does
+    not qualify.
+    """
+    return all(
+        isinstance(spec, OwnBundle) or (isinstance(spec, WeightedOwn) and commodity_dim == 1)
+        for spec in specs.values()
+    )
+
+
 def is_pareto_efficient(
     state: Allocation, fs: FeasibleSet, transforms: Transforms
 ) -> EfficiencyVerdict:
     """Check ``state`` against every feasible alternative.
+
+    Targets are tried in enumeration order and the first improving one is
+    the witness.  When every agent's transform is own-type (``OwnBundle``,
+    or ``WeightedOwn`` on a single commodity), an improving target must hold
+    at least ``state``'s quantity in every slot, so only that upper cone is
+    searched (``enumerate_upper_cone``).  The cone keeps enumeration order,
+    so the witness is the same.  The cone of a state of a fixed-total
+    lattice is the state alone: under own-bundle preferences every
+    redistribution is efficient, and this costs nothing to confirm.  Other
+    transforms search every feasible state.
 
     Raises ``ZeroReferencePoint`` when the state itself has an undefined
     relative position; alternatives with undefined positions are skipped and
@@ -415,10 +440,14 @@ def is_pareto_efficient(
     if not feasible_contains(fs, state):
         logger.warning("state %s is not in the declared feasible set", state.flat())
     before = tuple(map(info_components, _evaluate_all(state, specs, "from")))
+    if _own_type(specs, polity.commodity_dim):
+        targets = enumerate_upper_cone(fs, state)
+    else:
+        targets = enumerate_feasible(fs, polity)
     skipped = 0
     # Targets stream through rather than filling a table: memory stays flat
-    # on large lattices and the search stops at the first witness.
-    for target, after in _state_rows(enumerate_feasible(fs, polity), specs):
+    # on large sets and the search stops at the first witness.
+    for target, after in _state_rows(targets, specs):
         if after is None:
             skipped += 1
         elif _improves(tuple(map(info_components, after)), before):

@@ -13,6 +13,8 @@ bit-for-bit across runs and platforms.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -320,9 +322,80 @@ def feasible_dimension(fs: FeasibleSet) -> int:
     return fs.states[0].dimension
 
 
-def _lattice_bundles(levels_per_commodity: list[list[Fraction]]) -> Iterator[Bundle]:
-    for combo in product(*levels_per_commodity):
-        yield Bundle(combo)
+def _unchecked_state(flat: tuple[Fraction, ...], dim: int) -> Allocation:
+    """The allocation with quantities ``flat`` (agent-major), built unchecked.
+
+    The enumerators take every quantity from an already validated feasible
+    set, so each is an exact non-negative ``Fraction`` and the bundles share
+    one dimension.  Skipping ``Bundle.__post_init__`` saves re-coercing every
+    quantity, which cost more than evaluating the transforms when a lattice
+    was listed.
+    """
+    bundles = []
+    for start in range(0, len(flat), dim):
+        bundle = object.__new__(Bundle)
+        object.__setattr__(bundle, "quantities", flat[start : start + dim])
+        bundles.append(bundle)
+    state = object.__new__(Allocation)
+    object.__setattr__(state, "bundles", tuple(bundles))
+    return state
+
+
+def _check_shape(fs: FeasibleSet, polity: Polity) -> None:
+    if feasible_dimension(fs) != polity.commodity_dim:
+        raise InfeasibleConfig(
+            f"feasible set is {feasible_dimension(fs)}-dimensional "
+            f"but polity has {polity.commodity_dim} commodities"
+        )
+    if isinstance(fs, ExplicitList) and fs.states[0].n_agents != polity.n_agents:
+        raise InfeasibleConfig(
+            f"explicit states have {fs.states[0].n_agents} agents "
+            f"but polity has {polity.n_agents}"
+        )
+
+
+def _slot_levels(fs: BoxGrid, polity: Polity) -> list[tuple[Fraction, ...]]:
+    """The levels of each flattened slot (agent-major, commodity-minor)."""
+    return list(fs.levels) * polity.n_agents
+
+
+def _lattice_units(fs: FixedTotalLattice) -> list[int]:
+    """Each commodity's total as a count of lattice steps."""
+    return [int(t / fs.step) for t in fs.totals]
+
+
+def _splits(units: tuple[int, ...], agents: int) -> Iterator[tuple[int, ...]]:
+    """Every way to split ``units`` of each commodity among ``agents`` agents.
+
+    Yields flattened unit counts (agent-major, commodity-minor) in
+    lexicographic order; the last agent absorbs the remainder.
+    """
+    if agents == 1:
+        yield units
+        return
+    for head in product(*(range(u + 1) for u in units)):
+        rest = tuple(u - h for u, h in zip(units, head))
+        for tail in _splits(rest, agents - 1):
+            yield head + tail
+
+
+def _lattice_states(
+    fs: FixedTotalLattice, polity: Polity, floor: tuple[int, ...], residual: tuple[int, ...]
+) -> Iterator[Allocation]:
+    """The lattice states ``floor + split`` for every split of ``residual``.
+
+    ``floor`` holds flattened unit counts and ``residual`` the units of each
+    commodity left to split.  Adding a fixed vector keeps lexicographic
+    order, so the states come out in enumeration order.
+    """
+    dim = polity.commodity_dim
+    values = {
+        k: fs.step * k
+        for slot, low in enumerate(floor)
+        for k in range(low, low + residual[slot % dim] + 1)
+    }
+    for split in _splits(residual, polity.n_agents):
+        yield _unchecked_state(tuple(values[f + s] for f, s in zip(floor, split)), dim)
 
 
 def enumerate_feasible(fs: FeasibleSet, polity: Polity) -> Iterator[Allocation]:
@@ -331,49 +404,100 @@ def enumerate_feasible(fs: FeasibleSet, polity: Polity) -> Iterator[Allocation]:
     The order key is the flattened quantity tuple (agent-major,
     commodity-minor), ascending.
     """
-    if feasible_dimension(fs) != polity.commodity_dim:
-        raise InfeasibleConfig(
-            f"feasible set is {feasible_dimension(fs)}-dimensional "
-            f"but polity has {polity.commodity_dim} commodities"
-        )
+    _check_shape(fs, polity)
     if isinstance(fs, BoxGrid):
-        per_agent = [list(fs.levels[c]) for c in range(polity.commodity_dim)]
-        slot_levels = per_agent * polity.n_agents
-        for combo in product(*slot_levels):
-            bundles = tuple(
-                Bundle(combo[a * polity.commodity_dim : (a + 1) * polity.commodity_dim])
-                for a in range(polity.n_agents)
-            )
-            yield Allocation(bundles)
+        for flat in product(*_slot_levels(fs, polity)):
+            yield _unchecked_state(flat, polity.commodity_dim)
     elif isinstance(fs, FixedTotalLattice):
-        yield from _enumerate_lattice(fs, polity)
+        slots = polity.n_agents * polity.commodity_dim
+        yield from _lattice_states(fs, polity, (0,) * slots, tuple(_lattice_units(fs)))
     else:
-        if fs.states[0].n_agents != polity.n_agents:
-            raise InfeasibleConfig(
-                f"explicit states have {fs.states[0].n_agents} agents "
-                f"but polity has {polity.n_agents}"
-            )
         yield from fs.states
 
 
-def _enumerate_lattice(fs: FixedTotalLattice, polity: Polity) -> Iterator[Allocation]:
-    step = fs.step
+def enumerate_upper_cone(fs: FeasibleSet, floor: Allocation) -> Iterator[Allocation]:
+    """Yield the feasible states that hold at least ``floor`` in every slot.
 
-    def options(remaining: Fraction) -> list[Fraction]:
-        units = int(remaining / step)
-        return [step * k for k in range(units + 1)]
+    A state y is in the cone when every quantity of y is at least the same
+    agent's quantity of the same commodity in ``floor``.  The states come
+    in enumeration order: the cone is a subsequence of
+    ``enumerate_feasible(fs, floor.polity)``.  ``floor`` need not be in the
+    set, nor on its grid.
 
-    def rec(agent: int, remaining: tuple[Fraction, ...], acc: list[Bundle]) -> Iterator[Allocation]:
-        if agent == polity.n_agents:
-            # Last agent absorbs the remainder in every commodity.
-            yield Allocation(tuple(acc + [Bundle(remaining)]))
-            return
-        per_commodity = [options(r) for r in remaining]
-        for combo in product(*per_commodity):
-            rest = tuple(r - q for r, q in zip(remaining, combo))
-            yield from rec(agent + 1, rest, acc + [Bundle(combo)])
+    * Box grid: the product of each slot's levels at or above the floor.
+    * Fixed-total lattice: the floor rounded up onto the step grid, plus
+      every split of what the totals leave over; nothing when a commodity's
+      rounded floor already exceeds its total.
+    * Explicit list: the listed states that pass the test.
+    """
+    polity = floor.polity
+    _check_shape(fs, polity)
+    low = floor.flat()
+    if isinstance(fs, BoxGrid):
+        options = [
+            levels[bisect_left(levels, q) :]
+            for levels, q in zip(_slot_levels(fs, polity), low)
+        ]
+        for flat in product(*options):
+            yield _unchecked_state(flat, polity.commodity_dim)
+    elif isinstance(fs, FixedTotalLattice):
+        dim = polity.commodity_dim
+        base = tuple(math.ceil(q / fs.step) for q in low)
+        residual = tuple(
+            units - sum(base[c::dim]) for c, units in enumerate(_lattice_units(fs))
+        )
+        if min(residual) >= 0:
+            yield from _lattice_states(fs, polity, base, residual)
+    else:
+        for state in fs.states:
+            if all(map(operator.ge, state.flat(), low)):
+                yield state
 
-    yield from rec(1, fs.totals, [])
+
+def unrank_feasible(fs: FeasibleSet, polity: Polity, index: int) -> Allocation:
+    """The state at position ``index`` of ``enumerate_feasible(fs, polity)``.
+
+    Computed without listing the states before it: a box grid reads
+    ``index`` as mixed-radix digits, one per slot; a fixed-total lattice
+    walks the agents and commodities in order and skips whole blocks of
+    states, each counted by a binomial coefficient (the combinatorial number
+    system); an explicit list is indexed directly.  Raises ``IndexError``
+    outside ``0..count_feasible(fs, polity) - 1``.
+    """
+    _check_shape(fs, polity)
+    size = count_feasible(fs, polity)
+    if not 0 <= index < size:
+        raise IndexError(f"state id {index} not in 0..{size - 1}")
+    if isinstance(fs, ExplicitList):
+        return fs.states[index]
+    if isinstance(fs, BoxGrid):
+        flat = []
+        for levels in reversed(_slot_levels(fs, polity)):
+            index, digit = divmod(index, len(levels))
+            flat.append(levels[digit])
+        return _unchecked_state(tuple(reversed(flat)), polity.commodity_dim)
+    units = _lattice_units(fs)
+    split: list[int] = []
+    for agent in range(1, polity.n_agents):
+        later = polity.n_agents - agent  # agents after this one
+        # ways[c] counts the placements of commodity c's remaining units:
+        # among this agent and the later ones until this agent takes its
+        # share of c, among the later ones after.
+        ways = [math.comb(u + later, later) for u in units]
+        for c in range(len(units)):
+            others = math.prod(w for i, w in enumerate(ways) if i != c)
+            take = 0
+            while True:
+                block = others * math.comb(units[c] - take + later - 1, later - 1)
+                if index < block:
+                    break
+                index -= block
+                take += 1
+            split.append(take)
+            units[c] -= take
+            ways[c] = math.comb(units[c] + later - 1, later - 1)
+    split.extend(units)
+    return _unchecked_state(tuple(fs.step * k for k in split), polity.commodity_dim)
 
 
 def feasible_contains(fs: FeasibleSet, state: Allocation) -> bool:

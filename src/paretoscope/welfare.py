@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from .engine import transforms_for
 from .errors import DimensionMismatch, ValidationError, VectorValuedAgentInfo
-from .polity import Allocation, Bundle, as_quantity
-from .transforms import WeightedOwn, evaluate_transform
+from .polity import Allocation, Bundle, Polity, as_quantity
+from .transforms import TransformSpec, WeightedOwn, evaluate_transform
 
 
 @dataclass(frozen=True)
@@ -63,14 +64,16 @@ class SwfSpec:
     agent_values: object = None
 
 
-def _agent_values(spec: SwfSpec, allocation: Allocation) -> list[Fraction]:
-    from .engine import transforms_for
-
+def _resolve(spec: SwfSpec, polity: Polity) -> dict[int, TransformSpec]:
+    """``spec``'s per-agent value transforms, one per agent of ``polity``."""
     assignment = spec.agent_values if spec.agent_values is not None else WeightedOwn()
-    specs = transforms_for(allocation.polity, assignment)
+    return transforms_for(polity, assignment)
+
+
+def _agent_values(specs: dict[int, TransformSpec], allocation: Allocation) -> list[Fraction]:
     values = []
-    for agent in allocation.polity.agents:
-        info = evaluate_transform(specs[agent], allocation, agent)
+    for agent, agent_spec in specs.items():
+        info = evaluate_transform(agent_spec, allocation, agent)
         if isinstance(info, Bundle):
             raise VectorValuedAgentInfo(
                 f"agent {agent} yields vector information; welfare needs scalars"
@@ -79,9 +82,7 @@ def _agent_values(spec: SwfSpec, allocation: Allocation) -> list[Fraction]:
     return values
 
 
-def welfare_value(spec: SwfSpec, allocation: Allocation) -> Fraction:
-    """The welfare of one allocation under ``spec``."""
-    values = _agent_values(spec, allocation)
+def _combine(spec: SwfSpec, values: list[Fraction]) -> Fraction:
     if isinstance(spec.combiner, Sum):
         return sum(values, Fraction(0))
     if isinstance(spec.combiner, WeightedSum):
@@ -95,6 +96,11 @@ def welfare_value(spec: SwfSpec, allocation: Allocation) -> Fraction:
     if isinstance(spec.combiner, Maximin):
         return min(values)
     raise ValidationError(f"unknown combiner {spec.combiner!r}")
+
+
+def welfare_value(spec: SwfSpec, allocation: Allocation) -> Fraction:
+    """The welfare of one allocation under ``spec``."""
+    return _combine(spec, _agent_values(_resolve(spec, allocation.polity), allocation))
 
 
 @dataclass(frozen=True)
@@ -117,9 +123,17 @@ def welfare_rank(spec: SwfSpec, states: Sequence[Allocation]) -> Ranking:
     """Rank states by descending welfare.
 
     The sort is stable: states of equal value keep their input order and are
-    flagged as tied.  State ids are input positions.
+    flagged as tied.  State ids are input positions.  The value transforms
+    are resolved once per agent count, not once per state.
     """
-    valued = [(welfare_value(spec, s), i, s) for i, s in enumerate(states)]
+    resolved: dict[int, dict[int, TransformSpec]] = {}
+
+    def value_of(state: Allocation) -> Fraction:
+        if state.n_agents not in resolved:
+            resolved[state.n_agents] = _resolve(spec, state.polity)
+        return _combine(spec, _agent_values(resolved[state.n_agents], state))
+
+    valued = [(value_of(s), i, s) for i, s in enumerate(states)]
     ordered = sorted(valued, key=lambda t: t[0], reverse=True)
     counts: dict[Fraction, int] = {}
     for value, _, _ in ordered:

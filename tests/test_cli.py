@@ -131,6 +131,45 @@ def test_state_out_of_range_exits_1(capsys):
     assert "state" in capsys.readouterr().err
 
 
+def test_state_out_of_range_names_the_range(capsys):
+    for state in ("9", "-1"):
+        assert main(
+            ["efficient", "--scenario", str(DATA / "own_box.scn"), "--state", state]
+        ) == 1
+        assert f"state id {state} not in 0..8" in capsys.readouterr().err
+
+
+def test_efficient_on_a_huge_grid_judges_one_state(tmp_path):
+    # 8 agents x 10 levels is 10^8 states: the state is unranked, not
+    # listed, and under own only its upper cone is searched.  A separate
+    # process is killed at the budget, so a regression cannot run on.
+    scn = tmp_path / "huge.scn"
+    scn.write_text(
+        "agents = 8\ncommodities = 1\nfeasible.kind = box_grid\n"
+        "feasible.levels = 0,1,2,3,4,5,6,7,8,9\ntransform = own\n"
+    )
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "paretoscope.cli",
+            "efficient",
+            "--scenario",
+            str(scn),
+            "--state",
+            "3",
+            "--format",
+            "csv",
+        ],
+        capture_output=True,
+        timeout=2.0,
+    )
+    assert result.returncode == 0
+    assert result.stdout.split(b"\r\n")[1] == (
+        b'3,"(0,0,0,0,0,0,0,3)",false,"(0,0,0,0,0,0,0,3) -> (0,0,0,0,0,0,0,4)"'
+    )
+
+
 def test_engine_error_exits_2(tmp_path, capsys):
     scn = tmp_path / "degenerate.scn"
     scn.write_text(

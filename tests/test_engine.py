@@ -482,3 +482,130 @@ def test_scan_cap():
     assert exc.value.cap == 10
     assert exc.value.required == 72
     assert "cap is 10" in str(exc.value)
+
+
+def _full_stream_verdict(state, fs, spec):
+    """The efficiency search over every feasible state, as the reference.
+
+    Tries every target in enumeration order by the definitional checker and
+    returns (is_efficient, witness flat, skipped targets).
+    """
+    skipped = 0
+    for target in enumerate_feasible(fs, state.polity):
+        try:
+            verdict = check_improvement(Move(before=state, after=target), spec)
+        except ZeroReferencePoint:
+            skipped += 1
+            continue
+        if verdict.is_improvement:
+            return False, target.flat(), skipped
+    return True, None, skipped
+
+
+_CONE_SETS = [
+    (BoxGrid.shared([0, 1, 2]), Polity(2, 1)),
+    (BoxGrid.shared([0, "1/2", 2]), Polity(3, 1)),
+    (BoxGrid(((0, 1, 3), ("1/2", 2))), Polity(2, 2)),
+    (FixedTotalLattice.shared(4), Polity(3, 1)),
+    (FixedTotalLattice.shared(2, step="1/2"), Polity(3, 1)),
+    (FixedTotalLattice((Fraction(2), Fraction(1)), Fraction(1, 2)), Polity(2, 2)),
+    (
+        ExplicitList((alloc(1, 2), alloc(0, 3), alloc(2, 2), alloc(3, 0), alloc(2, 3))),
+        Polity(2, 1),
+    ),
+    (
+        ExplicitList((alloc((1, 0), (0, 1)), alloc((1, 1), (1, 1)), alloc((2, 1), (0, 1)))),
+        Polity(2, 2),
+    ),
+]
+
+# Own-type assignments: own, and weighted_own on one commodity, alone or mixed.
+_CONE_SPECS = {
+    1: [
+        OwnBundle(),
+        WeightedOwn((Fraction(3, 2),)),
+        {1: OwnBundle(), 2: WeightedOwn((Fraction(2),)), 3: OwnBundle()},
+    ],
+    2: [OwnBundle()],
+}
+
+
+def _cone_floors(fs, polity):
+    # every state of the set, then states off its grid and outside it
+    states = list(enumerate_feasible(fs, polity))
+    odd = [Fraction(0), Fraction(1, 3), Fraction(3, 4), Fraction(3, 2), Fraction(7)]
+    dim = polity.commodity_dim
+    off = [
+        alloc(
+            *(
+                tuple(odd[(seed + 2 * a + c) % len(odd)] for c in range(dim))
+                for a in range(polity.n_agents)
+            )
+        )
+        for seed in range(len(odd))
+    ]
+    return states + off
+
+
+@pytest.mark.parametrize("fs,polity", _CONE_SETS)
+def test_cone_search_matches_full_enumeration(fs, polity):
+    for spec in _CONE_SPECS[polity.commodity_dim]:
+        if isinstance(spec, dict):
+            spec = {a: spec[a] for a in polity.agents}
+        for state in _cone_floors(fs, polity):
+            verdict = is_pareto_efficient(state, fs, spec)
+            expected = _full_stream_verdict(state, fs, spec)
+            witness = verdict.witness.after.flat() if verdict.witness else None
+            assert (verdict.is_efficient, witness, verdict.skipped_targets) == expected
+            assert verdict.skipped_targets == 0
+
+
+def test_cone_search_is_not_taken_for_other_transforms(monkeypatch):
+    # weighted_own over two commodities can rise while a holding falls,
+    # and relative transforms react to others' holdings: both need every
+    # feasible state, so the cone must not be consulted
+    def refuse(fs, floor):
+        raise AssertionError("upper cone used")
+
+    monkeypatch.setattr(engine, "enumerate_upper_cone", refuse)
+    two = BoxGrid.shared([0, 1, 2], commodities=2)
+    state = alloc((1, 1), (1, 1))
+    verdict = is_pareto_efficient(state, two, WeightedOwn((1, 1)))
+    # the first witness gives up a unit of agent 1's first commodity
+    assert verdict.witness.after.flat() == (0, 2, 1, 2)
+    assert _full_stream_verdict(state, two, WeightedOwn((1, 1)))[1] == (0, 2, 1, 2)
+    is_pareto_efficient(alloc(1, 2), BoxGrid.shared([1, 2]), RelativeToMean())
+    is_pareto_efficient(
+        alloc(1, 1), BoxGrid.shared([0, 1]), {1: OwnBundle(), 2: RelativeToMean()}
+    )
+
+
+@pytest.mark.parametrize(
+    "fs,polity",
+    [
+        (FixedTotalLattice.shared(6), Polity(3, 1)),
+        (FixedTotalLattice((Fraction(2), Fraction(2)), Fraction(1)), Polity(2, 2)),
+    ],
+)
+def test_every_redistribution_is_efficient_under_own(fs, polity):
+    # the paper's redistribution fact: with fixed totals and own-bundle
+    # preferences, no split of the totals can be improved upon
+    states = list(enumerate_feasible(fs, polity))
+    assert len(states) == (28 if polity.commodity_dim == 1 else 9)
+    for state in states:
+        verdict = is_pareto_efficient(state, fs, OwnBundle())
+        assert verdict.is_efficient
+        assert verdict.witness is None
+        assert verdict.skipped_targets == 0
+
+
+def test_redistribution_efficiency_needs_no_enumeration(monkeypatch):
+    # a 3-agent lattice of total 10^6 holds about 5 * 10^11 states; under
+    # own the search reads the state's upper cone, the state alone
+    def refuse(fs, polity):
+        raise AssertionError("feasible set enumerated")
+
+    monkeypatch.setattr(engine, "enumerate_feasible", refuse)
+    lattice = FixedTotalLattice.shared(10**6)
+    verdict = is_pareto_efficient(alloc(1, 2, 10**6 - 3), lattice, OwnBundle())
+    assert verdict.is_efficient and verdict.witness is None

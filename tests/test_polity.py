@@ -27,7 +27,9 @@ from paretoscope import (
     compare_bundles,
     count_feasible,
     enumerate_feasible,
+    enumerate_upper_cone,
     feasible_contains,
+    unrank_feasible,
 )
 
 
@@ -54,6 +56,21 @@ def test_bundle_coerces_and_rejects_empty():
     assert b.quantities == (Fraction(1, 2), Fraction(1))
     assert b.dimension == 2
     with pytest.raises(ValidationError):
+        Bundle(())
+
+
+def test_bundle_rejects_float():
+    with pytest.raises(ValidationError, match="float"):
+        Bundle((Fraction(1), 0.5))
+
+
+def test_bundle_rejects_negative():
+    with pytest.raises(ValidationError, match="non-negative"):
+        Bundle((Fraction(1), Fraction(-1, 2)))
+
+
+def test_bundle_rejects_empty():
+    with pytest.raises(ValidationError, match="at least one commodity"):
         Bundle(())
 
 
@@ -297,3 +314,86 @@ def test_feasible_contains():
     explicit = ExplicitList((alloc(1, 1),))
     assert feasible_contains(explicit, alloc(1, 1))
     assert not feasible_contains(explicit, alloc(0, 0))
+
+
+# Small sets of every kind, with several commodities and fractional steps.
+_SMALL_SETS = [
+    (BoxGrid.shared([0, 1, 2]), Polity(3, 1)),
+    (BoxGrid(((0, "1/2", 2), (1, 3))), Polity(2, 2)),
+    (FixedTotalLattice.shared(5), Polity(3, 1)),
+    (FixedTotalLattice.shared(3), Polity(1, 1)),
+    (FixedTotalLattice((Fraction(2), Fraction(3, 2)), Fraction(1, 2)), Polity(3, 2)),
+    (FixedTotalLattice((Fraction(3), Fraction(1)), Fraction(1)), Polity(2, 2)),
+    (ExplicitList((alloc(1, 2), alloc(0, 3), alloc(2, 2), alloc(3, 0))), Polity(2, 1)),
+    (ExplicitList((alloc((1, 0), (0, 1)), alloc((1, 1), (1, 1)))), Polity(2, 2)),
+]
+
+
+@pytest.mark.parametrize("fs,polity", _SMALL_SETS)
+def test_enumerated_quantities_are_exact_fractions(fs, polity):
+    for state in enumerate_feasible(fs, polity):
+        assert all(type(q) is Fraction and q >= 0 for q in state.flat())
+        assert {b.dimension for b in state.bundles} == {polity.commodity_dim}
+
+
+@pytest.mark.parametrize("fs,polity", _SMALL_SETS)
+def test_unrank_matches_enumeration_at_every_index(fs, polity):
+    states = list(enumerate_feasible(fs, polity))
+    assert len(states) == count_feasible(fs, polity)
+    for k, state in enumerate(states):
+        unranked = unrank_feasible(fs, polity, k)
+        assert unranked == state
+        assert unranked.flat() == state.flat()
+    for k in (-1, len(states)):
+        with pytest.raises(IndexError, match=f"not in 0..{len(states) - 1}"):
+            unrank_feasible(fs, polity, k)
+
+
+def test_unrank_reaches_the_last_state_of_a_huge_grid():
+    # 10^8 states: unranking must not list the states before the index
+    grid = BoxGrid.shared(range(10))
+    polity = Polity(8, 1)
+    assert unrank_feasible(grid, polity, 3).flat() == (0,) * 7 + (3,)
+    assert unrank_feasible(grid, polity, 10**8 - 1).flat() == (9,) * 8
+    lattice = FixedTotalLattice.shared(10**6)
+    assert unrank_feasible(lattice, Polity(3, 1), 0).flat() == (0, 0, 10**6)
+
+
+def _off_grid_floors(polity):
+    # quantities off every grid above, and 5, beyond every level and total
+    levels = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 2), Fraction(5)]
+    dim = polity.commodity_dim
+    return [
+        alloc(
+            *(
+                tuple(levels[(seed + 2 * a + c) % len(levels)] for c in range(dim))
+                for a in range(polity.n_agents)
+            )
+        )
+        for seed in range(len(levels))
+    ]
+
+
+@pytest.mark.parametrize("fs,polity", _SMALL_SETS)
+def test_upper_cone_is_the_filtered_enumeration(fs, polity):
+    states = list(enumerate_feasible(fs, polity))
+    for floor in states + _off_grid_floors(polity):
+        expected = [
+            s for s in states if all(y >= x for y, x in zip(s.flat(), floor.flat()))
+        ]
+        assert list(enumerate_upper_cone(fs, floor)) == expected
+
+
+def test_upper_cone_of_a_lattice_state_is_the_state_alone():
+    lattice = FixedTotalLattice.shared(10**6)
+    state = alloc(1, 2, 10**6 - 3)
+    assert list(enumerate_upper_cone(lattice, state)) == [state]
+    # a floor above the total leaves nothing
+    assert list(enumerate_upper_cone(lattice, alloc(10**6, 1, 0))) == []
+
+
+def test_upper_cone_checks_the_shape():
+    with pytest.raises(InfeasibleConfig):
+        list(enumerate_upper_cone(BoxGrid.shared([0, 1]), alloc((0, 0), (1, 1))))
+    with pytest.raises(InfeasibleConfig):
+        list(enumerate_upper_cone(ExplicitList((alloc(1, 2),)), alloc(0, 0, 0)))
