@@ -160,7 +160,7 @@ def _run_frontier(scenario: Scenario) -> Report:
     )
 
 
-def _run_scan(scenario: Scenario, workers: int, cap: int | None) -> Report:
+def _run_scan(scenario: Scenario, cap: int | None) -> Report:
     effective_cap = cap if cap is not None else (
         scenario.scan_cap if scenario.scan_cap is not None else DEFAULT_SCAN_CAP
     )
@@ -169,7 +169,6 @@ def _run_scan(scenario: Scenario, workers: int, cap: int | None) -> Report:
         scenario.polity,
         scenario.transforms,
         cap=effective_cap,
-        workers=workers,
     )
     diagnostics = []
     shown = result.improving_moves[:_IMPROVING_MOVES_SHOWN]
@@ -268,7 +267,6 @@ def run_command(
     scenario: Scenario,
     command: str,
     state_id: int | None = None,
-    workers: int = 1,
     cap: int | None = None,
 ) -> Report:
     """Execute one CLI command against a parsed scenario."""
@@ -279,7 +277,7 @@ def run_command(
     if command == "frontier":
         return _run_frontier(scenario)
     if command == "scan":
-        return _run_scan(scenario, workers, cap)
+        return _run_scan(scenario, cap)
     if command == "discover":
         return _run_discover(scenario)
     if command == "welfare":
@@ -336,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel",
         type=_int_at_least(1),
         default=1,
-        help="accepted for compatibility; the scan runs in one thread "
-        "and output is identical for any N >= 1",
+        help="accepted for compatibility and ignored; N must be at least 1",
     )
     scan.add_argument("--cap", type=_int_at_least(1), help="move-count cap override")
     sub.add_parser(
@@ -367,7 +364,6 @@ def main(argv: list[str] | None = None) -> int:
             scenario,
             args.command,
             state_id=getattr(args, "state", None),
-            workers=getattr(args, "parallel", 1),
             cap=getattr(args, "cap", None),
         )
         payload = emit_report(report, args.format)

@@ -11,8 +11,9 @@ rises and at least one agent's strictly rises.  Three checkers implement this:
   bundle changes.  It is a genuinely separate evaluation route: the tests
   confirm it agrees with the definitional checker rather than assuming it.
 
-All three share one definition of improvement with reasons (``_tally``);
-``_improves`` is its yes/no form for the loops that need no reasons.
+All three read each agent's information as a tuple of exact components and
+share one definition of improvement with reasons (``_tally``); ``_improves``
+is its yes/no form for the loops that need no reasons.
 ``enumerate_frontier`` keeps two routes alive (a pairwise oracle over each
 agent's information and a sum-presorted skyline over signatures) and insists
 they agree on every call.  Frontiers and scans read one ``SignatureTable``
@@ -29,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
     CapExceeded,
@@ -43,10 +44,7 @@ from .polity import (
     Allocation,
     FeasibleSet,
     Move,
-    PartialOrderResult,
     Polity,
-    classify_move_agents,
-    compare_bundles,
     count_feasible,
     enumerate_feasible,
     enumerate_upper_cone,
@@ -59,7 +57,6 @@ from .transforms import (
     RelativeToNeighborhood,
     TransformSpec,
     WeightedOwn,
-    compare_info,
     evaluate_transform,
     info_components,
 )
@@ -144,25 +141,26 @@ def _infos(
 
 
 def _tally(
-    agents: Iterable[int],
-    after: Iterable[object],
-    before: Iterable[object],
-    compare: Callable[[object, object], PartialOrderResult],
+    agents: Iterable[int], after: Iterable[tuple], before: Iterable[tuple]
 ) -> tuple[list[int], list[tuple[int, ViolationKind]]]:
     """Strict gainers and violators of a move, agent by agent.
 
     This is the one definition of improvement: a move improves when it has
     no violator and at least one strict gainer.  ``after`` and ``before``
-    hold each agent's information (in ``agents`` order) at the two ends.
+    hold each agent's information components (see ``info_components``) in
+    ``agents`` order at the two ends.  An agent left equal is neither; an
+    agent with some component lower is a violator, incomparable when another
+    component is higher; any other agent who differs is a strict gainer.
     """
     gainers, violators = [], []
     for agent, a, b in zip(agents, after, before):
-        result = compare(a, b)
-        if result is PartialOrderResult.STRICTLY_GREATER:
+        if a == b:
+            continue
+        if not any(map(operator.lt, a, b)):
             gainers.append(agent)
-        elif result is PartialOrderResult.INCOMPARABLE:
+        elif any(map(operator.gt, a, b)):
             violators.append((agent, ViolationKind.INCOMPARABLE_INFO))
-        elif not result.weakly_ge:
+        else:
             violators.append((agent, ViolationKind.STRICTLY_WORSE))
     return gainers, violators
 
@@ -173,8 +171,7 @@ def _improves(after: tuple[tuple, ...], before: tuple[tuple, ...]) -> bool:
     ``after`` and ``before`` hold each agent's information components in
     agent order (see ``info_components``), as ``Fraction``s or as the scaled
     ints of a ``SignatureTable``.  Agents left equal are skipped, any agent
-    with a lower component blocks, and some agent must differ.  An agent who
-    differs with no lower component has a strictly higher one, so this is the
+    with a lower component blocks, and some agent must differ.  This is the
     ``_tally`` verdict without its reasons.
     """
     gained = False
@@ -200,91 +197,93 @@ def _verdict(
     )
 
 
+def _components_at(
+    allocation: Allocation, specs: dict[int, TransformSpec], endpoint: str
+) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(map(info_components, _evaluate_all(allocation, specs, endpoint)))
+
+
 def check_improvement(move: Move, transforms: Transforms) -> ImprovementVerdict:
     """Decide by definition whether ``move`` improves on its starting state."""
     polity = move.polity
     specs = transforms_for(polity, transforms)
-    before = _evaluate_all(move.before, specs, "from")
-    after = _evaluate_all(move.after, specs, "to")
-    return _verdict(
-        _tally(polity.agents, after, before, compare_info), Method.DEFINITIONAL
-    )
+    before = _components_at(move.before, specs, "from")
+    after = _components_at(move.after, specs, "to")
+    return _verdict(_tally(polity.agents, after, before), Method.DEFINITIONAL)
 
 
 def check_improvement_neoclassical(move: Move) -> ImprovementVerdict:
     """Classical check: every agent's information is their own bundle."""
     return _verdict(
-        _tally(move.polity.agents, move.after.bundles, move.before.bundles, compare_bundles),
+        _tally(
+            move.polity.agents,
+            [b.quantities for b in move.after.bundles],
+            [b.quantities for b in move.before.bundles],
+        ),
         Method.NEOCLASSICAL,
     )
+
+
+def _direction(after: Fraction, before: Fraction) -> int:
+    """The sign of ``after - before``: 1, 0 or -1."""
+    return (after > before) - (after < before)
 
 
 def check_improvement_ratio_form(move: Move, transforms: Transforms) -> ImprovementVerdict:
     """Decide improvement via ratio sign conditions on information changes.
 
-    Applies to single-commodity moves where every agent either strictly
-    gained or weakly lost holdings and at least one gained.  The conditions:
-    for every agent k and every gainer i, the ratio of k's information change
-    to i's holding change must be non-negative; for every agent k and every
-    loser j whose holding actually changed, the corresponding ratio must be
-    non-positive; and at least one ratio in either family must be strict.
-    Ratios against an unchanged holding are vacuously satisfied.
+    Applies to single-commodity moves with at least one strict gainer; every
+    other agent's holding weakly fell.  The conditions: for every agent k and
+    every gainer i, the ratio of k's information change to i's holding change
+    must be non-negative; for every agent k and every loser j whose holding
+    actually changed, the corresponding ratio must be non-positive; and at
+    least one ratio in either family must be strict.  Ratios against an
+    unchanged holding are vacuously satisfied.  Only the sign of each ratio
+    is read, so it is taken as the product of the signs of its two changes
+    and nothing is divided.
     """
-    if move.polity.commodity_dim != 1:
+    polity = move.polity
+    if polity.commodity_dim != 1:
         raise HypothesisViolated(
             "ratio-form check requires a single commodity, "
-            f"got {move.polity.commodity_dim}"
+            f"got {polity.commodity_dim}"
         )
-    classes = classify_move_agents(move)
-    if classes.mixed:
-        raise HypothesisViolated(
-            f"agents {sorted(classes.mixed)} changed incomparably"
-        )
-    if not classes.gainers:
+    # The sign of each holding change that is not zero: 1 for a gainer,
+    # whose ratios form the first family, and -1 for a loser (the second).
+    x_signs = (
+        _direction(a.quantities[0], b.quantities[0])
+        for a, b in zip(move.after.bundles, move.before.bundles)
+    )
+    movers = [x_sign for x_sign in x_signs if x_sign]
+    if 1 not in movers:
         raise HypothesisViolated("ratio-form check requires at least one strict gainer")
 
-    specs = transforms_for(move.polity, transforms)
+    specs = transforms_for(polity, transforms)
     before = _evaluate_all(move.before, specs, "from")
     after = _evaluate_all(move.after, specs, "to")
-    delta_info: dict[int, Fraction] = {}
-    for agent, b, a in zip(move.polity.agents, before, after):
-        if not isinstance(b, Fraction) or not isinstance(a, Fraction):
-            raise HypothesisViolated("ratio-form check requires scalar information")
-        delta_info[agent] = a - b
-    delta_x = {
-        agent: move.after.bundle_for(agent).quantities[0]
-        - move.before.bundle_for(agent).quantities[0]
-        for agent in move.polity.agents
-    }
+    if not all(isinstance(x, Fraction) for x in before + after):
+        raise HypothesisViolated("ratio-form check requires scalar information")
 
     ok = True
     strict = False
-    for k in move.polity.agents:
-        for i in sorted(classes.gainers):
-            ratio = delta_info[k] / delta_x[i]
-            if ratio < 0:
+    for a, b in zip(after, before):
+        info_sign = _direction(a, b)
+        for x_sign in movers:
+            # The sign of this ratio must not be the opposite of its
+            # family's; one that equals its family's is strict.
+            ratio_sign = info_sign * x_sign
+            if ratio_sign == -x_sign:
                 ok = False
-            elif ratio > 0:
-                strict = True
-        for j in sorted(classes.weak_losers):
-            if delta_x[j] == 0:
-                continue
-            ratio = delta_info[k] / delta_x[j]
-            if ratio > 0:
-                ok = False
-            elif ratio < 0:
+            elif ratio_sign == x_sign:
                 strict = True
 
-    gainers = tuple(a for a in move.polity.agents if delta_info[a] > 0)
-    violators = tuple(
-        (a, ViolationKind.STRICTLY_WORSE)
-        for a in move.polity.agents
-        if delta_info[a] < 0
+    gainers, violators = _tally(
+        polity.agents, [(a,) for a in after], [(b,) for b in before]
     )
     return ImprovementVerdict(
         is_improvement=ok and strict,
-        strict_gainers=gainers,
-        violators=violators,
+        strict_gainers=tuple(gainers),
+        violators=tuple(violators),
         method=Method.RATIO_FORM,
     )
 
@@ -439,7 +438,7 @@ def is_pareto_efficient(
     specs = transforms_for(polity, transforms)
     if not feasible_contains(fs, state):
         logger.warning("state %s is not in the declared feasible set", state.flat())
-    before = tuple(map(info_components, _evaluate_all(state, specs, "from")))
+    before = _components_at(state, specs, "from")
     if _own_type(specs, polity.commodity_dim):
         targets = enumerate_upper_cone(fs, state)
     else:
@@ -587,7 +586,6 @@ def scan_all_moves(
     polity: Polity,
     transforms: Transforms,
     cap: int = DEFAULT_SCAN_CAP,
-    workers: int = 1,
 ) -> ScanReport:
     """Evaluate every ordered pair of distinct feasible states.
 
@@ -595,12 +593,8 @@ def scan_all_moves(
     ``cap``.  A move from i to j can improve only if j's signature sum is
     strictly larger, so each from-state is tested only against the states
     above its sum in a sum-sorted order.  Improving moves are listed by
-    from-state, then to-state.  The scan runs in one thread: ``workers`` must
-    be at least 1 and is otherwise ignored, so results are identical for any
-    value.
+    from-state, then to-state.
     """
-    if workers < 1:
-        raise ValidationError(f"worker count must be at least 1, got {workers}", key="workers")
     n = count_feasible(fs, polity)
     required = n * (n - 1)
     if required > cap:

@@ -523,8 +523,7 @@ def feasible_contains(fs: FeasibleSet, state: Allocation) -> bool:
 
 def count_feasible(fs: FeasibleSet, polity: Polity) -> int:
     """Number of states the feasible set enumerates to, computed in closed form."""
-    if feasible_dimension(fs) != polity.commodity_dim:
-        raise InfeasibleConfig("feasible set dimension disagrees with polity")
+    _check_shape(fs, polity)
     if isinstance(fs, BoxGrid):
         per_agent = math.prod(len(levels) for levels in fs.levels)
         return per_agent**polity.n_agents

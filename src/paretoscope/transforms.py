@@ -18,7 +18,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from .errors import (
@@ -96,24 +95,22 @@ TransformSpec = Union[OwnBundle, WeightedOwn, RelativeToMean, RelativeToNeighbor
 
 def aggregate(bundle: Bundle, weights: tuple[Fraction, ...] | None) -> Fraction:
     """Weighted sum of a bundle's quantities (unit weights when ``None``)."""
-    if weights is None:
-        return sum(bundle.quantities, Fraction(0))
-    if len(weights) != bundle.dimension:
-        raise DimensionMismatch(
-            f"{len(weights)} weights for a {bundle.dimension}-commodity bundle"
-        )
-    return sum((w * q for w, q in zip(weights, bundle.quantities)), Fraction(0))
+    terms = bundle.quantities
+    if weights is not None:
+        if len(weights) != bundle.dimension:
+            raise DimensionMismatch(
+                f"{len(weights)} weights for a {bundle.dimension}-commodity bundle"
+            )
+        terms = tuple(w * q for w, q in zip(weights, terms))
+    # A bundle is never empty; starting from the first term saves adding 0.
+    return sum(terms[1:], terms[0])
 
 
-@lru_cache(maxsize=16384)
 def _mean_aggregate(
     bundles: tuple[Bundle, ...], weights: tuple[Fraction, ...] | None
 ) -> Fraction:
-    # The reference mean depends only on the member bundles and the weights,
-    # never on which agent is asking, so it is safe to memoize across the
-    # per-agent evaluations of one allocation (all inputs are immutable).
-    total = Fraction(0)
-    for bundle in bundles:
+    total = aggregate(bundles[0], weights)
+    for bundle in bundles[1:]:
         total += aggregate(bundle, weights)
     return total / len(bundles)
 
@@ -303,6 +300,8 @@ def transform_label(spec: TransformSpec) -> str:
     if isinstance(spec, OwnBundle):
         return "own"
     if isinstance(spec, WeightedOwn):
+        if spec.weights is None:
+            return "weighted_own"
         return f"weighted_own({','.join(str(w) for w in spec.weights)})"
     if isinstance(spec, RelativeToMean):
         if spec.weights is None:

@@ -18,6 +18,7 @@ from paretoscope import engine
 from paretoscope.transforms import info_components
 from paretoscope import (
     BoxGrid,
+    Bundle,
     CapExceeded,
     ExplicitList,
     FixedTotalLattice,
@@ -27,6 +28,7 @@ from paretoscope import (
     Method,
     Move,
     OwnBundle,
+    PartialOrderResult,
     Polity,
     RelativeToMean,
     RelativeToNeighborhood,
@@ -39,6 +41,7 @@ from paretoscope import (
     check_improvement_neoclassical,
     check_improvement_ratio_form,
     classify_move_agents,
+    compare_bundles,
     enumerate_feasible,
     enumerate_frontier,
     evaluate_transform,
@@ -148,8 +151,17 @@ def test_ratio_form_hypothesis_violations():
 
 def test_ratio_form_agrees_with_definition_on_small_grid():
     polity = Polity(3, 1)
-    for spec in (OwnBundle(), RelativeToMean()):
-        for move in _moves(BoxGrid.shared([0, 1]), polity):
+    specs = (
+        OwnBundle(),
+        RelativeToMean(),
+        RelativeToNeighborhood(frozenset({1, 3})),
+        WeightedOwn((Fraction(2, 7),)),
+    )
+    # the second level set gives holding changes of 1/2, 3/2 and 2, not only 1
+    moves = _moves(BoxGrid.shared([0, 1]), polity)
+    moves += _moves(BoxGrid.shared([0, Fraction(1, 2), 2]), polity)
+    for spec in specs:
+        for move in moves:
             # the hypothesis is a precondition, checked before any transform
             if not classify_move_agents(move).gainers:
                 with pytest.raises(HypothesisViolated):
@@ -165,6 +177,36 @@ def test_ratio_form_agrees_with_definition_on_small_grid():
             assert ratio.is_improvement == definitional.is_improvement
             assert ratio.strict_gainers == definitional.strict_gainers
             assert ratio.violators == definitional.violators
+
+
+@st.composite
+def _component_pairs(draw):
+    """Per-agent component tuples at two ends: 1-3 agents, 1-2 components each,
+    some agents left equal."""
+    after, before = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        vector = st.tuples(*[st.integers(0, 3)] * draw(st.integers(1, 2)))
+        b = draw(vector)
+        after.append(b if draw(st.booleans()) else draw(vector))
+        before.append(b)
+    return tuple(after), tuple(before)
+
+
+@given(_component_pairs())
+def test_improves_is_the_tally_verdict(pair):
+    after, before = pair
+    agents = range(1, len(after) + 1)
+    gainers, violators = engine._tally(agents, after, before)
+    assert engine._improves(after, before) == (not violators and bool(gainers))
+    # each agent's class matches the componentwise order on bundles
+    kinds = dict(violators)
+    for agent, a, b in zip(agents, after, before):
+        result = compare_bundles(Bundle(a), Bundle(b))
+        assert (agent in gainers) == (result is PartialOrderResult.STRICTLY_GREATER)
+        assert kinds.get(agent) == {
+            PartialOrderResult.STRICTLY_LESS: ViolationKind.STRICTLY_WORSE,
+            PartialOrderResult.INCOMPARABLE: ViolationKind.INCOMPARABLE_INFO,
+        }.get(result)
 
 
 def test_improvement_irreflexive_and_asymmetric():
@@ -460,20 +502,6 @@ def test_scan_agrees_with_per_state_efficiency():
         assert (idx not in improvable) == is_pareto_efficient(
             state, fs, OwnBundle()
         ).is_efficient
-
-
-def test_scan_worker_count_does_not_change_results():
-    fs = BoxGrid.shared([0, 1, 2])
-    polity = Polity(2, 1)
-    baseline = scan_all_moves(fs, polity, OwnBundle(), workers=1)
-    for workers in (2, 3, 4, 7):
-        assert scan_all_moves(fs, polity, OwnBundle(), workers=workers) == baseline
-
-
-def test_scan_rejects_worker_count_below_one():
-    for workers in (0, -5):
-        with pytest.raises(ValidationError):
-            scan_all_moves(BoxGrid.shared([0, 1]), Polity(2, 1), OwnBundle(), workers=workers)
 
 
 def test_scan_cap():

@@ -18,6 +18,7 @@ from paretoscope import (
     InfeasibleConfig,
     InvalidAgent,
     Move,
+    OwnBundle,
     PartialOrderResult,
     Polity,
     ValidationError,
@@ -26,9 +27,11 @@ from paretoscope import (
     classify_move_agents,
     compare_bundles,
     count_feasible,
+    describe_feasible,
     enumerate_feasible,
     enumerate_upper_cone,
     feasible_contains,
+    scan_all_moves,
     unrank_feasible,
 )
 
@@ -301,6 +304,21 @@ def test_enumerate_dimension_mismatch():
         list(enumerate_feasible(BoxGrid.shared([0, 1]), Polity(2, 2)))
     with pytest.raises(InfeasibleConfig):
         list(enumerate_feasible(ExplicitList((alloc(1, 2),)), Polity(3, 1)))
+
+
+def test_count_feasible_checks_the_agent_count():
+    # a list of 2-agent states read against a 3-agent polity is refused by
+    # the count, the report header and the scan, as it is by enumeration
+    fs = ExplicitList((alloc(1, 2), alloc(2, 2)))
+    assert count_feasible(fs, Polity(2, 1)) == 2
+    with pytest.raises(InfeasibleConfig, match="2 agents but polity has 3"):
+        count_feasible(fs, Polity(3, 1))
+    with pytest.raises(InfeasibleConfig):
+        describe_feasible(fs, Polity(3, 1))
+    with pytest.raises(InfeasibleConfig):
+        scan_all_moves(fs, Polity(3, 1), OwnBundle(), cap=1)
+    with pytest.raises(InfeasibleConfig):
+        count_feasible(BoxGrid.shared([0, 1]), Polity(2, 2))
 
 
 def test_feasible_contains():

@@ -59,6 +59,10 @@ def test_weight_dimension_checked_at_evaluation():
 
 def test_aggregate_unit_weights():
     assert aggregate(Bundle((1, 2, 3)), None) == Fraction(6)
+    # a one-commodity sum is its only term, still an exact Fraction
+    for weights in (None, (Fraction(1, 3),)):
+        total = aggregate(Bundle((6,)), weights)
+        assert type(total) is Fraction and total == (6 if weights is None else 2)
 
 
 def test_relative_mean_values():
@@ -201,3 +205,10 @@ def test_transform_label_round_trips():
     )
     for spec in specs:
         assert parse_transform(transform_label(spec)) == spec
+
+
+def test_transform_label_of_unit_weights():
+    # WeightedOwn() is the default welfare value transform; unit weights are
+    # labelled by the bare name, as for relative_mean
+    assert transform_label(WeightedOwn()) == "weighted_own"
+    assert transform_label(RelativeToMean()) == "relative_mean"
