@@ -16,9 +16,7 @@ from . import __version__
 from .discovery import simulate_discovery
 from .engine import (
     DEFAULT_SCAN_CAP,
-    check_improvement,
-    check_improvement_neoclassical,
-    check_improvement_ratio_form,
+    check_move,
     enumerate_frontier,
     is_pareto_efficient,
     scan_all_moves,
@@ -66,16 +64,14 @@ def _run_check_move(scenario: Scenario) -> Report:
     rows = []
     diagnostics = []
     for idx, move in enumerate(scenario.moves):
-        definitional = check_improvement(move, scenario.transforms)
-        neoclassical = check_improvement_neoclassical(move)
-        try:
-            ratio = check_improvement_ratio_form(move, scenario.transforms)
-            ratio_cell = render_bool(ratio.is_improvement)
-            applicable = [definitional.is_improvement, ratio.is_improvement]
-        except HypothesisViolated as exc:
+        definitional, neoclassical, ratio = check_move(move, scenario.transforms)
+        if isinstance(ratio, HypothesisViolated):
             ratio_cell = "n/a"
             applicable = [definitional.is_improvement]
-            diagnostics.append(f"move {idx}: ratio form not applicable ({exc})")
+            diagnostics.append(f"move {idx}: ratio form not applicable ({ratio})")
+        else:
+            ratio_cell = render_bool(ratio.is_improvement)
+            applicable = [definitional.is_improvement, ratio.is_improvement]
         if all_own:
             applicable.append(neoclassical.is_improvement)
         rows.append(

@@ -11,9 +11,13 @@ rises and at least one agent's strictly rises.  Three checkers implement this:
   bundle changes.  It is a genuinely separate evaluation route: the tests
   confirm it agrees with the definitional checker rather than assuming it.
 
-All three read each agent's information as a tuple of exact components and
-share one definition of improvement with reasons (``_tally``); ``_improves``
-is its yes/no form for the loops that need no reasons.
+All three read one exact-int evaluation of the move (``_move_information``):
+each agent's information at both ends as int component tuples that compare
+exactly as the information does, built with no ``Fraction`` arithmetic.
+``check_move`` builds it once and returns all three verdicts; the tests keep
+``evaluate_transform`` on ``Fraction``s as the reference it must match.  The
+checkers share one definition of improvement with reasons (``_tally``);
+``_improves`` is its yes/no form for the loops that need no reasons.
 ``enumerate_frontier`` keeps two routes alive (a pairwise oracle over each
 agent's information and a sum-presorted skyline over signatures) and insists
 they agree on every call.  Frontiers and scans read one ``SignatureTable``
@@ -30,7 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import (
     CapExceeded,
@@ -57,8 +61,10 @@ from .transforms import (
     RelativeToNeighborhood,
     TransformSpec,
     WeightedOwn,
+    check_weight_count,
     evaluate_transform,
     info_components,
+    neighborhood_members,
 )
 
 logger = logging.getLogger(__name__)
@@ -122,16 +128,6 @@ def _tagged_zero_reference(exc: ZeroReferencePoint, endpoint: str) -> ZeroRefere
     )
 
 
-def _evaluate_all(
-    allocation: Allocation, specs: dict[int, TransformSpec], endpoint: str
-) -> tuple[PreferenceInfo, ...]:
-    """Every agent's information at ``allocation``, in agent order."""
-    try:
-        return _infos(allocation, specs)
-    except ZeroReferencePoint as exc:
-        raise _tagged_zero_reference(exc, endpoint) from exc
-
-
 def _infos(
     allocation: Allocation, specs: dict[int, TransformSpec]
 ) -> tuple[PreferenceInfo, ...]:
@@ -147,10 +143,11 @@ def _tally(
 
     This is the one definition of improvement: a move improves when it has
     no violator and at least one strict gainer.  ``after`` and ``before``
-    hold each agent's information components (see ``info_components``) in
-    ``agents`` order at the two ends.  An agent left equal is neither; an
-    agent with some component lower is a violator, incomparable when another
-    component is higher; any other agent who differs is a strict gainer.
+    hold each agent's information components in ``agents`` order at the two
+    ends, comparable agent by agent (see ``_move_information``).  An agent
+    left equal is neither; an agent with some component lower is a violator,
+    incomparable when another component is higher; any other agent who
+    differs is a strict gainer.
     """
     gainers, violators = [], []
     for agent, a, b in zip(agents, after, before):
@@ -200,33 +197,205 @@ def _verdict(
 def _components_at(
     allocation: Allocation, specs: dict[int, TransformSpec], endpoint: str
 ) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(map(info_components, _evaluate_all(allocation, specs, endpoint)))
+    try:
+        infos = _infos(allocation, specs)
+    except ZeroReferencePoint as exc:
+        raise _tagged_zero_reference(exc, endpoint) from exc
+    return tuple(map(info_components, infos))
+
+
+_Holdings = tuple[tuple[int, ...], ...]
+
+
+def _scaled_holdings(move: Move) -> tuple[_Holdings, _Holdings]:
+    """Both ends' holdings as ints, one tuple per agent: ``(after, before)``.
+
+    Every quantity is multiplied by one positive factor, the least common
+    multiple of the denominators at both ends, so every comparison of
+    holdings, or of positive-weighted sums of them, is unchanged.
+    """
+    ends = (move.after.bundles, move.before.bundles)
+    scale = math.lcm(*[q.denominator for end in ends for b in end for q in b.quantities])
+    return tuple(
+        tuple(tuple(q.numerator * (scale // q.denominator) for q in b.quantities) for b in end)
+        for end in ends
+    )
+
+
+def _int_weights(
+    weights: tuple[Fraction, ...] | None, dimension: int
+) -> tuple[int, ...] | None:
+    """Positive aggregation weights scaled to ints by the LCM of their denominators."""
+    if weights is None:
+        return None
+    check_weight_count(weights, dimension)
+    scale = math.lcm(*[w.denominator for w in weights])
+    return tuple(w.numerator * (scale // w.denominator) for w in weights)
+
+
+def _int_aggregate(holding: tuple[int, ...], weights: tuple[int, ...] | None) -> int:
+    if weights is None:
+        return sum(holding)
+    return sum(map(operator.mul, weights, holding))
+
+
+# How an agent's information is read from int holdings: None when it is the
+# bundle itself, else the int aggregation weights (None for unit weights) and
+# the 0-based indices of the reference group (None for an absolute transform).
+_Reading = Union[tuple[Union[tuple[int, ...], None], Union[list[int], range, None]], None]
+
+
+def _reading(spec: TransformSpec, agent: int, n_agents: int, dimension: int) -> _Reading:
+    """How ``agent``'s information under ``spec`` is read from int holdings.
+
+    Raises what ``evaluate_transform`` raises before it evaluates anything,
+    in the same order: ``InvalidAgent`` for a neighbourhood member outside
+    the polity, then ``DimensionMismatch`` for a weight count that does not
+    match the commodities.
+    """
+    if isinstance(spec, OwnBundle):
+        return None
+    if isinstance(spec, WeightedOwn):
+        return _int_weights(spec.weights, dimension), None
+    if isinstance(spec, RelativeToMean):
+        group = range(n_agents)
+    elif isinstance(spec, RelativeToNeighborhood):
+        group = [m - 1 for m in neighborhood_members(spec, agent, n_agents)]
+    else:
+        raise ValidationError(f"unknown transform spec {spec!r}")
+    return _int_weights(spec.weights, dimension), group
+
+
+def _read(
+    reading: _Reading, holdings: _Holdings, agent: int, endpoint: str
+) -> tuple[tuple[int, ...], int]:
+    """``agent``'s information at one end as int components over a reference.
+
+    The information is the components divided by the reference, which is 1
+    for an absolute transform.  A relative transform's value aggₖ / (Σ_G
+    agg / |G|) is |G| times the numerator aggₖ over the reference Σ_G agg;
+    the group, and so |G|, is the same at both ends, so it is left out.
+    """
+    own = holdings[agent - 1]
+    if reading is None:
+        return own, 1
+    weights, group = reading
+    if group is None:
+        return (_int_aggregate(own, weights),), 1
+    reference = sum(_int_aggregate(holdings[m], weights) for m in group)
+    if reference == 0:
+        exc = ZeroReferencePoint(f"reference mean for agent {agent} is zero", agent=agent)
+        raise _tagged_zero_reference(exc, endpoint) from exc
+    return (_int_aggregate(own, weights),), reference
+
+
+def _move_information(
+    specs: dict[int, TransformSpec], holdings: tuple[_Holdings, _Holdings]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Every agent's information at both ends of a move, as exact ints.
+
+    ``holdings`` is ``_scaled_holdings(move)``.  Returns one component tuple
+    per agent and end, ``(after, before)``, that compare agent by agent
+    exactly as the information does:
+
+    * ``OwnBundle``: the scaled holdings;
+    * ``WeightedOwn``: the weighted sum, with the weights scaled to ints;
+    * relative transforms: numerators over positive references, compared by
+      cross-multiplying, so the after end reads num_a·ref_b and the before
+      end num_b·ref_a.  Equal references cancel and are left out.
+
+    Raises what ``evaluate_transform`` raises at each end, in its order: at
+    the from end agent by agent, then at the to end.  ``ZeroReferencePoint``
+    is tagged with the end where the reference is zero.
+    """
+    after_holdings, before_holdings = holdings
+    n_agents, dimension = len(before_holdings), len(before_holdings[0])
+    readings, before = [], []
+    for agent, spec in specs.items():
+        reading = _reading(spec, agent, n_agents, dimension)
+        readings.append(reading)
+        before.append(_read(reading, before_holdings, agent, "from"))
+    after = [
+        _read(reading, after_holdings, agent, "to")
+        for agent, reading in zip(specs, readings)
+    ]
+    after_components, before_components = [], []
+    for (a, ref_a), (b, ref_b) in zip(after, before):
+        if ref_a != ref_b:
+            a, b = (a[0] * ref_b,), (b[0] * ref_a,)
+        after_components.append(a)
+        before_components.append(b)
+    return after_components, before_components
 
 
 def check_improvement(move: Move, transforms: Transforms) -> ImprovementVerdict:
     """Decide by definition whether ``move`` improves on its starting state."""
     polity = move.polity
     specs = transforms_for(polity, transforms)
-    before = _components_at(move.before, specs, "from")
-    after = _components_at(move.after, specs, "to")
+    after, before = _move_information(specs, _scaled_holdings(move))
     return _verdict(_tally(polity.agents, after, before), Method.DEFINITIONAL)
 
 
 def check_improvement_neoclassical(move: Move) -> ImprovementVerdict:
     """Classical check: every agent's information is their own bundle."""
-    return _verdict(
-        _tally(
-            move.polity.agents,
-            [b.quantities for b in move.after.bundles],
-            [b.quantities for b in move.before.bundles],
-        ),
-        Method.NEOCLASSICAL,
-    )
+    after, before = _scaled_holdings(move)
+    return _verdict(_tally(move.polity.agents, after, before), Method.NEOCLASSICAL)
 
 
-def _direction(after: Fraction, before: Fraction) -> int:
+def _direction(after: int, before: int) -> int:
     """The sign of ``after - before``: 1, 0 or -1."""
     return (after > before) - (after < before)
+
+
+def _ratio_movers(
+    polity: Polity, holdings: tuple[_Holdings, _Holdings]
+) -> list[int] | HypothesisViolated:
+    """The sign of each holding change that is not zero, in agent order.
+
+    1 marks a gainer, whose ratios form the first family, and -1 a loser
+    (the second).  When the ratio form does not apply (several commodities,
+    or no strict gainer) the ``HypothesisViolated`` that says so is returned
+    instead.  It is not raised here: an exception kept as a value would hold
+    its traceback, and with it this frame, in a reference cycle.
+    """
+    if polity.commodity_dim != 1:
+        return HypothesisViolated(
+            "ratio-form check requires a single commodity, "
+            f"got {polity.commodity_dim}"
+        )
+    after, before = holdings
+    x_signs = (_direction(a[0], b[0]) for a, b in zip(after, before))
+    movers = [x_sign for x_sign in x_signs if x_sign]
+    if 1 not in movers:
+        return HypothesisViolated("ratio-form check requires at least one strict gainer")
+    return movers
+
+
+def _ratio_verdict(
+    movers: list[int],
+    after: list[tuple[int, ...]],
+    before: list[tuple[int, ...]],
+    tally: tuple[list[int], list[tuple[int, ViolationKind]]],
+) -> ImprovementVerdict:
+    ok = True
+    strict = False
+    for a, b in zip(after, before):
+        info_sign = _direction(a[0], b[0])
+        for x_sign in movers:
+            # The sign of this ratio must not be the opposite of its
+            # family's; one that equals its family's is strict.
+            ratio_sign = info_sign * x_sign
+            if ratio_sign == -x_sign:
+                ok = False
+            elif ratio_sign == x_sign:
+                strict = True
+    gainers, violators = tally
+    return ImprovementVerdict(
+        is_improvement=ok and strict,
+        strict_gainers=tuple(gainers),
+        violators=tuple(violators),
+        method=Method.RATIO_FORM,
+    )
 
 
 def check_improvement_ratio_form(move: Move, transforms: Transforms) -> ImprovementVerdict:
@@ -240,51 +409,52 @@ def check_improvement_ratio_form(move: Move, transforms: Transforms) -> Improvem
     least one ratio in either family must be strict.  Ratios against an
     unchanged holding are vacuously satisfied.  Only the sign of each ratio
     is read, so it is taken as the product of the signs of its two changes
-    and nothing is divided.
+    and nothing is divided.  Both hypotheses are checked before any
+    transform is evaluated.
     """
     polity = move.polity
-    if polity.commodity_dim != 1:
-        raise HypothesisViolated(
-            "ratio-form check requires a single commodity, "
-            f"got {polity.commodity_dim}"
-        )
-    # The sign of each holding change that is not zero: 1 for a gainer,
-    # whose ratios form the first family, and -1 for a loser (the second).
-    x_signs = (
-        _direction(a.quantities[0], b.quantities[0])
-        for a, b in zip(move.after.bundles, move.before.bundles)
-    )
-    movers = [x_sign for x_sign in x_signs if x_sign]
-    if 1 not in movers:
-        raise HypothesisViolated("ratio-form check requires at least one strict gainer")
-
+    holdings = _scaled_holdings(move)
+    movers = _ratio_movers(polity, holdings)
+    if isinstance(movers, HypothesisViolated):
+        raise movers
     specs = transforms_for(polity, transforms)
-    before = _evaluate_all(move.before, specs, "from")
-    after = _evaluate_all(move.after, specs, "to")
-    if not all(isinstance(x, Fraction) for x in before + after):
-        raise HypothesisViolated("ratio-form check requires scalar information")
+    after, before = _move_information(specs, holdings)
+    return _ratio_verdict(movers, after, before, _tally(polity.agents, after, before))
 
-    ok = True
-    strict = False
-    for a, b in zip(after, before):
-        info_sign = _direction(a, b)
-        for x_sign in movers:
-            # The sign of this ratio must not be the opposite of its
-            # family's; one that equals its family's is strict.
-            ratio_sign = info_sign * x_sign
-            if ratio_sign == -x_sign:
-                ok = False
-            elif ratio_sign == x_sign:
-                strict = True
 
-    gainers, violators = _tally(
-        polity.agents, [(a,) for a in after], [(b,) for b in before]
-    )
-    return ImprovementVerdict(
-        is_improvement=ok and strict,
-        strict_gainers=tuple(gainers),
-        violators=tuple(violators),
-        method=Method.RATIO_FORM,
+class MoveVerdicts(NamedTuple):
+    """The three verdicts on one move, from one evaluation of it.
+
+    ``ratio_form`` holds the ``HypothesisViolated`` that says why the ratio
+    form does not apply, when it does not.
+    """
+
+    definitional: ImprovementVerdict
+    neoclassical: ImprovementVerdict
+    ratio_form: ImprovementVerdict | HypothesisViolated
+
+
+def check_move(move: Move, transforms: Transforms) -> MoveVerdicts:
+    """Decide ``move`` by all three checkers, evaluating it once.
+
+    Raises what ``check_improvement`` raises; the ratio form's
+    ``HypothesisViolated`` is returned in its slot instead.
+    """
+    polity = move.polity
+    specs = transforms_for(polity, transforms)
+    holdings = _scaled_holdings(move)
+    after, before = _move_information(specs, holdings)
+    tally = _tally(polity.agents, after, before)
+    neoclassical = _tally(polity.agents, *holdings)
+    movers = _ratio_movers(polity, holdings)
+    if isinstance(movers, HypothesisViolated):
+        ratio: ImprovementVerdict | HypothesisViolated = movers
+    else:
+        ratio = _ratio_verdict(movers, after, before, tally)
+    return MoveVerdicts(
+        _verdict(tally, Method.DEFINITIONAL),
+        _verdict(neoclassical, Method.NEOCLASSICAL),
+        ratio,
     )
 
 

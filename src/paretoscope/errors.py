@@ -39,8 +39,8 @@ class ZeroReferencePoint(ParetoscopeError):
 
 
 class HypothesisViolated(ParetoscopeError):
-    """A move falls outside the ratio-form test's hypothesis (mixed agents,
-    no gainers, or more than one commodity)."""
+    """A move falls outside the ratio-form test's hypothesis (no strict
+    gainer, or more than one commodity)."""
 
 
 class CapExceeded(ParetoscopeError):

@@ -20,12 +20,12 @@ from .errors import InfeasibleConfig, ParseError, ValidationError
 from .polity import (
     Allocation,
     BoxGrid,
-    Bundle,
     ExplicitList,
     FeasibleSet,
     FixedTotalLattice,
     Move,
     Polity,
+    _unchecked_state,
     as_quantity,
 )
 from .transforms import RelativeToNeighborhood, TransformSpec, parse_transform
@@ -117,6 +117,8 @@ class _Cursor:
         token = self.text[start : self.pos]
         if not token:
             self.fail("expected a number")
+        if token.isdigit():
+            return Fraction(int(token))
         try:
             return as_quantity(token)
         except ValidationError as exc:
@@ -160,6 +162,8 @@ def _shape_allocation(
     commodities: int,
     key: str,
 ) -> Allocation:
+    # Every quantity came through ``_Cursor.number`` as an exact non-negative
+    # Fraction, so the allocation is built without coercing it again.
     scalars = [i for i in items if isinstance(i, Fraction)]
     groups = [i for i in items if isinstance(i, list)]
     if scalars and groups:
@@ -175,14 +179,14 @@ def _shape_allocation(
                 f"scalar entries imply 1 commodity, scenario declares {commodities}",
                 key=key,
             )
-        return Allocation(tuple(Bundle((q,)) for q in scalars))
+        return _unchecked_state(tuple(scalars), 1)
     for g in groups:
         if len(g) != commodities:
             raise ValidationError(
                 f"bundle lists {len(g)} commodities, scenario declares {commodities}",
                 key=key,
             )
-    return Allocation(tuple(Bundle(tuple(g)) for g in groups))
+    return _unchecked_state(tuple(q for g in groups for q in g), commodities)
 
 
 def _parse_allocation(

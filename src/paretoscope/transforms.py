@@ -93,14 +93,17 @@ class RelativeToNeighborhood:
 TransformSpec = Union[OwnBundle, WeightedOwn, RelativeToMean, RelativeToNeighborhood]
 
 
+def check_weight_count(weights: tuple[Fraction, ...], dimension: int) -> None:
+    """Raise ``DimensionMismatch`` unless there is one weight per commodity."""
+    if len(weights) != dimension:
+        raise DimensionMismatch(f"{len(weights)} weights for a {dimension}-commodity bundle")
+
+
 def aggregate(bundle: Bundle, weights: tuple[Fraction, ...] | None) -> Fraction:
     """Weighted sum of a bundle's quantities (unit weights when ``None``)."""
     terms = bundle.quantities
     if weights is not None:
-        if len(weights) != bundle.dimension:
-            raise DimensionMismatch(
-                f"{len(weights)} weights for a {bundle.dimension}-commodity bundle"
-            )
+        check_weight_count(weights, bundle.dimension)
         terms = tuple(w * q for w, q in zip(weights, terms))
     # A bundle is never empty; starting from the first term saves adding 0.
     return sum(terms[1:], terms[0])
@@ -113,6 +116,24 @@ def _mean_aggregate(
     for bundle in bundles[1:]:
         total += aggregate(bundle, weights)
     return total / len(bundles)
+
+
+def neighborhood_members(
+    spec: RelativeToNeighborhood, agent: int, n_agents: int
+) -> list[int]:
+    """The sorted reference group of ``agent`` under ``spec``.
+
+    Raises ``InvalidAgent`` for a member outside the ``n_agents``-agent
+    polity.
+    """
+    group = sorted(spec.neighbors)
+    for member in group:
+        if member > n_agents:
+            raise InvalidAgent(
+                f"neighborhood of agent {agent} names agent {member} "
+                f"but the polity has {n_agents}"
+            )
+    return group
 
 
 def evaluate_transform(
@@ -136,13 +157,7 @@ def evaluate_transform(
     if isinstance(spec, RelativeToMean):
         members = allocation.bundles
     elif isinstance(spec, RelativeToNeighborhood):
-        group = sorted(spec.neighbors)
-        for member in group:
-            if member > allocation.n_agents:
-                raise InvalidAgent(
-                    f"neighborhood of agent {agent} names agent {member} "
-                    f"but the polity has {allocation.n_agents}"
-                )
+        group = neighborhood_members(spec, agent, allocation.n_agents)
         members = tuple(allocation.bundle_for(m) for m in group)
     else:
         raise ValidationError(f"unknown transform spec {spec!r}")

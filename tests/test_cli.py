@@ -16,6 +16,10 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_RUNS = [
     ("check-move", "own_box", "csv", [], "check_move_own_box.csv"),
     ("check-move", "own_box", "table", [], "check_move_own_box.table.txt"),
+    ("check-move", "check_move_mixed", "csv", [], "check_move_mixed.csv"),
+    ("check-move", "check_move_mixed", "table", [], "check_move_mixed.table.txt"),
+    ("check-move", "check_move_weighted", "csv", [], "check_move_weighted.csv"),
+    ("check-move", "check_move_weighted", "table", [], "check_move_weighted.table.txt"),
     ("efficient", "own_box", "csv", ["--state", "4"], "efficient_own_box.csv"),
     ("frontier", "own_box", "csv", [], "frontier_own_box.csv"),
     ("frontier", "own_box", "table", [], "frontier_own_box.table.txt"),

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paretoscope import engine
@@ -28,6 +28,7 @@ from paretoscope import (
     Method,
     Move,
     OwnBundle,
+    ParetoscopeError,
     PartialOrderResult,
     Polity,
     RelativeToMean,
@@ -40,6 +41,7 @@ from paretoscope import (
     check_improvement,
     check_improvement_neoclassical,
     check_improvement_ratio_form,
+    check_move,
     classify_move_agents,
     compare_bundles,
     enumerate_feasible,
@@ -207,6 +209,192 @@ def test_improves_is_the_tally_verdict(pair):
             PartialOrderResult.STRICTLY_LESS: ViolationKind.STRICTLY_WORSE,
             PartialOrderResult.INCOMPARABLE: ViolationKind.INCOMPARABLE_INFO,
         }.get(result)
+
+
+# --- The int move evaluation against a Fraction reference ------------------
+#
+# The reference evaluates every transform with ``evaluate_transform`` on
+# exact ``Fraction``s, flattens it with ``info_components`` and tallies it;
+# its ratio form divides each information change by each holding change.
+
+_QUANTITIES = [0, 0, 0, Fraction(1, 2), 1, Fraction(3, 2), Fraction(2, 3), 3]
+_WEIGHTS = [Fraction(1, 2), 1, Fraction(2, 3), 3]
+
+
+def _identify(result):
+    """An exception as its type, text, ``agent`` and ``endpoint``; a verdict
+    as its fields."""
+    if isinstance(result, Exception):
+        return (
+            type(result), str(result), getattr(result, "agent", None),
+            getattr(result, "endpoint", None),
+        )
+    if isinstance(result, tuple):
+        return result
+    return (result.is_improvement, result.strict_gainers, result.violators, result.method)
+
+
+def _outcome(call):
+    try:
+        return _identify(call())
+    except ParetoscopeError as exc:
+        return _identify(exc)
+
+
+def _reference_components(move, specs):
+    def at(allocation, endpoint):
+        try:
+            infos = [evaluate_transform(spec, allocation, a) for a, spec in specs.items()]
+        except ZeroReferencePoint as exc:
+            raise ZeroReferencePoint(
+                f"{exc.args[0]} at the {endpoint} state of the move",
+                agent=exc.agent,
+                endpoint=endpoint,
+            ) from exc
+        return [info_components(info) for info in infos]
+
+    before = at(move.before, "from")
+    return at(move.after, "to"), before
+
+
+def _reference_verdict(tally, method):
+    gainers, violators = tally
+    return (not violators and bool(gainers), tuple(gainers), tuple(violators), method)
+
+
+def _reference_holding_changes(move):
+    """The ratio form's ``HypothesisViolated``, or each agent's holding change."""
+    dim = move.polity.commodity_dim
+    if dim != 1:
+        return HypothesisViolated(f"ratio-form check requires a single commodity, got {dim}")
+    deltas = [a - b for a, b in zip(move.after.flat(), move.before.flat())]
+    if not any(d > 0 for d in deltas):
+        return HypothesisViolated("ratio-form check requires at least one strict gainer")
+    return deltas
+
+
+def _reference_ratio(deltas, after, before, tally):
+    ok, strict = True, False
+    for (a,), (b,) in zip(after, before):
+        for dx in deltas:
+            if dx == 0:
+                continue
+            ratio = (a - b) / dx
+            if (ratio < 0) if dx > 0 else (ratio > 0):
+                ok = False
+            elif ratio != 0:
+                strict = True
+    gainers, violators = tally
+    return (ok and strict, tuple(gainers), tuple(violators), Method.RATIO_FORM)
+
+
+def _reference_outcomes(move, specs):
+    """What the definitional, neoclassical and ratio checkers must give."""
+    agents = move.polity.agents
+    neoclassical = _reference_verdict(
+        engine._tally(
+            agents,
+            [b.quantities for b in move.after.bundles],
+            [b.quantities for b in move.before.bundles],
+        ),
+        Method.NEOCLASSICAL,
+    )
+    deltas = _reference_holding_changes(move)
+    try:
+        after, before = _reference_components(move, specs)
+    except ParetoscopeError as exc:
+        # the ratio form checks its hypotheses before evaluating anything
+        ratio = exc if isinstance(deltas, list) else deltas
+        return _identify(exc), neoclassical, _identify(ratio)
+    tally = engine._tally(agents, after, before)
+    if isinstance(deltas, list):
+        ratio = _reference_ratio(deltas, after, before, tally)
+    else:
+        ratio = _identify(deltas)
+    return _reference_verdict(tally, Method.DEFINITIONAL), neoclassical, ratio
+
+
+@st.composite
+def _mixed_moves(draw):
+    """A move of 1-3 agents over 1-2 commodities, with one transform each.
+
+    Weights are unit or fractional, now and then of the wrong length; a
+    neighbourhood now and then names an agent outside the polity; holdings
+    are often zero, so references are zero at either end; agents are often
+    left equal.
+    """
+    n_agents = draw(st.integers(1, 3))
+    dim = draw(st.sampled_from([1, 1, 2]))
+
+    def weights():
+        length = dim if draw(st.integers(0, 9)) else 3 - dim
+        return draw(st.none() | st.tuples(*[st.sampled_from(_WEIGHTS)] * length))
+
+    specs = {}
+    for agent in range(1, n_agents + 1):
+        kind = draw(
+            st.sampled_from([OwnBundle, WeightedOwn, RelativeToMean, RelativeToNeighborhood])
+        )
+        if kind is OwnBundle:
+            specs[agent] = OwnBundle()
+        elif kind is RelativeToNeighborhood:
+            limit = n_agents + (draw(st.integers(0, 3)) == 0)
+            members = draw(st.frozensets(st.integers(1, limit), min_size=1))
+            specs[agent] = RelativeToNeighborhood(members, weights())
+        else:
+            specs[agent] = kind(weights())
+    bundle = st.tuples(*[st.sampled_from(_QUANTITIES)] * dim)
+    before = [draw(bundle) for _ in range(n_agents)]
+    after = [b if draw(st.booleans()) else draw(bundle) for b in before]
+    return Move(alloc(*before), alloc(*after)), specs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mixed_moves())
+def test_int_move_evaluation_matches_fraction_reference(case):
+    move, specs = case
+    definitional, neoclassical, ratio = _reference_outcomes(move, specs)
+    assert _outcome(lambda: check_improvement(move, specs)) == definitional
+    assert _outcome(lambda: check_improvement_neoclassical(move)) == neoclassical
+    assert _outcome(lambda: check_improvement_ratio_form(move, specs)) == ratio
+    if isinstance(definitional[0], type):
+        # check_move raises what the definitional checker raises
+        assert _outcome(lambda: check_move(move, specs)) == definitional
+    else:
+        verdicts = check_move(move, specs)
+        assert tuple(map(_identify, verdicts)) == (definitional, neoclassical, ratio)
+
+
+def test_check_move_zero_reference_at_either_end():
+    specs = {1: OwnBundle(), 2: RelativeToNeighborhood(frozenset({1}), (Fraction(1, 2),))}
+    for move, endpoint in (
+        (Move(alloc(0, 1), alloc(1, 1)), "from"),
+        (Move(alloc(1, 1), alloc(0, 2)), "to"),
+    ):
+        for check in (check_improvement, check_move):
+            with pytest.raises(ZeroReferencePoint) as exc:
+                check(move, specs)
+            assert (exc.value.agent, exc.value.endpoint) == (2, endpoint)
+            assert str(exc.value) == (
+                f"reference mean for agent 2 is zero at the {endpoint} state of the move"
+            )
+
+
+def test_ratio_form_hypothesis_comes_before_a_zero_reference():
+    # nobody gains, and agent 2's reference is zero at the to end
+    move = Move(alloc(1, 1), alloc(0, 1))
+    specs = {1: OwnBundle(), 2: RelativeToNeighborhood(frozenset({1}))}
+    with pytest.raises(HypothesisViolated, match="at least one strict gainer"):
+        check_improvement_ratio_form(move, specs)
+    with pytest.raises(ZeroReferencePoint):
+        check_move(move, specs)
+
+
+def test_check_move_neighbourhood_outside_the_polity():
+    specs = {1: OwnBundle(), 2: RelativeToNeighborhood(frozenset({1, 3}))}
+    for check in (check_improvement, check_improvement_ratio_form, check_move):
+        with pytest.raises(InvalidAgent, match="names agent 3 but the polity has 2"):
+            check(Move(alloc(1, 1), alloc(2, 1)), specs)
 
 
 def test_improvement_irreflexive_and_asymmetric():
