@@ -18,11 +18,13 @@ exactly as the information does, built with no ``Fraction`` arithmetic.
 ``evaluate_transform`` on ``Fraction``s as the reference it must match.  The
 checkers share one definition of improvement with reasons (``_tally``);
 ``_improves`` is its yes/no form for the loops that need no reasons.
-``enumerate_frontier`` keeps two routes alive (a pairwise oracle over each
-agent's information and a sum-presorted skyline over signatures) and insists
-they agree on every call.  Frontiers and scans read one ``SignatureTable``
-that evaluates each state's transforms once and scales every component to an
-exact int by one common factor.
+Frontiers and scans read one ``SignatureTable`` that evaluates each state's
+transforms once and scales every component to an exact int by one common
+factor, and one dominance layer over it (``_dominator_masks``) that gives
+each state the bitset of the states that dominate it.  ``enumerate_frontier``
+keeps two routes alive (those bitsets and a sum-presorted skyline) and
+insists they agree on every call; each state the skyline drops is also
+checked by definition against the state that dropped it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -512,8 +513,9 @@ class SignatureTable:
     Improvement between two states is equivalent to strict componentwise
     dominance between their signatures: per-agent weak rises concatenate to a
     componentwise weak rise, and any strict component makes exactly one agent
-    strictly better off.  Strict dominance in turn implies a strictly larger
-    sum, which is what lets scans and skylines skip most pairs.
+    strictly better off.  ``_dominator_masks`` reads the signatures
+    dimension by dimension; strict dominance also implies a strictly larger
+    sum, which is what lets the skyline skip most pairs.
     """
 
     states: tuple[Allocation, ...]
@@ -656,28 +658,78 @@ class FrontierReport:
         return tuple(e.state_id for e in self.entries if e.degenerate)
 
 
-def _skyline(table: SignatureTable) -> list[int]:
+def _dominator_masks(table: SignatureTable) -> Iterator[tuple[int, int]]:
+    """Each live state's index with the bitset of the live states dominating it.
+
+    Bit ``j`` of the mask is set when state ``j`` strictly dominates the
+    state, that is when the move to ``j`` improves on it.  This is the Bitmap
+    skyline of Tan, Eng & Ooi ("Efficient Progressive Skyline Computation",
+    VLDB 2001), with Python ints as the bitsets.  For each signature
+    dimension, each distinct value maps to the set of live states whose
+    component there is at least that value, built as a running OR over the
+    values in descending order; the running OR just before the value is the
+    set strictly above it.  A state's strict dominators are the states at or
+    above it in every dimension (the AND of its "at least" sets) that are
+    strictly above it in some dimension (the OR of its "above" sets).  The
+    sets take D·V·n bits for D dimensions with V distinct values each, since
+    each "above" set is the "at least" set of the next value up; masks are
+    made one state at a time, so no n × n structure is held.
+    """
+    live, signatures = table.live, table.signatures
+    if not live:
+        return
+    # Per dimension: value -> (states at or above it, states strictly above it).
+    bounds: list[dict[int, tuple[int, int]]] = []
+    for d in range(len(signatures[live[0]])):
+        exactly: dict[int, int] = {}
+        for i in live:
+            value = signatures[i][d]
+            exactly[value] = exactly.get(value, 0) | 1 << i
+        above = 0
+        sets: dict[int, tuple[int, int]] = {}
+        for value in sorted(exactly, reverse=True):
+            at_least = above | exactly[value]
+            sets[value] = (at_least, above)
+            above = at_least
+        bounds.append(sets)
+    for i in live:
+        weakly, strictly = -1, 0
+        for sets, value in zip(bounds, signatures[i]):
+            at_least, above = sets[value]
+            weakly &= at_least
+            strictly |= above
+        yield i, weakly & strictly
+
+
+def _skyline(table: SignatureTable) -> tuple[list[int], dict[int, int]]:
     """The live states no other live state dominates (sort-filter skyline).
 
-    States are visited in descending order of signature sum and each is
-    tested only against the kept states of strictly larger sum, since only
-    those can dominate it.  A state dominated by a dropped state is also
-    dominated by the kept state that dropped it, which has a larger sum
-    still, so testing against kept states suffices.  When every sum is equal
-    no test is made at all.
+    Returns the kept states and, for each dropped state, the kept state that
+    dropped it.  States are visited in descending order of signature sum and
+    each is tested only against the kept states of strictly larger sum,
+    since only those can dominate it.  A state dominated by a dropped state
+    is also dominated by the kept state that dropped it, which has a larger
+    sum still, so testing against kept states suffices.  When every sum is
+    equal no test is made at all.
     """
     signatures, sums = table.signatures, table.sums
     order = sorted(table.live, key=sums.__getitem__, reverse=True)
     kept: list[int] = []
+    dropped: dict[int, int] = {}
     higher = 0  # kept[:higher] have a strictly larger sum than the current state
     previous_sum = None
     for i in order:
         if sums[i] != previous_sum:
             higher, previous_sum = len(kept), sums[i]
         signature = signatures[i]
-        if not any(_dominates(signatures[k], signature) for k in kept[:higher]):
+        witness = next(
+            (k for k in kept[:higher] if _dominates(signatures[k], signature)), None
+        )
+        if witness is None:
             kept.append(i)
-    return kept
+        else:
+            dropped[i] = witness
+    return kept, dropped
 
 
 def enumerate_frontier(
@@ -685,33 +737,38 @@ def enumerate_frontier(
 ) -> FrontierReport:
     """Classify every feasible state as efficient or not.
 
-    Runs two independent routes on every call over one signature table: a
-    pairwise oracle that tests each state against each alternative by
-    definition, agent by agent on the scaled components, and a sort-filter
-    skyline over the flattened signatures.  Disagreement raises ``InternalInvariant``; so does an
-    empty frontier, which cannot happen on a finite non-empty set unless
-    every state is degenerate.
+    Runs two independent routes on every call over one signature table: the
+    states whose dominator bitset is empty (``_dominator_masks``), and a
+    sort-filter skyline over the signatures.  Every state the skyline drops
+    is checked by definition, agent by agent on the scaled components,
+    against the kept state that dropped it.  Disagreement between the
+    routes, or a witness that does not improve on the state it dropped,
+    raises ``InternalInvariant``; so does an empty frontier, which cannot
+    happen on a finite non-empty set unless every state is degenerate.
     """
     table = build_signature_table(fs, polity, transforms, "excluded from frontier")
     live = table.live
     components = table.components
 
-    # Route 1: pairwise oracle straight from the definition, agent by agent.
-    naive_efficient = {
-        i
-        for i in live
-        if not any(_improves(components[j], components[i]) for j in live if j != i)
-    }
+    # Route 1: the live states that no live state dominates, by bitsets.
+    bitmap_efficient = {i for i, mask in _dominator_masks(table) if not mask}
 
-    # Route 2: skyline over signatures.
-    pruned_efficient = set(_skyline(table))
+    # Route 2: skyline over signatures, each drop checked by definition.
+    kept, dropped = _skyline(table)
+    for i, witness in dropped.items():
+        if not _improves(components[witness], components[i]):
+            raise InternalInvariant(
+                f"skyline dropped state {i} for state {witness}, "
+                "which does not improve on it"
+            )
+    skyline_efficient = set(kept)
 
-    if naive_efficient != pruned_efficient:
+    if bitmap_efficient != skyline_efficient:
         raise InternalInvariant(
             "frontier routes disagree: "
-            f"oracle={sorted(naive_efficient)} skyline={sorted(pruned_efficient)}"
+            f"bitmap={sorted(bitmap_efficient)} skyline={sorted(skyline_efficient)}"
         )
-    if live and not naive_efficient:
+    if live and not bitmap_efficient:
         raise InternalInvariant("non-empty state set produced an empty frontier")
     if not live:
         raise InternalInvariant(
@@ -722,7 +779,7 @@ def enumerate_frontier(
         FrontierEntry(
             state_id=i,
             state=state,
-            efficient=i in naive_efficient,
+            efficient=i in bitmap_efficient,
             degenerate=signature is None,
         )
         for i, (state, signature) in enumerate(zip(table.states, table.signatures))
@@ -734,11 +791,10 @@ def enumerate_frontier(
 class ScanReport:
     """Exhaustive ordered-move scan over a feasible set.
 
-    ``moves_examined`` counts every ordered pair of live states, including
-    the pairs that the signature sums decide without a dominance test; pairs
-    touching a degenerate state are skipped and counted separately.
-    Degenerate states have no evaluable improving move, so they count as
-    efficient.
+    ``moves_examined`` counts every ordered pair of live states, each decided
+    by the dominator bitsets; pairs touching a degenerate state are skipped
+    and counted separately.  Degenerate states have no evaluable improving
+    move, so they count as efficient.
     """
 
     states_examined: int
@@ -760,10 +816,10 @@ def scan_all_moves(
     """Evaluate every ordered pair of distinct feasible states.
 
     Raises ``CapExceeded`` before enumerating when the pair count would pass
-    ``cap``.  A move from i to j can improve only if j's signature sum is
-    strictly larger, so each from-state is tested only against the states
-    above its sum in a sum-sorted order.  Improving moves are listed by
-    from-state, then to-state.
+    ``cap``.  The moves from state i that improve are the set bits of i's
+    dominator bitset (``_dominator_masks``); read from low to high they come
+    in to-state order, so improving moves are listed by from-state, then
+    to-state, with no sort.
     """
     n = count_feasible(fs, polity)
     required = n * (n - 1)
@@ -771,19 +827,19 @@ def scan_all_moves(
         raise CapExceeded(cap, required)
     table = build_signature_table(fs, polity, transforms, "skipped in scan")
     live = table.live
-    signatures, sums = table.signatures, table.sums
-    by_sum = sorted(live, key=sums.__getitem__)
-    sorted_sums = [sums[j] for j in by_sum]
+    # Each move reads its to-state from here, so the moves share one int
+    # object per index instead of making a new one for each.
+    index = list(range(len(table.states)))
 
     improving: list[tuple[int, int]] = []
     improvable = 0
-    for i in live:
-        signature = signatures[i]
-        above = by_sum[bisect_right(sorted_sums, sums[i]) :]
-        found = sorted(j for j in above if _dominates(signatures[j], signature))
-        if found:
+    for i, mask in _dominator_masks(table):
+        if mask:
             improvable += 1
-            improving.extend((i, j) for j in found)
+        while mask:
+            low = mask & -mask
+            improving.append((i, index[low.bit_length() - 1]))
+            mask ^= low
     examined = len(live) * (len(live) - 1)
     return ScanReport(
         states_examined=n,

@@ -89,10 +89,16 @@ def compare_bundles(a: Bundle, b: Bundle) -> PartialOrderResult:
     """
     if a.dimension != b.dimension:
         raise DimensionMismatch(f"bundle dimensions differ: {a.dimension} vs {b.dimension}")
-    some_up = any(x > y for x, y in zip(a.quantities, b.quantities))
-    some_down = any(x < y for x, y in zip(a.quantities, b.quantities))
-    if some_up and some_down:
-        return PartialOrderResult.INCOMPARABLE
+    some_up = some_down = False
+    for x, y in zip(a.quantities, b.quantities):
+        if x == y:
+            continue
+        if x > y:
+            some_up = True
+        else:
+            some_down = True
+        if some_up and some_down:
+            return PartialOrderResult.INCOMPARABLE
     if some_up:
         return PartialOrderResult.STRICTLY_GREATER
     if some_down:

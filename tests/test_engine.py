@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paretoscope import engine
@@ -44,6 +44,7 @@ from paretoscope import (
     check_move,
     classify_move_agents,
     compare_bundles,
+    count_feasible,
     enumerate_feasible,
     enumerate_frontier,
     evaluate_transform,
@@ -529,6 +530,8 @@ _MIXED = {
 # reference mean) among the random lists.
 _FRONTIER_CASES = st.one_of(
     st.tuples(st.just(OwnBundle()), _explicit_states(2)),
+    # proportional states such as (1,1) and (2,2) share one signature
+    st.tuples(st.just(RelativeToMean()), _explicit_states(2)),
     st.tuples(st.just(RelativeToMean()), _explicit_states(3)),
     st.tuples(st.just(_MIXED), _explicit_states(3)),
     st.tuples(st.just(OwnBundle()), _explicit_states(2, commodities=2)),
@@ -578,20 +581,119 @@ def test_frontier_routes_agree_on_random_explicit_lists(case):
     assert set(report.degenerate_ids) == degenerate
 
 
+def _pairwise_reference(fs, polity, spec):
+    """The frontier and the improving moves by brute force over ``Fraction``s.
+
+    Every ordered pair of live states is compared on each agent's exact
+    information: the move from i to j improves when no component of j's
+    information is below i's and some agent's differs.  Returns the
+    efficient ids, the improving moves by from-state then to-state, and the
+    degenerate ids.
+    """
+    specs = transforms_for(polity, spec)
+    infos = {}
+    for idx, state in enumerate(enumerate_feasible(fs, polity)):
+        try:
+            infos[idx] = [
+                info_components(evaluate_transform(s, state, agent))
+                for agent, s in specs.items()
+            ]
+        except ZeroReferencePoint:
+            pass
+    moves = tuple(
+        (i, j)
+        for i in infos
+        for j in infos
+        if infos[j] != infos[i]
+        and all(
+            x >= y for a, b in zip(infos[j], infos[i]) for x, y in zip(a, b)
+        )
+    )
+    improvable = {i for i, _ in moves}
+    n = count_feasible(fs, polity)
+    efficient = tuple(i for i in infos if i not in improvable)
+    degenerate = tuple(i for i in range(n) if i not in infos)
+    return efficient, moves, degenerate
+
+
+@given(_FRONTIER_CASES)
+@example((RelativeToMean(), (alloc(1, 1), alloc(2, 2), alloc(0, 0), alloc(1, 2))))
+@example((RelativeToMean(), (alloc(0, 0),)))
+def test_frontier_and_scan_match_the_pairwise_reference(case):
+    spec, states = case
+    fs = ExplicitList(states)
+    polity = fs.states[0].polity
+    efficient, moves, degenerate = _pairwise_reference(fs, polity, spec)
+    scan = scan_all_moves(fs, polity, spec)
+    assert scan.improving_moves == moves
+    assert scan.degenerate_states == len(degenerate)
+    assert scan.efficient_state_count == len(fs.states) - len({i for i, _ in moves})
+    if not efficient:
+        with pytest.raises(InternalInvariant):
+            enumerate_frontier(fs, polity, spec)
+        return
+    report = enumerate_frontier(fs, polity, spec)
+    assert report.efficient_ids == efficient
+    assert report.degenerate_ids == degenerate
+
+
+@pytest.mark.parametrize(
+    "fs,polity,spec",
+    [
+        (BoxGrid.shared([0, 1, 2]), Polity(2, 1), RelativeToMean()),
+        (BoxGrid.shared([1, 2, 4]), Polity(3, 1), _MIXED),
+        (BoxGrid.shared([0, 1, 3]), Polity(3, 1), OwnBundle()),
+        (
+            BoxGrid.shared([0, 1, 2], commodities=2),
+            Polity(2, 2),
+            WeightedOwn((Fraction(1), Fraction(2))),
+        ),
+        (FixedTotalLattice.shared(5), Polity(3, 1), RelativeToMean()),
+    ],
+)
+def test_frontier_and_scan_match_the_pairwise_reference_on_grids(fs, polity, spec):
+    efficient, moves, degenerate = _pairwise_reference(fs, polity, spec)
+    report = enumerate_frontier(fs, polity, spec)
+    assert report.efficient_ids == efficient
+    assert report.degenerate_ids == degenerate
+    assert scan_all_moves(fs, polity, spec).improving_moves == moves
+
+
 def test_frontier_route_disagreement_raises(monkeypatch):
     # a skyline that never sees dominance keeps every state, while the
-    # oracle keeps only the top corner: the cross-check must catch it
+    # bitmap route keeps only the top corner: the cross-check must catch it
     monkeypatch.setattr(engine, "_dominates", lambda a, b: False)
     with pytest.raises(InternalInvariant, match="frontier routes disagree"):
         enumerate_frontier(BoxGrid.shared([0, 1, 2]), Polity(2, 1), OwnBundle())
 
 
-def test_frontier_oracle_disagreement_raises(monkeypatch):
-    # the mirror case: an oracle that never finds an improvement keeps every
-    # state, while the skyline keeps only the top corner
-    monkeypatch.setattr(engine, "_improves", lambda after, before: False)
+def test_frontier_bitmap_disagreement_raises(monkeypatch):
+    # the mirror case: empty dominator bitsets keep every state, while the
+    # skyline keeps only the top corner
+    monkeypatch.setattr(
+        engine, "_dominator_masks", lambda table: ((i, 0) for i in table.live)
+    )
     with pytest.raises(InternalInvariant, match="frontier routes disagree"):
         enumerate_frontier(BoxGrid.shared([0, 1, 2]), Polity(2, 1), OwnBundle())
+
+
+def test_frontier_false_skyline_witness_raises(monkeypatch):
+    # a skyline that sees dominance everywhere drops (0,1) for (3,0), which
+    # does not improve on it: the check by definition must catch it
+    monkeypatch.setattr(engine, "_dominates", lambda a, b: True)
+    fs = ExplicitList((alloc(3, 0), alloc(0, 1)))
+    with pytest.raises(InternalInvariant, match="does not improve on it"):
+        enumerate_frontier(fs, Polity(2, 1), OwnBundle())
+
+
+def test_frontier_empty_on_both_routes_raises(monkeypatch):
+    # routes that agree on an empty frontier over live states still fail
+    monkeypatch.setattr(
+        engine, "_dominator_masks", lambda table: ((i, 1) for i in table.live)
+    )
+    monkeypatch.setattr(engine, "_skyline", lambda table: ([], {}))
+    with pytest.raises(InternalInvariant, match="empty frontier"):
+        enumerate_frontier(BoxGrid.shared([0, 1]), Polity(2, 1), OwnBundle())
 
 
 @given(_FRONTIER_CASES)
