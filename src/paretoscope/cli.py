@@ -363,6 +363,9 @@ def main(argv: list[str] | None = None) -> int:
             cap=getattr(args, "cap", None),
         )
         payload = emit_report(report, args.format)
+        if args.output:
+            with open(args.output, "wb") as fh:
+                fh.write(payload)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -375,10 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParetoscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(payload)
-    else:
+    if not args.output:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
     return 0

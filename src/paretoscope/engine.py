@@ -11,17 +11,21 @@ rises and at least one agent's strictly rises.  Three checkers implement this:
   bundle changes.  It is a genuinely separate evaluation route: the tests
   confirm it agrees with the definitional checker rather than assuming it.
 
-All three read one exact-int evaluation of the move (``_move_information``):
-each agent's information at both ends as int component tuples that compare
-exactly as the information does, built with no ``Fraction`` arithmetic.
-``check_move`` builds it once and returns all three verdicts; the tests keep
-``evaluate_transform`` on ``Fraction``s as the reference it must match.  The
-checkers share one definition of improvement with reasons (``_tally``);
-``_improves`` is its yes/no form for the loops that need no reasons.
-Frontiers and scans read one ``SignatureTable`` that evaluates each state's
-transforms once and scales every component to an exact int by one common
-factor, and one dominance layer over it (``_dominator_masks``) that gives
-each state the bitset of the states that dominate it.  ``enumerate_frontier``
+One int reading serves moves and states alike: ``_reading`` resolves each
+agent's transform once, and ``_read`` takes that agent's information at one
+state from int holdings as int components over a positive int, with no
+``Fraction`` arithmetic.  All three checkers read one exact-int evaluation
+of the move built from it (``_move_information``): each agent's information
+at both ends as int component tuples that compare exactly as the
+information does.  ``check_move`` builds it once and returns all three
+verdicts.  The checkers share one definition of improvement with reasons
+(``_tally``); ``_improves`` is its yes/no form for the loops that need no
+reasons.  Frontiers and scans read one ``SignatureTable``, built by the same
+reading once per state and scaled to exact ints by one common factor, and
+one dominance layer over it (``_dominator_masks``) that gives each state the
+bitset of the states that dominate it.  ``is_pareto_efficient`` and the
+public ``evaluate_transform`` stay on ``Fraction``s, and the tests keep them
+as the reference the int routes must match.  ``enumerate_frontier``
 keeps two routes alive (those bitsets and a sum-presorted skyline) and
 insists they agree on every call; each state the skyline drops is also
 checked by definition against the state that dropped it.
@@ -47,6 +51,7 @@ from .errors import (
 )
 from .polity import (
     Allocation,
+    Bundle,
     FeasibleSet,
     Move,
     Polity,
@@ -208,30 +213,43 @@ def _components_at(
 _Holdings = tuple[tuple[int, ...], ...]
 
 
-def _scaled_holdings(move: Move) -> tuple[_Holdings, _Holdings]:
-    """Both ends' holdings as ints, one tuple per agent: ``(after, before)``.
+def _int_holdings(*ends: tuple[Bundle, ...]) -> tuple[tuple[_Holdings, ...], int]:
+    """Each end's holdings as ints, one tuple per agent, and the common scale.
 
     Every quantity is multiplied by one positive factor, the least common
-    multiple of the denominators at both ends, so every comparison of
+    multiple of the denominators at every end, so every comparison of
     holdings, or of positive-weighted sums of them, is unchanged.
     """
-    ends = (move.after.bundles, move.before.bundles)
     scale = math.lcm(*[q.denominator for end in ends for b in end for q in b.quantities])
-    return tuple(
-        tuple(tuple(q.numerator * (scale // q.denominator) for q in b.quantities) for b in end)
-        for end in ends
-    )
+    # Integer holdings, the common case, need no multiplication.
+    if scale == 1:
+        holdings = tuple(
+            tuple(tuple([q.numerator for q in b.quantities]) for b in end) for end in ends
+        )
+    else:
+        holdings = tuple(
+            tuple(
+                tuple([q.numerator * (scale // q.denominator) for q in b.quantities])
+                for b in end
+            )
+            for end in ends
+        )
+    return holdings, scale
 
 
-def _int_weights(
-    weights: tuple[Fraction, ...] | None, dimension: int
-) -> tuple[int, ...] | None:
-    """Positive aggregation weights scaled to ints by the LCM of their denominators."""
-    if weights is None:
-        return None
+def _scaled_holdings(move: Move) -> tuple[_Holdings, _Holdings]:
+    """Both ends' holdings as ints on one scale: ``(after, before)``."""
+    return _int_holdings(move.after.bundles, move.before.bundles)[0]
+
+
+def _int_weights(weights: tuple[Fraction, ...], dimension: int) -> tuple[tuple[int, ...], int]:
+    """Positive aggregation weights scaled to ints, with the factor they were scaled by.
+
+    The factor is the least common multiple of the weights' denominators.
+    """
     check_weight_count(weights, dimension)
     scale = math.lcm(*[w.denominator for w in weights])
-    return tuple(w.numerator * (scale // w.denominator) for w in weights)
+    return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
 
 
 def _int_aggregate(holding: tuple[int, ...], weights: tuple[int, ...] | None) -> int:
@@ -240,54 +258,68 @@ def _int_aggregate(holding: tuple[int, ...], weights: tuple[int, ...] | None) ->
     return sum(map(operator.mul, weights, holding))
 
 
-# How an agent's information is read from int holdings: None when it is the
-# bundle itself, else the int aggregation weights (None for unit weights) and
-# the 0-based indices of the reference group (None for an absolute transform).
-_Reading = Union[tuple[Union[tuple[int, ...], None], Union[list[int], range, None]], None]
+class _Reading(NamedTuple):
+    """How a scalar transform reads an agent's information from int holdings."""
+
+    weights: tuple[int, ...] | None  # int aggregation weights; None for unit weights
+    weight_scale: int  # the factor the weights were scaled by
+    group: list[int] | range | None  # 0-based reference group; None when absolute
 
 
-def _reading(spec: TransformSpec, agent: int, n_agents: int, dimension: int) -> _Reading:
+def _reading(
+    spec: TransformSpec, agent: int, n_agents: int, dimension: int
+) -> _Reading | None:
     """How ``agent``'s information under ``spec`` is read from int holdings.
 
-    Raises what ``evaluate_transform`` raises before it evaluates anything,
-    in the same order: ``InvalidAgent`` for a neighbourhood member outside
-    the polity, then ``DimensionMismatch`` for a weight count that does not
-    match the commodities.
+    ``None`` means the information is the bundle itself.  Raises what
+    ``evaluate_transform`` raises before it evaluates anything, in the same
+    order: ``InvalidAgent`` for a neighbourhood member outside the polity,
+    then ``DimensionMismatch`` for a weight count that does not match the
+    commodities.
     """
     if isinstance(spec, OwnBundle):
         return None
     if isinstance(spec, WeightedOwn):
-        return _int_weights(spec.weights, dimension), None
-    if isinstance(spec, RelativeToMean):
+        group = None
+    elif isinstance(spec, RelativeToMean):
         group = range(n_agents)
     elif isinstance(spec, RelativeToNeighborhood):
         group = [m - 1 for m in neighborhood_members(spec, agent, n_agents)]
     else:
         raise ValidationError(f"unknown transform spec {spec!r}")
-    return _int_weights(spec.weights, dimension), group
+    if spec.weights is None:
+        return _Reading(None, 1, group)
+    return _Reading(*_int_weights(spec.weights, dimension), group)
 
 
 def _read(
-    reading: _Reading, holdings: _Holdings, agent: int, endpoint: str
+    reading: _Reading | None, holdings: _Holdings, agent: int, unit: int
 ) -> tuple[tuple[int, ...], int]:
-    """``agent``'s information at one end as int components over a reference.
+    """``agent``'s information at one state as int components over a positive int.
 
-    The information is the components divided by the reference, which is 1
-    for an absolute transform.  A relative transform's value aggₖ / (Σ_G
-    agg / |G|) is |G| times the numerator aggₖ over the reference Σ_G agg;
-    the group, and so |G|, is the same at both ends, so it is left out.
+    ``holdings`` holds every quantity times ``unit``.  The components
+    divided by the returned denominator are exactly the information:
+    ``unit`` for the bundle itself, ``unit`` times the weight scale for a
+    weighted sum, and for a relative transform, whose value aggₖ / (Σ_G agg
+    / |G|) does not depend on either scale, |G|·aggₖ over Σ_G agg.
+
+    Raises ``ZeroReferencePoint`` when the reference Σ_G agg is zero.
     """
     own = holdings[agent - 1]
     if reading is None:
-        return own, 1
-    weights, group = reading
+        return own, unit
+    weights, weight_scale, group = reading
+    value = _int_aggregate(own, weights)
     if group is None:
-        return (_int_aggregate(own, weights),), 1
-    reference = sum(_int_aggregate(holdings[m], weights) for m in group)
+        return (value,), unit * weight_scale
+    members = map(holdings.__getitem__, group)
+    if weights is None:
+        reference = sum(map(sum, members))
+    else:
+        reference = sum(sum(map(operator.mul, weights, member)) for member in members)
     if reference == 0:
-        exc = ZeroReferencePoint(f"reference mean for agent {agent} is zero", agent=agent)
-        raise _tagged_zero_reference(exc, endpoint) from exc
-    return (_int_aggregate(own, weights),), reference
+        raise ZeroReferencePoint(f"reference mean for agent {agent} is zero", agent=agent)
+    return (len(group) * value,), reference
 
 
 def _move_information(
@@ -297,13 +329,12 @@ def _move_information(
 
     ``holdings`` is ``_scaled_holdings(move)``.  Returns one component tuple
     per agent and end, ``(after, before)``, that compare agent by agent
-    exactly as the information does:
-
-    * ``OwnBundle``: the scaled holdings;
-    * ``WeightedOwn``: the weighted sum, with the weights scaled to ints;
-    * relative transforms: numerators over positive references, compared by
-      cross-multiplying, so the after end reads num_a·ref_b and the before
-      end num_b·ref_a.  Equal references cancel and are left out.
+    exactly as the information does.  Each end is read by ``_read`` in the
+    units of the one holding scale both ends share.  Where an agent's
+    denominators are equal at the two ends (the bundle itself, a weighted
+    sum, or a relative transform whose reference did not move) the
+    components compare as they are; otherwise the after end reads num_a·den_b
+    and the before end num_b·den_a.
 
     Raises what ``evaluate_transform`` raises at each end, in its order: at
     the from end agent by agent, then at the to end.  ``ZeroReferencePoint``
@@ -312,18 +343,24 @@ def _move_information(
     after_holdings, before_holdings = holdings
     n_agents, dimension = len(before_holdings), len(before_holdings[0])
     readings, before = [], []
-    for agent, spec in specs.items():
-        reading = _reading(spec, agent, n_agents, dimension)
-        readings.append(reading)
-        before.append(_read(reading, before_holdings, agent, "from"))
-    after = [
-        _read(reading, after_holdings, agent, "to")
-        for agent, reading in zip(specs, readings)
-    ]
+    try:
+        for agent, spec in specs.items():
+            reading = _reading(spec, agent, n_agents, dimension)
+            readings.append(reading)
+            before.append(_read(reading, before_holdings, agent, 1))
+    except ZeroReferencePoint as exc:
+        raise _tagged_zero_reference(exc, "from") from exc
+    try:
+        after = [
+            _read(reading, after_holdings, agent, 1)
+            for agent, reading in zip(specs, readings)
+        ]
+    except ZeroReferencePoint as exc:
+        raise _tagged_zero_reference(exc, "to") from exc
     after_components, before_components = [], []
-    for (a, ref_a), (b, ref_b) in zip(after, before):
-        if ref_a != ref_b:
-            a, b = (a[0] * ref_b,), (b[0] * ref_a,)
+    for (a, den_a), (b, den_b) in zip(after, before):
+        if den_a != den_b:
+            a, b = (a[0] * den_b,), (b[0] * den_a,)
         after_components.append(a)
         before_components.append(b)
     return after_components, before_components
@@ -474,22 +511,17 @@ class EfficiencyVerdict:
 
 
 def _state_rows(
-    states: Iterable[Allocation],
-    specs: dict[int, TransformSpec],
-    warning: str | None = None,
+    states: Iterable[Allocation], specs: dict[int, TransformSpec]
 ) -> Iterator[tuple[Allocation, tuple[PreferenceInfo, ...] | None]]:
     """Each state with every agent's information there, in agent order.
 
     The information is ``None`` for a degenerate state, where some relative
-    transform's reference mean is zero.  When ``warning`` is given, each
-    degenerate state is logged as "state <index> <warning>: <reason>".
+    transform's reference mean is zero.
     """
-    for idx, state in enumerate(states):
+    for state in states:
         try:
             infos = _infos(state, specs)
-        except ZeroReferencePoint as exc:
-            if warning is not None:
-                logger.warning("state %d %s: %s", idx, warning, exc)
+        except ZeroReferencePoint:
             infos = None
         yield state, infos
 
@@ -499,16 +531,18 @@ class SignatureTable:
     """Every feasible state with its information as exact scaled integers.
 
     Row ``i`` is the state with enumeration index ``i``.  Each agent's
-    transform is evaluated once per state, and every information component
+    information is read once per state from the state's int holdings, by the
+    reading ``check_move`` uses (``_read``), and every information component
     ``c`` is stored as the int ``c * scale``, where ``scale`` is the least
-    common multiple of the denominators of all live components.
+    common multiple of the reduced denominators of all live components.
     ``components`` holds one int tuple per agent in agent order (a 1-tuple
     for scalar information); ``signatures`` flattens it to one tuple and
     ``sums`` adds that up.  All three are ``None`` for a degenerate state.
 
     One common positive scale keeps every comparison exact: ``x < y`` exactly
     when ``x * scale < y * scale``, and equal rational sums stay equal.
-    ``Fraction(component, scale)`` recovers the information.
+    ``Fraction(component, scale)`` recovers the information, which equals
+    what ``evaluate_transform`` gives there.
 
     Improvement between two states is equivalent to strict componentwise
     dominance between their signatures: per-agent weak rises concatenate to a
@@ -530,25 +564,62 @@ class SignatureTable:
         return [i for i, sig in enumerate(self.signatures) if sig is not None]
 
 
+def _lowest_terms(
+    components: tuple[int, ...], denominator: int
+) -> tuple[tuple[int, ...], int]:
+    """Int components over a positive denominator, with their common factor removed.
+
+    The denominator returned is the least common multiple of the reduced
+    denominators of the rationals ``c / denominator``.
+    """
+    if denominator == 1:
+        return components, 1
+    common = math.gcd(denominator, *components)
+    if common == 1:
+        return components, denominator
+    return tuple(c // common for c in components), denominator // common
+
+
 def build_signature_table(
     fs: FeasibleSet,
     polity: Polity,
     transforms: Transforms,
     warning: str | None = None,
 ) -> SignatureTable:
-    """Enumerate ``fs`` and evaluate every agent's transform once per state.
+    """Enumerate ``fs`` and read every agent's information once per state.
 
-    ``warning`` is logged for each degenerate state as in ``_state_rows``.
+    Each agent's reading is resolved once, up front, so ``InvalidAgent`` and
+    ``DimensionMismatch`` are raised in agent order before any state is
+    read.  Each state's holdings are scaled to ints and each agent's
+    information taken from them by ``_read``, as int components over a
+    positive int, with no ``Fraction`` arithmetic.  When ``warning`` is
+    given, each degenerate state is logged as "state <index> <warning>:
+    <reason>".
     """
     specs = transforms_for(polity, transforms)
+    readings = [
+        (agent, _reading(spec, agent, polity.n_agents, polity.commodity_dim))
+        for agent, spec in specs.items()
+    ]
     states, rows = [], []
-    for state, info in _state_rows(enumerate_feasible(fs, polity), specs, warning):
+    denominators: set[int] = set()
+    for idx, state in enumerate(enumerate_feasible(fs, polity)):
         states.append(state)
-        rows.append(None if info is None else tuple(map(info_components, info)))
-    denominators = {
-        c.denominator for row in rows if row is not None for item in row for c in item
-    }
+        (holdings,), unit = _int_holdings(state.bundles)
+        try:
+            row = [
+                _lowest_terms(*_read(reading, holdings, agent, unit))
+                for agent, reading in readings
+            ]
+        except ZeroReferencePoint as exc:
+            if warning is not None:
+                logger.warning("state %d %s: %s", idx, warning, exc)
+            rows.append(None)
+            continue
+        denominators.update([denominator for _, denominator in row])
+        rows.append(row)
     scale = math.lcm(*denominators)
+    factors = {denominator: scale // denominator for denominator in denominators}
     components, signatures, sums = [], [], []
     for row in rows:
         if row is None:
@@ -556,11 +627,12 @@ def build_signature_table(
             signatures.append(None)
             sums.append(None)
             continue
-        scaled = tuple(
-            tuple(c.numerator * (scale // c.denominator) for c in item) for item in row
-        )
+        scaled = []
+        for item, denominator in row:
+            factor = factors[denominator]
+            scaled.append(item if factor == 1 else tuple([c * factor for c in item]))
         signature = tuple(c for item in scaled for c in item)
-        components.append(scaled)
+        components.append(tuple(scaled))
         signatures.append(signature)
         sums.append(sum(signature))
     return SignatureTable(

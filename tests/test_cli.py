@@ -24,6 +24,10 @@ GOLDEN_RUNS = [
     ("frontier", "own_box", "csv", [], "frontier_own_box.csv"),
     ("frontier", "own_box", "table", [], "frontier_own_box.table.txt"),
     ("frontier", "relmean_pair", "csv", [], "frontier_relmean_pair.csv"),
+    # fractional levels, weighted relative transforms and degenerate states
+    ("frontier", "check_move_mixed", "table", [], "frontier_check_move_mixed.table.txt"),
+    ("frontier", "check_move_weighted", "csv", [], "frontier_check_move_weighted.csv"),
+    ("scan", "check_move_mixed", "csv", [], "scan_check_move_mixed.csv"),
     ("scan", "relmean_pair", "csv", [], "scan_relmean_pair.csv"),
     ("scan", "relmean_trio", "csv", [], "scan_relmean_trio.csv"),
     ("scan", "own_box", "csv", [], "scan_own_box.csv"),
@@ -103,6 +107,50 @@ def test_stdout_receives_report_bytes(capsysbinary):
     assert main(["scan", "--scenario", str(DATA / "relmean_pair.scn"), "--format", "csv"]) == 0
     out = capsysbinary.readouterr().out
     assert out == b"states,moves,improvements,efficient_states\r\n9,72,0,9\r\n"
+
+
+@pytest.mark.parametrize(
+    "command,fmt,golden,warning",
+    [
+        ("frontier", "table", "frontier_check_move_mixed.table.txt", "excluded from frontier"),
+        ("scan", "csv", "scan_check_move_mixed.csv", "skipped in scan"),
+    ],
+)
+def test_degenerate_states_are_warned_in_order(command, fmt, golden, warning):
+    # agent 2's reference group is agents 1 and 3, so every state where both
+    # hold nothing is degenerate; the warnings follow enumeration order
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "paretoscope.cli",
+            command,
+            "--scenario",
+            str(DATA / "check_move_mixed.scn"),
+            "--format",
+            fmt,
+        ],
+        capture_output=True,
+    )
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN / golden).read_bytes()
+    assert result.stderr.decode().splitlines() == [
+        f"WARNING: state {i} {warning}: reference mean for agent 2 is zero"
+        for i in (0, 6, 12, 18, 24, 30)
+    ]
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    assert main(
+        ["frontier", "--scenario", str(DATA / "own_box.scn"), "--output", str(target)]
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert str(target) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not target.exists()
 
 
 def test_missing_scenario_file_exits_1(capsys):

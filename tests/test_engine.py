@@ -7,6 +7,7 @@ oracle (pure itertools over Fraction tuples) written before the engine.
 from __future__ import annotations
 
 import logging
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -20,6 +21,7 @@ from paretoscope import (
     BoxGrid,
     Bundle,
     CapExceeded,
+    DimensionMismatch,
     ExplicitList,
     FixedTotalLattice,
     HypothesisViolated,
@@ -526,6 +528,14 @@ _MIXED = {
     3: RelativeToMean(),
 }
 
+# Weighted relative transforms: the table's int reading must reproduce the
+# weights' scale, and a neighbourhood's size, exactly.
+_WEIGHTED_MIXED = {
+    1: WeightedOwn((Fraction(5, 3),)),
+    2: RelativeToNeighborhood(frozenset({1, 3}), (Fraction(3, 2),)),
+    3: RelativeToMean((Fraction(1, 2),)),
+}
+
 # Levels include 0, so relative transforms meet degenerate states (a zero
 # reference mean) among the random lists.
 _FRONTIER_CASES = st.one_of(
@@ -543,6 +553,20 @@ _FRONTIER_CASES = st.one_of(
     ),
     st.tuples(
         st.just(WeightedOwn((Fraction(2, 7), Fraction(5, 4)))),
+        _explicit_states(2, commodities=2, level=_FRACTIONAL_LEVEL),
+    ),
+    st.tuples(
+        st.just(RelativeToMean((Fraction(3, 2),))),
+        _explicit_states(3, level=_FRACTIONAL_LEVEL),
+    ),
+    st.tuples(st.just(_WEIGHTED_MIXED), _explicit_states(3, level=_FRACTIONAL_LEVEL)),
+    st.tuples(
+        st.just(
+            {
+                1: RelativeToNeighborhood(frozenset({2}), (Fraction(2, 7), Fraction(5, 4))),
+                2: RelativeToMean((Fraction(3), Fraction(1, 2))),
+            }
+        ),
         _explicit_states(2, commodities=2, level=_FRACTIONAL_LEVEL),
     ),
 )
@@ -704,18 +728,67 @@ def test_signature_table_scales_every_component_exactly(case):
     fs = ExplicitList(states)
     polity = fs.states[0].polity
     table = engine.build_signature_table(fs, polity, spec)
-    assert table.scale >= 1
     specs = transforms_for(polity, spec)
+    denominators = []
     for i in table.live:
         state = table.states[i]
         for components, (agent, agent_spec) in zip(table.components[i], specs.items()):
             expected = info_components(evaluate_transform(agent_spec, state, agent))
+            denominators += [c.denominator for c in expected]
             assert all(type(c) is int for c in components)
             assert tuple(Fraction(c, table.scale) for c in components) == expected
         assert table.signatures[i] == tuple(c for item in table.components[i] for c in item)
         assert table.sums[i] == sum(table.signatures[i])
     for i in set(range(len(table.states))) - set(table.live):
         assert table.components[i] is None and table.sums[i] is None
+    # the scale is the smallest that makes every live component an int
+    assert table.scale == math.lcm(*denominators)
+
+
+@pytest.mark.parametrize("run", [enumerate_frontier, scan_all_moves])
+def test_frontier_and_scan_reject_bad_transforms_before_reading_states(run):
+    fs = BoxGrid.shared([0, 1], commodities=2)
+    polity = Polity(2, 2)
+    with pytest.raises(InvalidAgent, match="names agent 3 but the polity has 2"):
+        run(fs, polity, {1: OwnBundle(), 2: RelativeToNeighborhood(frozenset({1, 3}))})
+    with pytest.raises(DimensionMismatch, match="3 weights for a 2-commodity bundle"):
+        run(fs, polity, {1: OwnBundle(), 2: RelativeToMean((1, 2, 3))})
+    with pytest.raises(DimensionMismatch, match="1 weights for a 2-commodity bundle"):
+        run(fs, polity, {1: WeightedOwn((1,)), 2: OwnBundle()})
+    # the first agent in agent order whose transform is bad is named
+    with pytest.raises(InvalidAgent, match="neighborhood of agent 1"):
+        run(
+            fs,
+            polity,
+            {
+                1: RelativeToNeighborhood(frozenset({4})),
+                2: RelativeToMean((1, 2, 3)),
+            },
+        )
+    # agent 1's reference is zero at the only state, yet agent 2's weights
+    # are still checked: every reading is resolved before any state is read
+    with pytest.raises(DimensionMismatch):
+        run(
+            BoxGrid.shared([0], commodities=2),
+            polity,
+            {1: RelativeToMean(), 2: WeightedOwn((1,))},
+        )
+
+
+def test_signature_table_reads_no_fraction_information(monkeypatch):
+    # the table reads int holdings; the Fraction evaluation stays the
+    # reference for is_pareto_efficient only
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction evaluation used")
+
+    monkeypatch.setattr(engine, "evaluate_transform", refuse)
+    monkeypatch.setattr(engine, "_state_rows", refuse)
+    fs = BoxGrid.shared([0, Fraction(1, 2), 1, 3])
+    polity = Polity(3, 1)
+    table = engine.build_signature_table(fs, polity, _WEIGHTED_MIXED)
+    assert len(table.live) == 60
+    enumerate_frontier(fs, polity, _WEIGHTED_MIXED)
+    scan_all_moves(fs, polity, _WEIGHTED_MIXED)
 
 
 @pytest.mark.parametrize(
