@@ -39,6 +39,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import (
@@ -221,19 +222,13 @@ def _int_holdings(*ends: tuple[Bundle, ...]) -> tuple[tuple[_Holdings, ...], int
     holdings, or of positive-weighted sums of them, is unchanged.
     """
     scale = math.lcm(*[q.denominator for end in ends for b in end for q in b.quantities])
-    # Integer holdings, the common case, need no multiplication.
-    if scale == 1:
-        holdings = tuple(
-            tuple(tuple([q.numerator for q in b.quantities]) for b in end) for end in ends
+    holdings = tuple(
+        tuple(
+            tuple([q.numerator * (scale // q.denominator) for q in b.quantities])
+            for b in end
         )
-    else:
-        holdings = tuple(
-            tuple(
-                tuple([q.numerator * (scale // q.denominator) for q in b.quantities])
-                for b in end
-            )
-            for end in ends
-        )
+        for end in ends
+    )
     return holdings, scale
 
 
@@ -312,11 +307,7 @@ def _read(
     value = _int_aggregate(own, weights)
     if group is None:
         return (value,), unit * weight_scale
-    members = map(holdings.__getitem__, group)
-    if weights is None:
-        reference = sum(map(sum, members))
-    else:
-        reference = sum(sum(map(operator.mul, weights, member)) for member in members)
+    reference = sum(_int_aggregate(holdings[m], weights) for m in group)
     if reference == 0:
         raise ZeroReferencePoint(f"reference mean for agent {agent} is zero", agent=agent)
     return (len(group) * value,), reference
@@ -564,22 +555,6 @@ class SignatureTable:
         return [i for i, sig in enumerate(self.signatures) if sig is not None]
 
 
-def _lowest_terms(
-    components: tuple[int, ...], denominator: int
-) -> tuple[tuple[int, ...], int]:
-    """Int components over a positive denominator, with their common factor removed.
-
-    The denominator returned is the least common multiple of the reduced
-    denominators of the rationals ``c / denominator``.
-    """
-    if denominator == 1:
-        return components, 1
-    common = math.gcd(denominator, *components)
-    if common == 1:
-        return components, denominator
-    return tuple(c // common for c in components), denominator // common
-
-
 def build_signature_table(
     fs: FeasibleSet,
     polity: Polity,
@@ -588,8 +563,9 @@ def build_signature_table(
 ) -> SignatureTable:
     """Enumerate ``fs`` and read every agent's information once per state.
 
-    Each agent's reading is resolved once, up front, so ``InvalidAgent`` and
-    ``DimensionMismatch`` are raised in agent order before any state is
+    A feasible set that does not fit the polity raises ``InfeasibleConfig``
+    first.  Each agent's reading is then resolved once, so ``InvalidAgent``
+    and ``DimensionMismatch`` are raised in agent order before any state is
     read.  Each state's holdings are scaled to ints and each agent's
     information taken from them by ``_read``, as int components over a
     positive int, with no ``Fraction`` arithmetic.  When ``warning`` is
@@ -597,29 +573,31 @@ def build_signature_table(
     <reason>".
     """
     specs = transforms_for(polity, transforms)
+    feasible = enumerate_feasible(fs, polity)
+    # Taking the first state checks that the feasible set fits the polity,
+    # so InfeasibleConfig comes before any transform error.
+    first = next(feasible)
     readings = [
         (agent, _reading(spec, agent, polity.n_agents, polity.commodity_dim))
         for agent, spec in specs.items()
     ]
     states, rows = [], []
     denominators: set[int] = set()
-    for idx, state in enumerate(enumerate_feasible(fs, polity)):
+    for idx, state in enumerate(chain((first,), feasible)):
         states.append(state)
         (holdings,), unit = _int_holdings(state.bundles)
         try:
-            row = [
-                _lowest_terms(*_read(reading, holdings, agent, unit))
-                for agent, reading in readings
-            ]
+            row = [_read(reading, holdings, agent, unit) for agent, reading in readings]
         except ZeroReferencePoint as exc:
             if warning is not None:
                 logger.warning("state %d %s: %s", idx, warning, exc)
             rows.append(None)
             continue
-        denominators.update([denominator for _, denominator in row])
+        # the denominator of item / den in lowest terms; the scale is their
+        # least common multiple, so c * scale // den below is exact
+        denominators.update([den // math.gcd(den, *item) for item, den in row])
         rows.append(row)
     scale = math.lcm(*denominators)
-    factors = {denominator: scale // denominator for denominator in denominators}
     components, signatures, sums = [], [], []
     for row in rows:
         if row is None:
@@ -627,11 +605,13 @@ def build_signature_table(
             signatures.append(None)
             sums.append(None)
             continue
-        scaled = []
-        for item, denominator in row:
-            factor = factors[denominator]
-            scaled.append(item if factor == 1 else tuple([c * factor for c in item]))
-        signature = tuple(c for item in scaled for c in item)
+        # an item whose denominator is the scale (every own bundle on integer
+        # holdings) is kept as it is, so no second tuple per agent is held
+        scaled = [
+            item if den == scale else tuple([c * scale // den for c in item])
+            for item, den in row
+        ]
+        signature = tuple([c for item in scaled for c in item])
         components.append(tuple(scaled))
         signatures.append(signature)
         sums.append(sum(signature))

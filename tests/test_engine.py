@@ -25,6 +25,7 @@ from paretoscope import (
     ExplicitList,
     FixedTotalLattice,
     HypothesisViolated,
+    InfeasibleConfig,
     InternalInvariant,
     InvalidAgent,
     Method,
@@ -764,6 +765,16 @@ def test_frontier_and_scan_reject_bad_transforms_before_reading_states(run):
                 1: RelativeToNeighborhood(frozenset({4})),
                 2: RelativeToMean((1, 2, 3)),
             },
+        )
+    # a feasible set that does not fit the polity is reported before any
+    # transform error
+    with pytest.raises(InfeasibleConfig, match="2-dimensional but polity has 1"):
+        run(fs, Polity(2, 1), {1: OwnBundle(), 2: RelativeToMean((1, 2))})
+    with pytest.raises(InfeasibleConfig, match="explicit states have 3 agents"):
+        run(
+            ExplicitList((alloc(0, 1, 2),)),
+            Polity(2, 1),
+            {1: OwnBundle(), 2: RelativeToNeighborhood(frozenset({3}))},
         )
     # agent 1's reference is zero at the only state, yet agent 2's weights
     # are still checked: every reading is resolved before any state is read
