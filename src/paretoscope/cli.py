@@ -16,7 +16,7 @@ from . import __version__
 from .discovery import simulate_discovery
 from .engine import (
     DEFAULT_SCAN_CAP,
-    check_move,
+    check_moves,
     enumerate_frontier,
     is_pareto_efficient,
     scan_all_moves,
@@ -63,8 +63,10 @@ def _run_check_move(scenario: Scenario) -> Report:
     all_own = all(isinstance(t, OwnBundle) for t in scenario.transforms.values())
     rows = []
     diagnostics = []
-    for idx, move in enumerate(scenario.moves):
-        definitional, neoclassical, ratio = check_move(move, scenario.transforms)
+    verdicts = check_moves(scenario.moves, scenario.transforms)
+    for idx, (move, (definitional, neoclassical, ratio)) in enumerate(
+        zip(scenario.moves, verdicts)
+    ):
         if isinstance(ratio, HypothesisViolated):
             ratio_cell = "n/a"
             applicable = [definitional.is_improvement]

@@ -14,11 +14,14 @@ rises and at least one agent's strictly rises.  Three checkers implement this:
 One int reading serves moves and states alike: ``_reading`` resolves each
 agent's transform once, and ``_read`` takes that agent's information at one
 state from int holdings as int components over a positive int, with no
-``Fraction`` arithmetic.  All three checkers read one exact-int evaluation
-of the move built from it (``_move_information``): each agent's information
-at both ends as int component tuples that compare exactly as the
-information does.  ``check_move`` builds it once and returns all three
-verdicts.  The checkers share one definition of improvement with reasons
+``Fraction`` arithmetic.  Every agent's reading is resolved before any state
+is read.  All three checkers read one exact-int evaluation of the move built
+from it (``_move_information``): each agent's information at both ends as
+int component tuples that compare exactly as the information does.
+``check_moves`` resolves the readings once per polity shape and yields all
+three verdicts per move from that evaluation; ``check_move`` is its one-move
+case, and the single checkers build the same evaluation from the same
+readings.  The checkers share one definition of improvement with reasons
 (``_tally``); ``_improves`` is its yes/no form for the loops that need no
 reasons.  Frontiers and scans read one ``SignatureTable``, built by the same
 reading once per state and scaled to exact ints by one common factor, and
@@ -313,39 +316,41 @@ def _read(
     return (len(group) * value,), reference
 
 
+def _readings(
+    specs: dict[int, TransformSpec], polity: Polity
+) -> list[tuple[int, _Reading | None]]:
+    """Every agent with its reading under ``specs``, resolved in agent order."""
+    return [
+        (agent, _reading(spec, agent, polity.n_agents, polity.commodity_dim))
+        for agent, spec in specs.items()
+    ]
+
+
 def _move_information(
-    specs: dict[int, TransformSpec], holdings: tuple[_Holdings, _Holdings]
+    readings: list[tuple[int, _Reading | None]], holdings: tuple[_Holdings, _Holdings]
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Every agent's information at both ends of a move, as exact ints.
 
-    ``holdings`` is ``_scaled_holdings(move)``.  Returns one component tuple
-    per agent and end, ``(after, before)``, that compare agent by agent
-    exactly as the information does.  Each end is read by ``_read`` in the
-    units of the one holding scale both ends share.  Where an agent's
-    denominators are equal at the two ends (the bundle itself, a weighted
-    sum, or a relative transform whose reference did not move) the
-    components compare as they are; otherwise the after end reads num_a·den_b
-    and the before end num_b·den_a.
+    ``readings`` is ``_readings`` for the move's polity and ``holdings`` is
+    ``_scaled_holdings(move)``.  Returns one component tuple per agent and
+    end, ``(after, before)``, that compare agent by agent exactly as the
+    information does.  Each end is read by ``_read`` in the units of the one
+    holding scale both ends share.  Where an agent's denominators are equal
+    at the two ends (the bundle itself, a weighted sum, or a relative
+    transform whose reference did not move) the components compare as they
+    are; otherwise the after end reads num_a·den_b and the before end
+    num_b·den_a.
 
-    Raises what ``evaluate_transform`` raises at each end, in its order: at
-    the from end agent by agent, then at the to end.  ``ZeroReferencePoint``
-    is tagged with the end where the reference is zero.
+    Raises ``ZeroReferencePoint`` at the from end agent by agent, then at
+    the to end, tagged with the end where the reference is zero.
     """
     after_holdings, before_holdings = holdings
-    n_agents, dimension = len(before_holdings), len(before_holdings[0])
-    readings, before = [], []
     try:
-        for agent, spec in specs.items():
-            reading = _reading(spec, agent, n_agents, dimension)
-            readings.append(reading)
-            before.append(_read(reading, before_holdings, agent, 1))
+        before = [_read(reading, before_holdings, agent, 1) for agent, reading in readings]
     except ZeroReferencePoint as exc:
         raise _tagged_zero_reference(exc, "from") from exc
     try:
-        after = [
-            _read(reading, after_holdings, agent, 1)
-            for agent, reading in zip(specs, readings)
-        ]
+        after = [_read(reading, after_holdings, agent, 1) for agent, reading in readings]
     except ZeroReferencePoint as exc:
         raise _tagged_zero_reference(exc, "to") from exc
     after_components, before_components = [], []
@@ -358,10 +363,13 @@ def _move_information(
 
 
 def check_improvement(move: Move, transforms: Transforms) -> ImprovementVerdict:
-    """Decide by definition whether ``move`` improves on its starting state."""
+    """Decide by definition whether ``move`` improves on its starting state.
+
+    Raises what ``check_move`` raises.
+    """
     polity = move.polity
-    specs = transforms_for(polity, transforms)
-    after, before = _move_information(specs, _scaled_holdings(move))
+    readings = _readings(transforms_for(polity, transforms), polity)
+    after, before = _move_information(readings, _scaled_holdings(move))
     return _verdict(_tally(polity.agents, after, before), Method.DEFINITIONAL)
 
 
@@ -446,8 +454,8 @@ def check_improvement_ratio_form(move: Move, transforms: Transforms) -> Improvem
     movers = _ratio_movers(polity, holdings)
     if isinstance(movers, HypothesisViolated):
         raise movers
-    specs = transforms_for(polity, transforms)
-    after, before = _move_information(specs, holdings)
+    readings = _readings(transforms_for(polity, transforms), polity)
+    after, before = _move_information(readings, holdings)
     return _ratio_verdict(movers, after, before, _tally(polity.agents, after, before))
 
 
@@ -463,16 +471,11 @@ class MoveVerdicts(NamedTuple):
     ratio_form: ImprovementVerdict | HypothesisViolated
 
 
-def check_move(move: Move, transforms: Transforms) -> MoveVerdicts:
-    """Decide ``move`` by all three checkers, evaluating it once.
-
-    Raises what ``check_improvement`` raises; the ratio form's
-    ``HypothesisViolated`` is returned in its slot instead.
-    """
-    polity = move.polity
-    specs = transforms_for(polity, transforms)
+def _move_verdicts(
+    move: Move, polity: Polity, readings: list[tuple[int, _Reading | None]]
+) -> MoveVerdicts:
     holdings = _scaled_holdings(move)
-    after, before = _move_information(specs, holdings)
+    after, before = _move_information(readings, holdings)
     tally = _tally(polity.agents, after, before)
     neoclassical = _tally(polity.agents, *holdings)
     movers = _ratio_movers(polity, holdings)
@@ -485,6 +488,35 @@ def check_move(move: Move, transforms: Transforms) -> MoveVerdicts:
         _verdict(neoclassical, Method.NEOCLASSICAL),
         ratio,
     )
+
+
+def check_moves(moves: Iterable[Move], transforms: Transforms) -> Iterator[MoveVerdicts]:
+    """Decide each of ``moves`` by all three checkers, one move at a time.
+
+    The transforms are assigned and every agent's reading resolved once per
+    polity shape, at its first move, so a bad transform is raised there,
+    before either end of that move is read.  Each move then raises what
+    ``check_move`` raises on it.
+    """
+    shapes: dict[Polity, list[tuple[int, _Reading | None]]] = {}
+    for move in moves:
+        polity = move.polity
+        readings = shapes.get(polity)
+        if readings is None:
+            readings = shapes[polity] = _readings(transforms_for(polity, transforms), polity)
+        yield _move_verdicts(move, polity, readings)
+
+
+def check_move(move: Move, transforms: Transforms) -> MoveVerdicts:
+    """Decide ``move`` by all three checkers, evaluating it once.
+
+    Raises ``ValidationError`` or ``InvalidAgent`` for a transform
+    assignment that does not fit the polity, then ``InvalidAgent`` and
+    ``DimensionMismatch`` for a bad transform in agent order, before either
+    end is read; then ``ZeroReferencePoint``, tagged with its end.  The
+    ratio form's ``HypothesisViolated`` is returned in its slot instead.
+    """
+    return next(check_moves((move,), transforms))
 
 
 @dataclass(frozen=True)
@@ -577,10 +609,7 @@ def build_signature_table(
     # Taking the first state checks that the feasible set fits the polity,
     # so InfeasibleConfig comes before any transform error.
     first = next(feasible)
-    readings = [
-        (agent, _reading(spec, agent, polity.n_agents, polity.commodity_dim))
-        for agent, spec in specs.items()
-    ]
+    readings = _readings(specs, polity)
     states, rows = [], []
     denominators: set[int] = set()
     for idx, state in enumerate(chain((first,), feasible)):

@@ -5,16 +5,21 @@ Syntax problems raise ``ParseError`` with a 1-based line and column; semantic
 problems raise ``ValidationError`` naming the offending key.
 
 Allocation literals are ``(1,2)`` for one commodity (one number per agent) or
-``((1,0),(2,1))`` for several (one group per agent).  Moves are written
-``FROM -> TO`` and separated by semicolons.
+``((1,0),(2,1))`` for several (one group per agent), with blanks and tabs
+allowed around every parenthesis, comma and number.  Moves are written
+``FROM -> TO`` and separated by semicolons.  Each literal is read by one
+pattern (``_Literals``); ``_Cursor`` parses only the literals that pattern
+rejects, to report the fault at its column.
 """
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InfeasibleConfig, ParseError, ValidationError
 from .polity import (
@@ -200,6 +205,61 @@ def _parse_allocation(
     return _shape_allocation(items, agents, commodities, key)
 
 
+_BLANKS = "[ \t]*"
+_NUMBER = re.compile(r"[0-9./]+")
+
+
+def _listed(item: str, count: int) -> str:
+    """A pattern for ``count`` comma-separated ``item``s in parentheses, with
+    blanks and tabs wherever ``_Cursor`` skips them."""
+    entry = f"{_BLANKS}{item}{_BLANKS}"
+    return rf"\({entry}(?:,{entry}){{{count - 1}}}\)"
+
+
+class _Literals:
+    """Parses the allocation literals of one scenario.
+
+    One pattern, compiled for the scenario's agent and commodity counts,
+    fullmatches exactly the literals that ``_Cursor`` and ``_shape_allocation``
+    accept, short of converting their number tokens.  A literal it matches
+    is read with one ``findall``, and each distinct token becomes a
+    ``Fraction`` once.  A literal it rejects, or whose token is no quantity,
+    is parsed again by ``_Cursor``, which raises the ``ParseError`` or
+    ``ValidationError`` with its message and column.
+    """
+
+    def __init__(self, agents: int, commodities: int):
+        self.agents = agents
+        self.commodities = commodities
+        self.quantities: dict[str, Fraction] = {}
+
+    @cached_property
+    def pattern(self) -> re.Pattern[str]:
+        # compiled at the first literal: compiling costs about as much as
+        # loading a scenario that has none
+        number = _NUMBER.pattern
+        shape = _listed(_listed(number, self.commodities), self.agents)
+        if self.commodities == 1:
+            shape = f"(?:{_listed(number, self.agents)}|{shape})"
+        return re.compile(f"{_BLANKS}{shape}{_BLANKS}")
+
+    def _quantity(self, token: str) -> Fraction:
+        q = self.quantities.get(token)
+        if q is None:
+            q = self.quantities[token] = Fraction(token)
+        return q
+
+    def parse(self, text: str, line: int, base_col: int, key: str) -> Allocation:
+        if self.pattern.fullmatch(text):
+            try:
+                flat = tuple(map(self._quantity, _NUMBER.findall(text)))
+            except (ValueError, ZeroDivisionError):
+                pass  # a token that is no quantity: the cursor says where
+            else:
+                return _unchecked_state(flat, self.commodities)
+        return _parse_allocation(text, line, base_col, self.agents, self.commodities, key)
+
+
 def _collect(text: str) -> dict[str, _Entry]:
     entries: dict[str, _Entry] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -259,7 +319,7 @@ def _split_segments(value: str) -> list[tuple[str, int]]:
 
 
 def _build_feasible(
-    entries: dict[str, _Entry], agents: int, commodities: int
+    entries: dict[str, _Entry], commodities: int, literals: _Literals
 ) -> FeasibleSet:
     kind = _require(entries, "feasible.kind").value
     allowed = {
@@ -331,10 +391,7 @@ def _build_feasible(
         if not part.strip():
             raise ValidationError("empty state entry", key="feasible.list")
         states.append(
-            _parse_allocation(
-                part, entry.line, entry.column + offset, agents, commodities,
-                "feasible.list",
-            )
+            literals.parse(part, entry.line, entry.column + offset, "feasible.list")
         )
     return ExplicitList(tuple(states))
 
@@ -380,7 +437,8 @@ def parse_scenario(text: str, digest: str = "") -> Scenario:
     entries = _collect(text)
     agents = _int_value(_require(entries, "agents"), "agents", 1)
     commodities = _int_value(_require(entries, "commodities"), "commodities", 1)
-    feasible = _build_feasible(entries, agents, commodities)
+    literals = _Literals(agents, commodities)
+    feasible = _build_feasible(entries, commodities, literals)
     transforms = _build_transforms(entries, agents)
 
     swf = None
@@ -409,12 +467,9 @@ def parse_scenario(text: str, digest: str = "") -> Scenario:
                     column=entry.column + offset,
                 )
             lhs, rhs = part[:arrow], part[arrow + 2 :]
-            before = _parse_allocation(
-                lhs, entry.line, entry.column + offset, agents, commodities, "moves"
-            )
-            after = _parse_allocation(
-                rhs, entry.line, entry.column + offset + arrow + 2,
-                agents, commodities, "moves",
+            before = literals.parse(lhs, entry.line, entry.column + offset, "moves")
+            after = literals.parse(
+                rhs, entry.line, entry.column + offset + arrow + 2, "moves"
             )
             moves.append(Move(before=before, after=after))
 
@@ -447,9 +502,8 @@ def parse_scenario(text: str, digest: str = "") -> Scenario:
     initial = None
     if "discover.initial" in entries:
         entry = entries["discover.initial"]
-        initial = _parse_allocation(
-            entry.value, entry.line, entry.column, agents, commodities,
-            "discover.initial",
+        initial = literals.parse(
+            entry.value, entry.line, entry.column, "discover.initial"
         )
     if (increment / lattice_step).denominator != 1:
         raise ValidationError(
@@ -486,11 +540,21 @@ def parse_scenario(text: str, digest: str = "") -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read, digest, and parse a scenario file."""
+    """Read, digest, and parse a scenario file.
+
+    A leading UTF-8 byte order mark is dropped; the digest is of the raw bytes.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
+    # the same as decoding with "utf-8-sig", without importing that codec
+    body = data.removeprefix(codecs.BOM_UTF8)
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ParseError("scenario file is not valid UTF-8", line=1)
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the body decodes up to the first bad byte; a stand-in for that byte
+        # ends the lines, which are split as ``_collect`` splits them
+        lines = (body[: exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(
+            "scenario file is not valid UTF-8", line=len(lines), column=len(lines[-1])
+        ) from None
     return parse_scenario(text, digest=hashlib.sha256(data).hexdigest()[:12])

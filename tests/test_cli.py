@@ -20,6 +20,9 @@ GOLDEN_RUNS = [
     ("check-move", "check_move_mixed", "table", [], "check_move_mixed.table.txt"),
     ("check-move", "check_move_weighted", "csv", [], "check_move_weighted.csv"),
     ("check-move", "check_move_weighted", "table", [], "check_move_weighted.table.txt"),
+    # decimals, leading zeros, blanks, tabs and grouped literals
+    ("check-move", "check_move_literals", "csv", [], "check_move_literals.csv"),
+    ("check-move", "check_move_literals", "table", [], "check_move_literals.table.txt"),
     ("efficient", "own_box", "csv", ["--state", "4"], "efficient_own_box.csv"),
     ("frontier", "own_box", "csv", [], "frontier_own_box.csv"),
     ("frontier", "own_box", "table", [], "frontier_own_box.table.txt"),

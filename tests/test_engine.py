@@ -45,6 +45,7 @@ from paretoscope import (
     check_improvement_neoclassical,
     check_improvement_ratio_form,
     check_move,
+    check_moves,
     classify_move_agents,
     compare_bundles,
     count_feasible,
@@ -246,6 +247,12 @@ def _outcome(call):
 
 
 def _reference_components(move, specs):
+    # every agent's transform is checked, in agent order, before either end
+    # is read: a state of ones has a positive reference for every transform
+    ones = alloc(*[(1,) * move.polity.commodity_dim] * move.polity.n_agents)
+    for a, spec in specs.items():
+        evaluate_transform(spec, ones, a)
+
     def at(allocation, endpoint):
         try:
             infos = [evaluate_transform(spec, allocation, a) for a, spec in specs.items()]
@@ -399,6 +406,53 @@ def test_check_move_neighbourhood_outside_the_polity():
     for check in (check_improvement, check_improvement_ratio_form, check_move):
         with pytest.raises(InvalidAgent, match="names agent 3 but the polity has 2"):
             check(Move(alloc(1, 1), alloc(2, 1)), specs)
+
+
+def _check_one(move, transforms):
+    return next(check_moves([move], transforms))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_improvement, check_improvement_ratio_form, check_move, _check_one],
+    ids=["check_improvement", "check_improvement_ratio_form", "check_move", "check_moves"],
+)
+def test_move_checkers_reject_bad_transforms_before_reading_either_end(check):
+    # agent 1's reference is zero at the from end, yet agent 2's weights are
+    # still checked: every reading is resolved before either end is read
+    move = Move(alloc(0, 0), alloc(1, 0))
+    with pytest.raises(DimensionMismatch, match="2 weights for a 1-commodity bundle"):
+        check(move, {1: RelativeToMean(), 2: WeightedOwn((1, 2))})
+
+
+def test_check_moves_decides_moves_of_two_shapes(monkeypatch):
+    resolved = []
+    reading = engine._reading
+    monkeypatch.setattr(
+        engine, "_reading", lambda *args: resolved.append(args[1:]) or reading(*args)
+    )
+    spec = RelativeToMean()
+    pair = [Move(alloc(1, 2), alloc(2, 2)), Move(alloc(2, 1), alloc(1, 1))]
+    trio = [
+        Move(alloc((1, 1), (1, 1), (1, 1)), alloc((2, 1), (1, 1), (1, 1))),
+        Move(alloc((1, 2), (2, 1), (1, 1)), alloc((1, 2), (2, 1), (1, 1))),
+    ]
+    moves = [pair[0], trio[0], pair[1], trio[1]]
+    verdicts = [tuple(map(_identify, v)) for v in check_moves(iter(moves), spec)]
+    # each shape's readings are resolved once, at its first move
+    assert resolved == [(1, 2, 1), (2, 2, 1), (1, 3, 2), (2, 3, 2), (3, 3, 2)]
+    assert verdicts == [tuple(map(_identify, check_move(m, spec))) for m in moves]
+
+
+def test_check_moves_raises_at_the_move_that_fails():
+    # two weights fit the first move's two commodities but not the second's one
+    verdicts = check_moves(
+        [Move(alloc((1, 1), (1, 1)), alloc((2, 1), (1, 1))), Move(alloc(1, 1), alloc(2, 1))],
+        WeightedOwn((1, 2)),
+    )
+    assert next(verdicts).definitional.is_improvement
+    with pytest.raises(DimensionMismatch, match="2 weights for a 1-commodity bundle"):
+        next(verdicts)
 
 
 def test_improvement_irreflexive_and_asymmetric():

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from paretoscope import (
     BoxGrid,
@@ -22,6 +26,10 @@ from paretoscope import (
     load_scenario,
     parse_scenario,
 )
+from paretoscope import scenario as scenario_module
+from paretoscope.scenario import _Literals, _parse_allocation
+
+DATA = Path(__file__).parent / "data"
 
 MINIMAL = """\
 # smallest useful polity
@@ -265,5 +273,241 @@ def test_load_scenario_sets_digest(tmp_path):
 def test_load_scenario_rejects_non_utf8(tmp_path):
     path = tmp_path / "bad.scn"
     path.write_bytes(b"agents = 2\n\xff\xfe\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         load_scenario(str(path))
+    assert (exc.value.line, exc.value.column) == (2, 1)
+    assert "not valid UTF-8" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "data,line,column",
+    [
+        (b"agents = 2\ncommodities = \xff\n", 2, 15),
+        (b"agents = 2\r\ncommodities = 1\r\n\r\nmoves = (\xc3\xa9,\xc3)", 4, 12),
+        # a byte order mark is no column of the first line
+        (b"\xef\xbb\xbfag\xffents = 2\n", 1, 3),
+    ],
+)
+def test_non_utf8_error_names_the_first_bad_byte(tmp_path, data, line, column):
+    path = tmp_path / "bad.scn"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        load_scenario(str(path))
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_load_scenario_accepts_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.scn"
+    data = b"\xef\xbb\xbf" + MINIMAL.encode()
+    path.write_bytes(data)
+    scenario = load_scenario(str(path))
+    # the digest is of the raw bytes, mark included
+    digest = hashlib.sha256(data).hexdigest()[:12]
+    assert scenario == parse_scenario(MINIMAL, digest=digest)
+
+
+# --- Allocation literals ----------------------------------------------------
+
+TWO_GOODS = """\
+agents = 2
+commodities = 2
+feasible.kind = box_grid
+feasible.levels = 0,1
+"""
+
+# Malformed literals with the exact error each raises: a ParseError's
+# message and 1-based column (the line is the last line of the text), or a
+# ValidationError's message.
+_MALFORMED = [
+    (MINIMAL, "moves = 0,0) -> (1,1)", ParseError, "expected '(', found '0'", 9),
+    (MINIMAL, "moves = (0,0 -> (1,1)", ParseError, "expected ')', found 'end of input'", 14),
+    (MINIMAL, "moves = (0,0) -> (1,1", ParseError, "expected ')', found 'end of input'", 22),
+    (MINIMAL, "moves = (0,x) -> (1,1)", ParseError, "expected a number", 12),
+    (MINIMAL, "moves = (0,0) -> (1,y)", ParseError, "expected a number", 21),
+    (
+        MINIMAL, "moves = (1/0,1) -> (1,1)", ParseError,
+        "cannot parse quantity '1/0': Fraction(1, 0)", 10,
+    ),
+    (
+        MINIMAL, "moves = (1.2.3,1) -> (1,1)", ParseError,
+        "cannot parse quantity '1.2.3': Invalid literal for Fraction: '1.2.3'", 10,
+    ),
+    (
+        MINIMAL, "moves = (1,1) -> (1/2/3,1)", ParseError,
+        "cannot parse quantity '1/2/3': Invalid literal for Fraction: '1/2/3'", 19,
+    ),
+    (MINIMAL, "moves = () -> (1,1)", ParseError, "expected a number", 10),
+    (MINIMAL, "moves = (0,,0) -> (1,1)", ParseError, "expected a number", 12),
+    (MINIMAL, "moves = (0,0) -> ", ParseError, "expected '(', found 'end of input'", 17),
+    # a group nested in a group
+    (MINIMAL, "moves = ((0,(1)),(1)) -> ((1),(1))", ParseError, "expected a number", 13),
+    (MINIMAL, "moves = (0,0) x -> (1,1)", ParseError, "unexpected trailing text 'x '", 15),
+    (MINIMAL, "moves = (0,0) -> (1,1) junk", ParseError, "unexpected trailing text 'junk'", 24),
+    # a group nested in a group of a scalar list
+    (MINIMAL, "moves = (0,(1,(2))) -> (1,1)", ParseError, "expected a number", 15),
+    (
+        MINIMAL, "moves = (0,(1)) -> (1,1)", ValidationError,
+        "moves: mixed scalar and grouped entries", None,
+    ),
+    (
+        MINIMAL, "moves = (0,0,0) -> (1,1,1)", ValidationError,
+        "moves: allocation lists 3 agents, scenario declares 2", None,
+    ),
+    (
+        MINIMAL, "moves = (0,0) -> (1)", ValidationError,
+        "moves: allocation lists 1 agents, scenario declares 2", None,
+    ),
+    (
+        MINIMAL, "moves = ((0,1),(0,1)) -> ((1,1),(1,1))", ValidationError,
+        "moves: bundle lists 2 commodities, scenario declares 1", None,
+    ),
+    (
+        TWO_GOODS, "moves = (0,0) -> (1,1)", ValidationError,
+        "moves: scalar entries imply 1 commodity, scenario declares 2", None,
+    ),
+    (
+        TWO_GOODS, "moves = ((0,1),(0)) -> ((1,1),(1,1))", ValidationError,
+        "moves: bundle lists 1 commodities, scenario declares 2", None,
+    ),
+    # blanks and tabs before the fault count one column each
+    (MINIMAL, "moves = (\t0, \tx) -> (1,1)", ParseError, "expected a number", 15),
+    (MINIMAL, "moves = ( 0 ,\t0 )\t-> (1, 1 ) z", ParseError, "unexpected trailing text 'z'", 30),
+    (
+        MINIMAL, "moves = (0,0) -> (1,1);\t(1, 1) -> ( 2 ,\t1/0 )", ParseError,
+        "cannot parse quantity '1/0': Fraction(1, 0)", 41,
+    ),
+    (
+        TWO_GOODS, "moves = ( (0, 1) ,(1,1)) -> ((1,1), ( 1 ; 1))", ParseError,
+        "expected ')', found 'end of input'", 41,
+    ),
+    (MINIMAL, "discover.initial = (1,\tx)", ParseError, "expected a number", 24),
+]
+
+
+@pytest.mark.parametrize("header,line,error,message,column", _MALFORMED)
+def test_malformed_literal_errors(header, line, error, message, column):
+    text = header + line + "\n"
+    with pytest.raises(error) as exc:
+        parse_scenario(text)
+    if error is ValidationError:
+        assert str(exc.value) == message
+        return
+    line_no = text.count("\n")
+    assert (exc.value.line, exc.value.column) == (line_no, column)
+    assert str(exc.value) == f"line {line_no}, column {column}: {message}"
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.scn")), ids=lambda p: p.stem)
+def test_well_formed_literals_never_reach_the_cursor(monkeypatch, path):
+    # the character cursor only reports errors; a well-formed literal is
+    # read by the one literal pattern
+    def refuse(self):
+        raise AssertionError(f"cursor reached for {self.text!r}")
+
+    monkeypatch.setattr(scenario_module._Cursor, "skip_ws", refuse)
+    assert load_scenario(str(path))
+
+
+def test_explicit_list_literal_error_column():
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(
+            "agents = 2\ncommodities = 1\nfeasible.kind = explicit_list\n"
+            "feasible.list = (0,1); ( 1 ,\t1/0)\n"
+        )
+    assert (exc.value.line, exc.value.column) == (4, 30)
+
+
+_BLANK = st.sampled_from(["", " ", "\t", "  ", " \t"])
+_QUANTITY = st.fractions(min_value=0, max_value=30, max_denominator=20)
+
+
+def _decimal(q: Fraction) -> str | None:
+    """``q`` as an exact decimal with at least one fractional digit, if it has one."""
+    for digits in range(1, 6):
+        scaled = q * 10**digits
+        if scaled.denominator == 1:
+            whole, frac = divmod(scaled.numerator, 10**digits)
+            return f"{whole}.{frac:0{digits}d}"
+    return None
+
+
+@st.composite
+def _literals(draw):
+    """A random exact allocation and one way to write it: every quantity as a
+    ratio, a decimal or an integer with leading zeros, scalar or grouped,
+    with blanks and tabs wherever the grammar allows them."""
+    agents = draw(st.integers(1, 3))
+    commodities = draw(st.integers(1, 2))
+    flat = [draw(_QUANTITY) for _ in range(agents * commodities)]
+
+    def number(q):
+        k = draw(st.integers(1, 3))
+        forms = [f"{q.numerator * k}/{q.denominator * k}"]
+        if q.denominator == 1:
+            forms.append("0" * draw(st.integers(0, 2)) + str(q.numerator))
+        decimal = _decimal(q)
+        if decimal is not None:
+            forms += [decimal, decimal + "0" * draw(st.integers(1, 2))]
+        return draw(st.sampled_from(forms))
+
+    def listed(items):
+        return "(" + ",".join(draw(_BLANK) + i + draw(_BLANK) for i in items) + ")"
+
+    if commodities == 1 and draw(st.booleans()):
+        items = [number(q) for q in flat]
+    else:
+        items = [
+            listed([number(q) for q in flat[i : i + commodities]])
+            for i in range(0, len(flat), commodities)
+        ]
+    text = draw(_BLANK) + listed(items) + draw(_BLANK)
+    return agents, commodities, tuple(flat), text
+
+
+def _header(agents, commodities):
+    return (
+        f"agents = {agents}\ncommodities = {commodities}\n"
+        "feasible.kind = box_grid\nfeasible.levels = 0,1\n"
+    )
+
+
+@given(_literals())
+def test_literals_round_trip(case):
+    agents, commodities, flat, text = case
+    scenario = parse_scenario(_header(agents, commodities) + f"moves = {text}->{text}\n")
+    (move,) = scenario.moves
+    assert move.before.flat() == flat
+    assert move.after.flat() == flat
+    assert move.before.dimension == commodities
+
+
+def _literal_outcome(parse):
+    try:
+        return parse().flat()
+    except ParseError as exc:
+        return ParseError, str(exc), exc.line, exc.column
+    except ValidationError as exc:
+        return ValidationError, str(exc)
+
+
+@given(_literals(), st.data())
+def test_mutated_literals_raise_only_scenario_errors(case, data):
+    # each mutation deletes, inserts or replaces one character; the literal
+    # parser must give what the character cursor gives, verdict or error
+    agents, commodities, _, text = case
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        ch = data.draw(st.sampled_from("(),./0123456789 \tx-;"))
+        kind = data.draw(st.sampled_from(["delete", "insert", "replace"]))
+        if kind == "insert":
+            text = text[:at] + ch + text[at:]
+        else:
+            text = text[:at] + (ch if kind == "replace" else "") + text[at + 1 :]
+    literals = _Literals(agents, commodities)
+    assert _literal_outcome(lambda: literals.parse(text, 5, 9, "moves")) == _literal_outcome(
+        lambda: _parse_allocation(text, 5, 9, agents, commodities, "moves")
+    )
+    try:
+        parse_scenario(_header(agents, commodities) + f"moves = {text} -> {text}\n")
+    except (ParseError, ValidationError):
+        pass
