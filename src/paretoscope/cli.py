@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from itertools import islice
 
 from . import __version__
 from .discovery import simulate_discovery
@@ -169,13 +170,20 @@ def _run_scan(scenario: Scenario, cap: int | None) -> Report:
         cap=effective_cap,
     )
     diagnostics = []
-    shown = result.improving_moves[:_IMPROVING_MOVES_SHOWN]
+    # Only the shown moves are read off the bitsets, and only their states
+    # are made, each once.
+    rendered: dict[int, str] = {}
+
+    def render(state_id: int) -> str:
+        if state_id not in rendered:
+            state = unrank_feasible(scenario.feasible, scenario.polity, state_id)
+            rendered[state_id] = render_allocation(state)
+        return rendered[state_id]
+
+    shown = list(islice(result.iter_improving_moves(), _IMPROVING_MOVES_SHOWN))
     for i, j in shown:
-        diagnostics.append(
-            f"improving: {render_allocation(result.states[i])} -> "
-            f"{render_allocation(result.states[j])}"
-        )
-    hidden = len(result.improving_moves) - len(shown)
+        diagnostics.append(f"improving: {render(i)} -> {render(j)}")
+    hidden = result.improvements_found - len(shown)
     if hidden > 0:
         diagnostics.append(f"(+{hidden} more improving moves)")
     if result.degenerate_states:

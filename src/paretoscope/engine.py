@@ -24,11 +24,15 @@ case, and the single checkers build the same evaluation from the same
 readings.  The checkers share one definition of improvement with reasons
 (``_tally``); ``_improves`` is its yes/no form for the loops that need no
 reasons.  Frontiers and scans read one ``SignatureTable``, built by the same
-reading once per state and scaled to exact ints by one common factor, and
-one dominance layer over it (``_dominator_masks``) that gives each state the
-bitset of the states that dominate it.  ``is_pareto_efficient`` and the
-public ``evaluate_transform`` stay on ``Fraction``s, and the tests keep them
-as the reference the int routes must match.  ``enumerate_frontier``
+reading once per state from the feasible set's int state stream
+(``feasible_holdings``, with no ``Allocation`` made) and scaled to exact
+ints by one common factor, and one dominance layer over it
+(``_dominator_masks``) that gives each state the bitset of the states that
+dominate it.  A scan counts its improving moves from those bitsets and
+keeps them, so the moves are listed only on demand.  ``is_pareto_efficient``
+resolves the same readings first, then stays on ``Fraction``s, as does the
+public ``evaluate_transform``; the tests keep them as the reference the int
+routes must match.  ``enumerate_frontier``
 keeps two routes alive (those bitsets and a sum-presorted skyline) and
 insists they agree on every call; each state the skyline drops is also
 checked by definition against the state that dropped it.
@@ -42,7 +46,6 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import (
@@ -55,14 +58,16 @@ from .errors import (
 )
 from .polity import (
     Allocation,
-    Bundle,
     FeasibleSet,
     Move,
     Polity,
+    _Holdings,
+    _scaled,
     count_feasible,
     enumerate_feasible,
     enumerate_upper_cone,
     feasible_contains,
+    feasible_holdings,
 )
 from .transforms import (
     OwnBundle,
@@ -214,30 +219,16 @@ def _components_at(
     return tuple(map(info_components, infos))
 
 
-_Holdings = tuple[tuple[int, ...], ...]
-
-
-def _int_holdings(*ends: tuple[Bundle, ...]) -> tuple[tuple[_Holdings, ...], int]:
-    """Each end's holdings as ints, one tuple per agent, and the common scale.
+def _scaled_holdings(move: Move) -> tuple[_Holdings, _Holdings]:
+    """Both ends' holdings as ints on one scale: ``(after, before)``.
 
     Every quantity is multiplied by one positive factor, the least common
-    multiple of the denominators at every end, so every comparison of
+    multiple of the denominators at both ends, so every comparison of
     holdings, or of positive-weighted sums of them, is unchanged.
     """
+    ends = (move.after.bundles, move.before.bundles)
     scale = math.lcm(*[q.denominator for end in ends for b in end for q in b.quantities])
-    holdings = tuple(
-        tuple(
-            tuple([q.numerator * (scale // q.denominator) for q in b.quantities])
-            for b in end
-        )
-        for end in ends
-    )
-    return holdings, scale
-
-
-def _scaled_holdings(move: Move) -> tuple[_Holdings, _Holdings]:
-    """Both ends' holdings as ints on one scale: ``(after, before)``."""
-    return _int_holdings(move.after.bundles, move.before.bundles)[0]
+    return tuple(tuple([_scaled(b.quantities, scale) for b in end]) for end in ends)
 
 
 def _int_weights(weights: tuple[Fraction, ...], dimension: int) -> tuple[tuple[int, ...], int]:
@@ -551,13 +542,14 @@ def _state_rows(
 
 @dataclass(frozen=True)
 class SignatureTable:
-    """Every feasible state with its information as exact scaled integers.
+    """Every feasible state's information as exact scaled integers.
 
     Row ``i`` is the state with enumeration index ``i``.  Each agent's
-    information is read once per state from the state's int holdings, by the
-    reading ``check_move`` uses (``_read``), and every information component
-    ``c`` is stored as the int ``c * scale``, where ``scale`` is the least
-    common multiple of the reduced denominators of all live components.
+    information is read once per state from the state's int holdings
+    (``feasible_holdings``), by the reading ``check_move`` uses (``_read``),
+    and every information component ``c`` is stored as the int
+    ``c * scale``, where ``scale`` is the least common multiple of the
+    reduced denominators of all live components.
     ``components`` holds one int tuple per agent in agent order (a 1-tuple
     for scalar information); ``signatures`` flattens it to one tuple and
     ``sums`` adds that up.  All three are ``None`` for a degenerate state.
@@ -575,7 +567,6 @@ class SignatureTable:
     sum, which is what lets the skyline skip most pairs.
     """
 
-    states: tuple[Allocation, ...]
     scale: int
     components: tuple[tuple[tuple[int, ...], ...] | None, ...]
     signatures: tuple[tuple[int, ...] | None, ...]
@@ -593,28 +584,23 @@ def build_signature_table(
     transforms: Transforms,
     warning: str | None = None,
 ) -> SignatureTable:
-    """Enumerate ``fs`` and read every agent's information once per state.
+    """Stream ``fs`` as int holdings and read every agent's information once per state.
 
     A feasible set that does not fit the polity raises ``InfeasibleConfig``
     first.  Each agent's reading is then resolved once, so ``InvalidAgent``
     and ``DimensionMismatch`` are raised in agent order before any state is
-    read.  Each state's holdings are scaled to ints and each agent's
-    information taken from them by ``_read``, as int components over a
-    positive int, with no ``Fraction`` arithmetic.  When ``warning`` is
-    given, each degenerate state is logged as "state <index> <warning>:
-    <reason>".
+    read.  Every state's holdings come on one scale, fixed before the first
+    state (``feasible_holdings``), and each agent's information is taken
+    from them by ``_read``, as int components over a positive int, with no
+    ``Fraction`` and no ``Allocation`` made.  When ``warning`` is given, each
+    degenerate state is logged as "state <index> <warning>: <reason>".
     """
     specs = transforms_for(polity, transforms)
-    feasible = enumerate_feasible(fs, polity)
-    # Taking the first state checks that the feasible set fits the polity,
-    # so InfeasibleConfig comes before any transform error.
-    first = next(feasible)
+    unit, feasible = feasible_holdings(fs, polity)
     readings = _readings(specs, polity)
-    states, rows = [], []
+    rows = []
     denominators: set[int] = set()
-    for idx, state in enumerate(chain((first,), feasible)):
-        states.append(state)
-        (holdings,), unit = _int_holdings(state.bundles)
+    for idx, holdings in enumerate(feasible):
         try:
             row = [_read(reading, holdings, agent, unit) for agent, reading in readings]
         except ZeroReferencePoint as exc:
@@ -644,9 +630,7 @@ def build_signature_table(
         components.append(tuple(scaled))
         signatures.append(signature)
         sums.append(sum(signature))
-    return SignatureTable(
-        tuple(states), scale, tuple(components), tuple(signatures), tuple(sums)
-    )
+    return SignatureTable(scale, tuple(components), tuple(signatures), tuple(sums))
 
 
 def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -682,13 +666,18 @@ def is_pareto_efficient(
     redistribution is efficient, and this costs nothing to confirm.  Other
     transforms search every feasible state.
 
-    Raises ``ZeroReferencePoint`` when the state itself has an undefined
+    Raises ``InvalidAgent`` and ``DimensionMismatch`` for a bad transform in
+    agent order before the state is read, as ``check_move`` does; then
+    ``ZeroReferencePoint`` when the state itself has an undefined
     relative position; alternatives with undefined positions are skipped and
     counted in ``skipped_targets``.  The state itself needs no skipping: a
     move to an identical state leaves every agent equal, so it never improves.
     """
     polity = state.polity
     specs = transforms_for(polity, transforms)
+    # Resolving every agent's reading checks every transform, in agent
+    # order, before any agent's information is read at the state.
+    _readings(specs, polity)
     if not feasible_contains(fs, state):
         logger.warning("state %s is not in the declared feasible set", state.flat())
     before = _components_at(state, specs, "from")
@@ -825,7 +814,9 @@ def enumerate_frontier(
     against the kept state that dropped it.  Disagreement between the
     routes, or a witness that does not improve on the state it dropped,
     raises ``InternalInvariant``; so does an empty frontier, which cannot
-    happen on a finite non-empty set unless every state is degenerate.
+    happen on a finite non-empty set unless every state is degenerate.  The
+    table holds no states; each entry's state comes from
+    ``enumerate_feasible``, which yields them in the table's order.
     """
     table = build_signature_table(fs, polity, transforms, "excluded from frontier")
     live = table.live
@@ -863,7 +854,9 @@ def enumerate_frontier(
             efficient=i in bitmap_efficient,
             degenerate=signature is None,
         )
-        for i, (state, signature) in enumerate(zip(table.states, table.signatures))
+        for i, (state, signature) in enumerate(
+            zip(enumerate_feasible(fs, polity), table.signatures)
+        )
     )
     return FrontierReport(entries)
 
@@ -876,16 +869,38 @@ class ScanReport:
     by the dominator bitsets; pairs touching a degenerate state are skipped
     and counted separately.  Degenerate states have no evaluable improving
     move, so they count as efficient.
+
+    ``dominators`` holds each improvable state's index with its non-empty
+    dominator bitset, in enumeration order.  ``improvements_found`` and
+    ``efficient_state_count`` are counted from it, and no move is listed
+    until one is asked for: ``iter_improving_moves`` reads the moves off the
+    bitsets one at a time, and ``improving_moves`` is all of them.
     """
 
     states_examined: int
     moves_examined: int
     improvements_found: int
-    improving_moves: tuple[tuple[int, int], ...]
     efficient_state_count: int
     skipped_moves: int = 0
     degenerate_states: int = 0
-    states: tuple[Allocation, ...] = field(default=(), repr=False)
+    dominators: tuple[tuple[int, int], ...] = field(default=(), repr=False)
+
+    def iter_improving_moves(self) -> Iterator[tuple[int, int]]:
+        """Every improving move ``(from, to)`` by from-state, then to-state.
+
+        The moves from state i are the set bits of its dominator bitset;
+        read from low to high they come in to-state order, with no sort.
+        """
+        for i, mask in self.dominators:
+            while mask:
+                low = mask & -mask
+                yield i, low.bit_length() - 1
+                mask ^= low
+
+    @property
+    def improving_moves(self) -> tuple[tuple[int, int], ...]:
+        """Every improving move, in ``iter_improving_moves`` order."""
+        return tuple(self.iter_improving_moves())
 
 
 def scan_all_moves(
@@ -898,37 +913,25 @@ def scan_all_moves(
 
     Raises ``CapExceeded`` before enumerating when the pair count would pass
     ``cap``.  The moves from state i that improve are the set bits of i's
-    dominator bitset (``_dominator_masks``); read from low to high they come
-    in to-state order, so improving moves are listed by from-state, then
-    to-state, with no sort.
+    dominator bitset (``_dominator_masks``), so the improvements are counted
+    as the bitsets' population counts, and the states that have one are the
+    non-empty bitsets.  The cap still counts ordered pairs, though the work
+    follows the bitsets.
     """
     n = count_feasible(fs, polity)
     required = n * (n - 1)
     if required > cap:
         raise CapExceeded(cap, required)
     table = build_signature_table(fs, polity, transforms, "skipped in scan")
-    live = table.live
-    # Each move reads its to-state from here, so the moves share one int
-    # object per index instead of making a new one for each.
-    index = list(range(len(table.states)))
-
-    improving: list[tuple[int, int]] = []
-    improvable = 0
-    for i, mask in _dominator_masks(table):
-        if mask:
-            improvable += 1
-        while mask:
-            low = mask & -mask
-            improving.append((i, index[low.bit_length() - 1]))
-            mask ^= low
-    examined = len(live) * (len(live) - 1)
+    live = len(table.live)
+    dominators = tuple((i, mask) for i, mask in _dominator_masks(table) if mask)
+    examined = live * (live - 1)
     return ScanReport(
         states_examined=n,
         moves_examined=examined,
-        improvements_found=len(improving),
-        improving_moves=tuple(improving),
-        efficient_state_count=n - improvable,
+        improvements_found=sum(mask.bit_count() for _, mask in dominators),
+        efficient_state_count=n - len(dominators),
         skipped_moves=required - examined,
-        degenerate_states=n - len(live),
-        states=table.states,
+        degenerate_states=n - live,
+        dominators=dominators,
     )

@@ -7,7 +7,9 @@ partial order, so exactness removes epsilon tie-breaking entirely.
 Agent ids are 1-based throughout the public API.  Enumeration of feasible sets
 is deterministic: states are produced in lexicographic order of the flattened
 quantity tuple (agent-major, commodity-minor), so witnesses are reproducible
-bit-for-bit across runs and platforms.
+bit-for-bit across runs and platforms.  ``feasible_holdings`` streams the
+same states in the same order as int holdings on one common scale, for
+callers that read states without returning them.
 """
 
 from __future__ import annotations
@@ -419,6 +421,54 @@ def enumerate_feasible(fs: FeasibleSet, polity: Polity) -> Iterator[Allocation]:
         yield from _lattice_states(fs, polity, (0,) * slots, tuple(_lattice_units(fs)))
     else:
         yield from fs.states
+
+
+_Holdings = tuple[tuple[int, ...], ...]
+
+
+def _scaled(quantities: Iterable[Fraction], scale: int) -> tuple[int, ...]:
+    """``quantities`` times ``scale``, a common multiple of their denominators."""
+    return tuple([q.numerator * (scale // q.denominator) for q in quantities])
+
+
+def feasible_holdings(fs: FeasibleSet, polity: Polity) -> tuple[int, Iterator[_Holdings]]:
+    """The states of ``enumerate_feasible(fs, polity)`` as int holdings, in order.
+
+    Returns a positive int ``scale`` and an iterator over the states, each
+    given as one tuple of ints per agent: every quantity times ``scale``.
+    The scale is fixed before any state is made: the least common multiple
+    of the level denominators for a box grid, the step's denominator for a
+    fixed-total lattice (each holding is then a count of steps times the
+    step's numerator) and the least common multiple of every listed
+    quantity's denominator for an explicit list.  A feasible set that does
+    not fit the polity raises ``InfeasibleConfig`` here, at the call, not at
+    the first state.
+    """
+    _check_shape(fs, polity)
+    if isinstance(fs, BoxGrid):
+        scale = math.lcm(*[q.denominator for levels in fs.levels for q in levels])
+        # Every bundle has the same length, so the n-fold product of the
+        # bundles in lexicographic order is the product of the flattened
+        # slots in the same order.
+        bundles = list(product(*[_scaled(levels, scale) for levels in fs.levels]))
+        return scale, product(bundles, repeat=polity.n_agents)
+    if isinstance(fs, FixedTotalLattice):
+        return fs.step.denominator, _lattice_holdings(fs, polity)
+    scale = math.lcm(*[q.denominator for state in fs.states for q in state.flat()])
+    return scale, (
+        tuple([_scaled(b.quantities, scale) for b in state.bundles]) for state in fs.states
+    )
+
+
+def _lattice_holdings(fs: FixedTotalLattice, polity: Polity) -> Iterator[_Holdings]:
+    """Every lattice state as its step counts times the step's numerator."""
+    numerator = fs.step.numerator
+    dim = polity.commodity_dim
+    for split in _splits(tuple(_lattice_units(fs)), polity.n_agents):
+        if numerator != 1:
+            split = [k * numerator for k in split]
+        # dim references to one iterator: zip takes each agent's dim slots
+        yield tuple(zip(*[iter(split)] * dim))
 
 
 def enumerate_upper_cone(fs: FeasibleSet, floor: Allocation) -> Iterator[Allocation]:

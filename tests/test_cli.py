@@ -35,6 +35,9 @@ GOLDEN_RUNS = [
     ("scan", "relmean_trio", "csv", [], "scan_relmean_trio.csv"),
     ("scan", "own_box", "csv", [], "scan_own_box.csv"),
     ("scan", "own_box", "table", [], "scan_own_box.table.txt"),
+    # more than 100 improving moves, so only the first 100 are listed, and
+    # one degenerate state
+    ("scan", "scan_own_relmean", "table", [], "scan_own_relmean.table.txt"),
     ("discover", "discover", "csv", [], "discover.csv"),
     ("discover", "discover", "table", [], "discover.table.txt"),
     ("welfare", "maximin_lattice", "csv", [], "welfare_maximin.csv"),

@@ -8,16 +8,23 @@ from __future__ import annotations
 
 import logging
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paretoscope import engine
+from paretoscope import polity as polity_module
+from paretoscope.cli import run_command
+from paretoscope.report import render_allocation
+from paretoscope.scenario import load_scenario
 from paretoscope.transforms import info_components
 from paretoscope import (
+    Allocation,
     BoxGrid,
     Bundle,
     CapExceeded,
@@ -56,6 +63,8 @@ from paretoscope import (
     scan_all_moves,
     transforms_for,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def _moves(fs, polity):
@@ -505,6 +514,23 @@ def test_efficient_raises_on_degenerate_state():
         is_pareto_efficient(alloc(0, 0), BoxGrid.shared([0, 1]), RelativeToMean())
 
 
+def test_efficient_checks_every_transform_before_reading_the_state():
+    # agent 1's reference is zero at (0,0), yet agent 2's weights are
+    # checked first, as check_move checks them on a move from that state
+    spec = {1: RelativeToMean(), 2: WeightedOwn((1, 2))}
+    state = alloc(0, 0)
+    with pytest.raises(DimensionMismatch, match="2 weights for a 1-commodity bundle"):
+        check_move(Move(before=state, after=alloc(1, 1)), spec)
+    with pytest.raises(DimensionMismatch, match="2 weights for a 1-commodity bundle"):
+        is_pareto_efficient(state, BoxGrid.shared([0, 1]), spec)
+    with pytest.raises(InvalidAgent, match="neighborhood of agent 1"):
+        is_pareto_efficient(
+            state,
+            BoxGrid.shared([0, 1]),
+            {1: RelativeToNeighborhood(frozenset({3})), 2: WeightedOwn((1, 2))},
+        )
+
+
 def test_efficient_skips_degenerate_targets():
     verdict = is_pareto_efficient(alloc(1, 0), BoxGrid.shared([0, 1]), RelativeToMean())
     assert verdict.is_efficient
@@ -728,6 +754,36 @@ def test_frontier_and_scan_match_the_pairwise_reference(case):
             WeightedOwn((Fraction(1), Fraction(2))),
         ),
         (FixedTotalLattice.shared(5), Polity(3, 1), RelativeToMean()),
+        # the int stream's scale: the LCM of fractional level denominators,
+        (BoxGrid.shared([0, Fraction(1, 2), Fraction(2, 3)]), Polity(3, 1), _WEIGHTED_MIXED),
+        # a step whose numerator is not 1 over two commodities,
+        (
+            FixedTotalLattice((Fraction(2), Fraction(4, 3)), Fraction(2, 3)),
+            Polity(2, 2),
+            {
+                1: WeightedOwn((Fraction(1, 2), Fraction(3))),
+                2: WeightedOwn((Fraction(3), Fraction(1, 2))),
+            },
+        ),
+        (
+            FixedTotalLattice((Fraction(2), Fraction(4, 3)), Fraction(2, 3)),
+            Polity(2, 2),
+            RelativeToMean((Fraction(1), Fraction(5, 2))),
+        ),
+        # and the LCM over a listed set's mixed denominators
+        (
+            ExplicitList(
+                (
+                    alloc(Fraction(1, 2), Fraction(1, 3), 0),
+                    alloc(Fraction(2, 3), Fraction(1, 4), Fraction(5, 6)),
+                    alloc(1, Fraction(1, 3), Fraction(1, 7)),
+                    alloc(Fraction(3, 4), Fraction(1, 2), Fraction(5, 6)),
+                    alloc(0, 0, 0),
+                )
+            ),
+            Polity(3, 1),
+            {1: OwnBundle(), 2: OwnBundle(), 3: RelativeToMean()},
+        ),
     ],
 )
 def test_frontier_and_scan_match_the_pairwise_reference_on_grids(fs, polity, spec):
@@ -783,10 +839,11 @@ def test_signature_table_scales_every_component_exactly(case):
     fs = ExplicitList(states)
     polity = fs.states[0].polity
     table = engine.build_signature_table(fs, polity, spec)
+    states = list(enumerate_feasible(fs, polity))
     specs = transforms_for(polity, spec)
     denominators = []
     for i in table.live:
-        state = table.states[i]
+        state = states[i]
         for components, (agent, agent_spec) in zip(table.components[i], specs.items()):
             expected = info_components(evaluate_transform(agent_spec, state, agent))
             denominators += [c.denominator for c in expected]
@@ -794,7 +851,8 @@ def test_signature_table_scales_every_component_exactly(case):
             assert tuple(Fraction(c, table.scale) for c in components) == expected
         assert table.signatures[i] == tuple(c for item in table.components[i] for c in item)
         assert table.sums[i] == sum(table.signatures[i])
-    for i in set(range(len(table.states))) - set(table.live):
+    assert len(table.signatures) == len(states)
+    for i in set(range(len(states))) - set(table.live):
         assert table.components[i] is None and table.sums[i] is None
     # the scale is the smallest that makes every live component an int
     assert table.scale == math.lcm(*denominators)
@@ -855,6 +913,34 @@ def test_signature_table_reads_no_fraction_information(monkeypatch):
     enumerate_frontier(fs, polity, _WEIGHTED_MIXED)
     scan_all_moves(fs, polity, _WEIGHTED_MIXED)
 
+    # Nor does scan make an Allocation: the table reads the int state
+    # stream, and the command makes only the states of the moves it shows.
+    scenario = load_scenario(DATA / "scan_own_relmean.scn")
+    made = []
+
+    def unchecked_state(flat, dim):
+        made.append(unchecked(flat, dim))
+        return made[-1]
+
+    unchecked = polity_module._unchecked_state
+    monkeypatch.setattr(polity_module, "_unchecked_state", unchecked_state)
+    def checked_allocation(self):
+        raise AssertionError("Allocation built")
+
+    monkeypatch.setattr(Allocation, "__post_init__", checked_allocation)
+    report = scan_all_moves(scenario.feasible, scenario.polity, scenario.transforms)
+    assert report.improvements_found > 100 and report.degenerate_states == 1
+    assert made == []
+    diagnostics = run_command(scenario, "scan").diagnostics
+    shown = [d for d in diagnostics if d.startswith("improving: ")]
+    assert len(shown) == 100
+    assert f"(+{report.improvements_found - 100} more improving moves)" in diagnostics
+    # each rendered state is made once, so at most two per shown move
+    assert len(made) == len(set(made)) <= 200
+    assert {render_allocation(state) for state in made} == {
+        side for d in shown for side in d[len("improving: ") :].split(" -> ")
+    }
+
 
 @pytest.mark.parametrize(
     "fs,polity,spec",
@@ -886,6 +972,28 @@ def test_scan_own_small_box_counts():
     assert report.improvements_found == 5
     assert report.efficient_state_count == 1
     assert len(report.improving_moves) == 5
+
+
+def test_scan_counts_moves_without_listing_them():
+    # own on 4 agents x levels 0..7: 36^4 - 8^4 improving moves and one
+    # efficient state, the top corner.  Listing every move as a tuple
+    # peaked near 120 MiB; the counts come from the dominator bitsets.
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        report = scan_all_moves(
+            BoxGrid.shared(range(8)), Polity(4, 1), OwnBundle(), cap=4096 * 4095
+        )
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert report.improvements_found == 1_675_520
+    assert report.efficient_state_count == 1
+    assert peak < 16 * 2**20
 
 
 def test_scan_own_lattice_has_no_improvements():

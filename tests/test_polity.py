@@ -34,6 +34,7 @@ from paretoscope import (
     scan_all_moves,
     unrank_feasible,
 )
+from paretoscope.polity import feasible_holdings
 
 
 def test_as_quantity_parses_int_ratio_and_decimal():
@@ -342,8 +343,10 @@ _SMALL_SETS = [
     (FixedTotalLattice.shared(3), Polity(1, 1)),
     (FixedTotalLattice((Fraction(2), Fraction(3, 2)), Fraction(1, 2)), Polity(3, 2)),
     (FixedTotalLattice((Fraction(3), Fraction(1)), Fraction(1)), Polity(2, 2)),
+    (FixedTotalLattice((Fraction(2), Fraction(4, 3)), Fraction(2, 3)), Polity(2, 2)),
     (ExplicitList((alloc(1, 2), alloc(0, 3), alloc(2, 2), alloc(3, 0))), Polity(2, 1)),
     (ExplicitList((alloc((1, 0), (0, 1)), alloc((1, 1), (1, 1)))), Polity(2, 2)),
+    (ExplicitList((alloc("1/2", "2/3"), alloc(1, "1/4"), alloc("5/6", 0))), Polity(2, 1)),
 ]
 
 
@@ -352,6 +355,28 @@ def test_enumerated_quantities_are_exact_fractions(fs, polity):
     for state in enumerate_feasible(fs, polity):
         assert all(type(q) is Fraction and q >= 0 for q in state.flat())
         assert {b.dimension for b in state.bundles} == {polity.commodity_dim}
+
+
+@pytest.mark.parametrize("fs,polity", _SMALL_SETS)
+def test_int_holdings_are_the_enumeration_on_one_scale(fs, polity):
+    scale, stream = feasible_holdings(fs, polity)
+    holdings = list(stream)
+    assert type(scale) is int and scale > 0
+    assert all(
+        len(h) == polity.n_agents
+        and all(len(b) == polity.commodity_dim and all(type(q) is int for q in b) for b in h)
+        for h in holdings
+    )
+    assert [tuple(Fraction(q, scale) for b in h for q in b) for h in holdings] == [
+        state.flat() for state in enumerate_feasible(fs, polity)
+    ]
+
+
+def test_int_holdings_check_the_shape_before_any_state():
+    with pytest.raises(InfeasibleConfig):
+        feasible_holdings(BoxGrid.shared([0, 1]), Polity(2, 2))
+    with pytest.raises(InfeasibleConfig):
+        feasible_holdings(ExplicitList((alloc(1, 2),)), Polity(3, 1))
 
 
 @pytest.mark.parametrize("fs,polity", _SMALL_SETS)
