@@ -30,10 +30,11 @@ ints by one common factor, and one dominance layer over it
 (``_dominator_masks``) that gives each state the bitset of the states that
 dominate it.  A scan counts its improving moves from those bitsets and
 keeps them, so the moves are listed only on demand.  ``is_pareto_efficient``
-resolves the same readings first, then stays on ``Fraction``s, as does the
-public ``evaluate_transform``; the tests keep them as the reference the int
-routes must match.  ``enumerate_frontier``
-keeps two routes alive (those bitsets and a sum-presorted skyline) and
+reads the state and each target by the same readings and compares them as
+a move's ends (``_comparable``).  No transform is evaluated on
+``Fraction``s here; the tests keep the public ``evaluate_transform`` as the
+reference the int routes must match.  ``enumerate_frontier`` keeps two routes alive (those
+bitsets and a sum-presorted skyline) and
 insists they agree on every call; each state the skyline drops is also
 checked by definition against the state that dropped it.
 """
@@ -62,7 +63,7 @@ from .polity import (
     Move,
     Polity,
     _Holdings,
-    _scaled,
+    _state_holdings,
     count_feasible,
     enumerate_feasible,
     enumerate_upper_cone,
@@ -71,14 +72,11 @@ from .polity import (
 )
 from .transforms import (
     OwnBundle,
-    PreferenceInfo,
     RelativeToMean,
     RelativeToNeighborhood,
     TransformSpec,
     WeightedOwn,
     check_weight_count,
-    evaluate_transform,
-    info_components,
     neighborhood_members,
 )
 
@@ -143,14 +141,6 @@ def _tagged_zero_reference(exc: ZeroReferencePoint, endpoint: str) -> ZeroRefere
     )
 
 
-def _infos(
-    allocation: Allocation, specs: dict[int, TransformSpec]
-) -> tuple[PreferenceInfo, ...]:
-    return tuple(
-        evaluate_transform(spec, allocation, agent) for agent, spec in specs.items()
-    )
-
-
 def _tally(
     agents: Iterable[int], after: Iterable[tuple], before: Iterable[tuple]
 ) -> tuple[list[int], list[tuple[int, ViolationKind]]]:
@@ -181,8 +171,9 @@ def _improves(after: tuple[tuple, ...], before: tuple[tuple, ...]) -> bool:
     """Whether moving between two states is an improvement, yes or no.
 
     ``after`` and ``before`` hold each agent's information components in
-    agent order (see ``info_components``), as ``Fraction``s or as the scaled
-    ints of a ``SignatureTable``.  Agents left equal are skipped, any agent
+    agent order as ints that compare as the information does: two readings
+    made comparable by ``_comparable``, or the scaled ints of a
+    ``SignatureTable``.  Agents left equal are skipped, any agent
     with a lower component blocks, and some agent must differ.  This is the
     ``_tally`` verdict without its reasons.
     """
@@ -209,16 +200,6 @@ def _verdict(
     )
 
 
-def _components_at(
-    allocation: Allocation, specs: dict[int, TransformSpec], endpoint: str
-) -> tuple[tuple[Fraction, ...], ...]:
-    try:
-        infos = _infos(allocation, specs)
-    except ZeroReferencePoint as exc:
-        raise _tagged_zero_reference(exc, endpoint) from exc
-    return tuple(map(info_components, infos))
-
-
 def _scaled_holdings(move: Move) -> tuple[_Holdings, _Holdings]:
     """Both ends' holdings as ints on one scale: ``(after, before)``.
 
@@ -226,9 +207,11 @@ def _scaled_holdings(move: Move) -> tuple[_Holdings, _Holdings]:
     multiple of the denominators at both ends, so every comparison of
     holdings, or of positive-weighted sums of them, is unchanged.
     """
-    ends = (move.after.bundles, move.before.bundles)
-    scale = math.lcm(*[q.denominator for end in ends for b in end for q in b.quantities])
-    return tuple(tuple([_scaled(b.quantities, scale) for b in end]) for end in ends)
+    ends = (move.after, move.before)
+    scale = math.lcm(
+        *[q.denominator for end in ends for b in end.bundles for q in b.quantities]
+    )
+    return tuple([_state_holdings(end, scale) for end in ends])
 
 
 def _int_weights(weights: tuple[Fraction, ...], dimension: int) -> tuple[tuple[int, ...], int]:
@@ -325,12 +308,9 @@ def _move_information(
     ``readings`` is ``_readings`` for the move's polity and ``holdings`` is
     ``_scaled_holdings(move)``.  Returns one component tuple per agent and
     end, ``(after, before)``, that compare agent by agent exactly as the
-    information does.  Each end is read by ``_read`` in the units of the one
-    holding scale both ends share.  Where an agent's denominators are equal
-    at the two ends (the bundle itself, a weighted sum, or a relative
-    transform whose reference did not move) the components compare as they
-    are; otherwise the after end reads num_a·den_b and the before end
-    num_b·den_a.
+    information does: each end is read by ``_read`` in the units of the one
+    holding scale both ends share, and the two readings are made comparable
+    by ``_comparable``.
 
     Raises ``ZeroReferencePoint`` at the from end agent by agent, then at
     the to end, tagged with the end where the reference is zero.
@@ -344,10 +324,23 @@ def _move_information(
         after = [_read(reading, after_holdings, agent, 1) for agent, reading in readings]
     except ZeroReferencePoint as exc:
         raise _tagged_zero_reference(exc, "to") from exc
+    return _comparable(after, before)
+
+
+def _comparable(
+    after: list[tuple[tuple[int, ...], int]], before: list[tuple[tuple[int, ...], int]]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Every agent's ``_read`` at two ends as int component tuples that compare exactly.
+
+    The ends may be read on different holding scales.  Where an agent's
+    denominators differ, each end's components are multiplied by the other
+    end's denominator.
+    """
     after_components, before_components = [], []
     for (a, den_a), (b, den_b) in zip(after, before):
         if den_a != den_b:
-            a, b = (a[0] * den_b,), (b[0] * den_a,)
+            a = tuple([x * den_b for x in a])
+            b = tuple([y * den_a for y in b])
         after_components.append(a)
         before_components.append(b)
     return after_components, before_components
@@ -524,22 +517,6 @@ class EfficiencyVerdict:
     skipped_targets: int = 0
 
 
-def _state_rows(
-    states: Iterable[Allocation], specs: dict[int, TransformSpec]
-) -> Iterator[tuple[Allocation, tuple[PreferenceInfo, ...] | None]]:
-    """Each state with every agent's information there, in agent order.
-
-    The information is ``None`` for a degenerate state, where some relative
-    transform's reference mean is zero.
-    """
-    for state in states:
-        try:
-            infos = _infos(state, specs)
-        except ZeroReferencePoint:
-            infos = None
-        yield state, infos
-
-
 @dataclass(frozen=True)
 class SignatureTable:
     """Every feasible state's information as exact scaled integers.
@@ -666,32 +643,49 @@ def is_pareto_efficient(
     redistribution is efficient, and this costs nothing to confirm.  Other
     transforms search every feasible state.
 
+    The state is read once on its own int scale and each target on the
+    feasible set's (``feasible_holdings``), as ``check_move`` reads a move's
+    ends, and the two are compared by ``_comparable``.
+
     Raises ``InvalidAgent`` and ``DimensionMismatch`` for a bad transform in
     agent order before the state is read, as ``check_move`` does; then
     ``ZeroReferencePoint`` when the state itself has an undefined
-    relative position; alternatives with undefined positions are skipped and
-    counted in ``skipped_targets``.  The state itself needs no skipping: a
-    move to an identical state leaves every agent equal, so it never improves.
+    relative position; then ``InfeasibleConfig`` for a feasible set that
+    does not fit the state.  Alternatives with undefined positions are
+    skipped and counted in ``skipped_targets``.  The state itself needs no
+    skipping: a move to an identical state leaves every agent equal, so it
+    never improves.
     """
     polity = state.polity
     specs = transforms_for(polity, transforms)
     # Resolving every agent's reading checks every transform, in agent
     # order, before any agent's information is read at the state.
-    _readings(specs, polity)
+    readings = _readings(specs, polity)
     if not feasible_contains(fs, state):
         logger.warning("state %s is not in the declared feasible set", state.flat())
-    before = _components_at(state, specs, "from")
+    scale = math.lcm(*[q.denominator for q in state.flat()])
+    holdings = _state_holdings(state, scale)
+    try:
+        before = [_read(reading, holdings, agent, scale) for agent, reading in readings]
+    except ZeroReferencePoint as exc:
+        raise _tagged_zero_reference(exc, "from") from exc
+    unit, feasible = feasible_holdings(fs, polity)
     if _own_type(specs, polity.commodity_dim):
-        targets = enumerate_upper_cone(fs, state)
+        # every cone state is in the set, so the set's scale fits it
+        cone = enumerate_upper_cone(fs, state)
+        targets = ((target, _state_holdings(target, unit)) for target in cone)
     else:
-        targets = enumerate_feasible(fs, polity)
+        targets = zip(enumerate_feasible(fs, polity), feasible)
     skipped = 0
     # Targets stream through rather than filling a table: memory stays flat
     # on large sets and the search stops at the first witness.
-    for target, after in _state_rows(targets, specs):
-        if after is None:
+    for target, holdings in targets:
+        try:
+            after = [_read(reading, holdings, agent, unit) for agent, reading in readings]
+        except ZeroReferencePoint:
             skipped += 1
-        elif _improves(tuple(map(info_components, after)), before):
+            continue
+        if _improves(*_comparable(after, before)):
             return EfficiencyVerdict(False, Move(before=state, after=target), skipped)
     return EfficiencyVerdict(True, None, skipped)
 

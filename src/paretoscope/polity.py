@@ -431,6 +431,12 @@ def _scaled(quantities: Iterable[Fraction], scale: int) -> tuple[int, ...]:
     return tuple([q.numerator * (scale // q.denominator) for q in quantities])
 
 
+def _state_holdings(state: Allocation, scale: int) -> _Holdings:
+    """``state``'s bundles as ints: every quantity times ``scale``, a common
+    multiple of their denominators."""
+    return tuple([_scaled(b.quantities, scale) for b in state.bundles])
+
+
 def feasible_holdings(fs: FeasibleSet, polity: Polity) -> tuple[int, Iterator[_Holdings]]:
     """The states of ``enumerate_feasible(fs, polity)`` as int holdings, in order.
 
@@ -455,9 +461,7 @@ def feasible_holdings(fs: FeasibleSet, polity: Polity) -> tuple[int, Iterator[_H
     if isinstance(fs, FixedTotalLattice):
         return fs.step.denominator, _lattice_holdings(fs, polity)
     scale = math.lcm(*[q.denominator for state in fs.states for q in state.flat()])
-    return scale, (
-        tuple([_scaled(b.quantities, scale) for b in state.bundles]) for state in fs.states
-    )
+    return scale, (_state_holdings(state, scale) for state in fs.states)
 
 
 def _lattice_holdings(fs: FixedTotalLattice, polity: Polity) -> Iterator[_Holdings]:

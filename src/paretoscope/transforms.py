@@ -182,13 +182,6 @@ def compare_info(a: PreferenceInfo, b: PreferenceInfo) -> PartialOrderResult:
     return PartialOrderResult.EQUAL
 
 
-def info_components(info: PreferenceInfo) -> tuple[Fraction, ...]:
-    """Flatten information to its numeric components (scalars become 1-tuples)."""
-    if isinstance(info, Bundle):
-        return info.quantities
-    return (info,)
-
-
 class Sign(Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"

@@ -24,6 +24,21 @@ GOLDEN_RUNS = [
     ("check-move", "check_move_literals", "csv", [], "check_move_literals.csv"),
     ("check-move", "check_move_literals", "table", [], "check_move_literals.table.txt"),
     ("efficient", "own_box", "csv", ["--state", "4"], "efficient_own_box.csv"),
+    # the full search: relative transforms, skipped targets and a witness
+    (
+        "efficient",
+        "check_move_mixed",
+        "table",
+        ["--state", "7"],
+        "efficient_check_move_mixed.table.txt",
+    ),
+    (
+        "efficient",
+        "check_move_mixed",
+        "csv",
+        ["--state", "40"],
+        "efficient_check_move_mixed.csv",
+    ),
     ("frontier", "own_box", "csv", [], "frontier_own_box.csv"),
     ("frontier", "own_box", "table", [], "frontier_own_box.table.txt"),
     ("frontier", "relmean_pair", "csv", [], "frontier_relmean_pair.csv"),

@@ -19,16 +19,17 @@ from hypothesis import strategies as st
 
 from paretoscope import engine
 from paretoscope import polity as polity_module
+from paretoscope import transforms as transforms_module
 from paretoscope.cli import run_command
 from paretoscope.report import render_allocation
 from paretoscope.scenario import load_scenario
-from paretoscope.transforms import info_components
 from paretoscope import (
     Allocation,
     BoxGrid,
     Bundle,
     CapExceeded,
     DimensionMismatch,
+    EfficiencyVerdict,
     ExplicitList,
     FixedTotalLattice,
     HypothesisViolated,
@@ -62,9 +63,18 @@ from paretoscope import (
     is_pareto_efficient,
     scan_all_moves,
     transforms_for,
+    unrank_feasible,
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def info_components(info):
+    """Flatten ``evaluate_transform``'s information to its components: a
+    bundle's quantities, or a scalar as a 1-tuple."""
+    if isinstance(info, Bundle):
+        return info.quantities
+    return (info,)
 
 
 def _moves(fs, polity):
@@ -245,6 +255,8 @@ def _identify(result):
         )
     if isinstance(result, tuple):
         return result
+    if isinstance(result, EfficiencyVerdict):
+        return (result.is_efficient, result.witness, result.skipped_targets)
     return (result.is_improvement, result.strict_gainers, result.violators, result.method)
 
 
@@ -255,26 +267,32 @@ def _outcome(call):
         return _identify(exc)
 
 
-def _reference_components(move, specs):
-    # every agent's transform is checked, in agent order, before either end
+def _reference_check_transforms(polity, specs):
+    # every agent's transform is checked, in agent order, before any state
     # is read: a state of ones has a positive reference for every transform
-    ones = alloc(*[(1,) * move.polity.commodity_dim] * move.polity.n_agents)
+    ones = alloc(*[(1,) * polity.commodity_dim] * polity.n_agents)
     for a, spec in specs.items():
         evaluate_transform(spec, ones, a)
 
-    def at(allocation, endpoint):
-        try:
-            infos = [evaluate_transform(spec, allocation, a) for a, spec in specs.items()]
-        except ZeroReferencePoint as exc:
-            raise ZeroReferencePoint(
-                f"{exc.args[0]} at the {endpoint} state of the move",
-                agent=exc.agent,
-                endpoint=endpoint,
-            ) from exc
-        return [info_components(info) for info in infos]
 
-    before = at(move.before, "from")
-    return at(move.after, "to"), before
+def _reference_information(allocation, specs, endpoint):
+    """Every agent's information components at ``allocation``, a zero
+    reference tagged with ``endpoint``."""
+    try:
+        infos = [evaluate_transform(spec, allocation, a) for a, spec in specs.items()]
+    except ZeroReferencePoint as exc:
+        raise ZeroReferencePoint(
+            f"{exc.args[0]} at the {endpoint} state of the move",
+            agent=exc.agent,
+            endpoint=endpoint,
+        ) from exc
+    return [info_components(info) for info in infos]
+
+
+def _reference_components(move, specs):
+    _reference_check_transforms(move.polity, specs)
+    before = _reference_information(move.before, specs, "from")
+    return _reference_information(move.after, specs, "to"), before
 
 
 def _reference_verdict(tally, method):
@@ -899,19 +917,31 @@ def test_frontier_and_scan_reject_bad_transforms_before_reading_states(run):
 
 
 def test_signature_table_reads_no_fraction_information(monkeypatch):
-    # the table reads int holdings; the Fraction evaluation stays the
-    # reference for is_pareto_efficient only
+    # the table and the efficiency search read int holdings; the engine
+    # does not even bind the Fraction evaluation
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction evaluation used")
 
-    monkeypatch.setattr(engine, "evaluate_transform", refuse)
-    monkeypatch.setattr(engine, "_state_rows", refuse)
+    assert not hasattr(engine, "evaluate_transform")
+    monkeypatch.setattr(transforms_module, "evaluate_transform", refuse)
     fs = BoxGrid.shared([0, Fraction(1, 2), 1, 3])
     polity = Polity(3, 1)
     table = engine.build_signature_table(fs, polity, _WEIGHTED_MIXED)
     assert len(table.live) == 60
     enumerate_frontier(fs, polity, _WEIGHTED_MIXED)
     scan_all_moves(fs, polity, _WEIGHTED_MIXED)
+
+    # is_pareto_efficient, on an upper cone and on a full search
+    cone = is_pareto_efficient(alloc(0, 1, Fraction(1, 3)), fs, OwnBundle())
+    assert cone.witness.after == alloc(0, 1, Fraction(1, 2))
+    mixed = load_scenario(DATA / "check_move_mixed.scn")
+    state = unrank_feasible(mixed.feasible, mixed.polity, 40)
+    full = is_pareto_efficient(state, mixed.feasible, mixed.transforms)
+    assert full.witness.after == alloc(Fraction(1, 2), 0, 3)
+    assert full.skipped_targets == 6
+    # and the efficient command
+    diagnostics = run_command(mixed, "efficient", state_id=7).diagnostics
+    assert diagnostics == ("skipped 6 target(s) with undefined reference point",)
 
     # Nor does scan make an Allocation: the table reads the int state
     # stream, and the command makes only the states of the moves it shows.
@@ -1173,3 +1203,98 @@ def test_redistribution_efficiency_needs_no_enumeration(monkeypatch):
     lattice = FixedTotalLattice.shared(10**6)
     verdict = is_pareto_efficient(alloc(1, 2, 10**6 - 3), lattice, OwnBundle())
     assert verdict.is_efficient and verdict.witness is None
+
+
+# --- The int efficiency search against a Fraction reference ----------------
+
+
+def _reference_efficiency(state, fs, specs):
+    """The efficiency search over ``Fraction``s, as the reference.
+
+    Every transform is checked in agent order on a state of ones, the state
+    is evaluated with ``evaluate_transform`` (a zero reference tagged with
+    the from end), and then every target of ``enumerate_feasible`` in order;
+    targets with a zero reference are skipped and counted.
+    """
+    polity = state.polity
+    specs = transforms_for(polity, specs)
+    _reference_check_transforms(polity, specs)
+    before = _reference_information(state, specs, "from")
+    skipped = 0
+    for target in enumerate_feasible(fs, polity):
+        try:
+            after = _reference_information(target, specs, "to")
+        except ZeroReferencePoint:
+            skipped += 1
+            continue
+        if after != before and all(
+            x >= y for a, b in zip(after, before) for x, y in zip(a, b)
+        ):
+            return EfficiencyVerdict(False, Move(before=state, after=target), skipped)
+    return EfficiencyVerdict(True, None, skipped)
+
+
+_EFFICIENCY_SETS = [
+    (BoxGrid.shared([0, Fraction(1, 2), Fraction(2, 3), 1]), Polity(3, 1)),
+    (BoxGrid.shared([0, 1, Fraction(3, 2)], commodities=2), Polity(2, 2)),
+    (FixedTotalLattice((Fraction(2), Fraction(4, 3)), Fraction(2, 3)), Polity(3, 2)),
+    (
+        ExplicitList(
+            (
+                alloc(Fraction(1, 2), Fraction(1, 3), 0),
+                alloc(Fraction(2, 3), Fraction(1, 4), Fraction(5, 6)),
+                alloc(1, Fraction(1, 3), Fraction(1, 7)),
+                alloc(Fraction(3, 4), Fraction(1, 2), Fraction(5, 6)),
+                alloc(Fraction(3, 4), 1, Fraction(5, 6)),
+                alloc(0, 0, 0),
+            )
+        ),
+        Polity(3, 1),
+    ),
+]
+
+
+def _efficiency_specs(polity):
+    # own, relative_mean, weighted_own(1/2,3) (two weights: a dimension
+    # mismatch on one commodity) and own/relative_nbhd/relative_mean mixed
+    mixed = {1: OwnBundle(), 2: RelativeToNeighborhood(frozenset({1, polity.n_agents}))}
+    mixed.update((a, RelativeToMean()) for a in polity.agents[2:])
+    return [
+        OwnBundle(),
+        RelativeToMean(),
+        WeightedOwn((Fraction(1, 2), Fraction(3))),
+        mixed,
+    ]
+
+
+@pytest.mark.parametrize("fs,polity", _EFFICIENCY_SETS)
+def test_efficiency_matches_the_fraction_reference(fs, polity):
+    # every state of the set, then states off it whose denominators the
+    # set's int scale does not divide: the state and its targets are read
+    # on different scales, bundles included under own
+    for spec in _efficiency_specs(polity):
+        for state in _cone_floors(fs, polity):
+            expected = _outcome(lambda: _reference_efficiency(state, fs, spec))
+            assert _outcome(lambda: is_pareto_efficient(state, fs, spec)) == expected
+
+
+def test_efficient_reads_the_state_before_the_set_is_checked():
+    # a two-commodity set against one-commodity states: a bad transform
+    # comes first, then a zero reference at the state, then the set
+    fs = BoxGrid.shared([0, 1], commodities=2)
+    cases = [
+        (alloc(1, 1), RelativeToMean(), InfeasibleConfig),
+        (alloc(1, 1), OwnBundle(), InfeasibleConfig),
+        (alloc(0, 0), RelativeToMean(), ZeroReferencePoint),
+        (alloc(0, 0), WeightedOwn((1, 2)), DimensionMismatch),
+        (alloc(0, 0), {1: RelativeToMean(), 2: WeightedOwn((1, 2))}, DimensionMismatch),
+    ]
+    for state, spec, error in cases:
+        with pytest.raises(error) as exc:
+            is_pareto_efficient(state, fs, spec)
+        expected = _outcome(lambda: _reference_efficiency(state, fs, spec))
+        assert _identify(exc.value) == expected
+    assert exc.value.args[0] == "2 weights for a 1-commodity bundle"
+    with pytest.raises(ZeroReferencePoint) as exc:
+        is_pareto_efficient(alloc(0, 0), fs, RelativeToMean())
+    assert exc.value.endpoint == "from"
