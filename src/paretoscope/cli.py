@@ -30,11 +30,19 @@ from .errors import (
     ScenarioError,
     ValidationError,
 )
-from .polity import describe_feasible, enumerate_feasible, unrank_feasible
-from .report import Report, emit_report, render_allocation, render_bool, render_move
+from .polity import describe_feasible, feasible_holdings, unrank_feasible
+from .report import (
+    RationalTexts,
+    Report,
+    emit_report,
+    render_allocation,
+    render_bool,
+    render_holdings,
+    render_move,
+)
 from .scenario import Scenario, load_scenario
 from .transforms import OwnBundle, transform_label
-from .welfare import swf_label, welfare_rank
+from .welfare import _ranked, _welfare_ints, swf_label
 
 logger = logging.getLogger(__name__)
 
@@ -249,17 +257,22 @@ def _run_discover(scenario: Scenario) -> Report:
 def _run_welfare(scenario: Scenario) -> Report:
     if scenario.swf is None:
         raise MissingField("swf")
-    states = list(enumerate_feasible(scenario.feasible, scenario.polity))
-    ranking = welfare_rank(scenario.swf, states)
+    # Every row is rendered from the int state stream: no Allocation, and a
+    # Fraction only once per distinct quantity and value.
+    unit, stream = feasible_holdings(scenario.feasible, scenario.polity)
+    states = list(stream)
+    values, scale = _welfare_ints(scenario.swf, scenario.polity, unit, states)
+    order, counts = _ranked(values)
+    quantity, value_texts = RationalTexts(unit).__getitem__, RationalTexts(scale)
     rows = tuple(
         (
-            str(entry.rank),
-            str(entry.state_id),
-            render_allocation(entry.state),
-            str(entry.value),
-            render_bool(entry.tied),
+            str(rank),
+            str(i),
+            render_holdings(states[i], quantity),
+            value_texts[values[i]],
+            render_bool(counts[values[i]] > 1),
         )
-        for entry in ranking.entries
+        for rank, i in enumerate(order, 1)
     )
     return Report(
         command="welfare",

@@ -573,10 +573,17 @@ def feasible_contains(fs: FeasibleSet, state: Allocation) -> bool:
     if isinstance(fs, FixedTotalLattice):
         if state.dimension != len(fs.totals):
             return False
-        if state.totals() != fs.totals:
+        # On the state's own int scale s, a quantity h / s is a whole number
+        # of steps p / d when h·d is a multiple of p·s, and a sum of
+        # holdings H is the total n / m when H·m = n·s.
+        scale = math.lcm(*[q.denominator for q in state.flat()])
+        holdings = _state_holdings(state, scale)
+        d, cell = fs.step.denominator, fs.step.numerator * scale
+        if any(h * d % cell for bundle in holdings for h in bundle):
             return False
         return all(
-            (q / fs.step).denominator == 1 for b in state.bundles for q in b.quantities
+            sum(column) * total.denominator == total.numerator * scale
+            for column, total in zip(zip(*holdings), fs.totals)
         )
     return any(s.flat() == state.flat() for s in fs.states)
 

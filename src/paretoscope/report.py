@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Any, Callable, Sequence
 
 from .errors import ValidationError
 from .polity import Allocation, Move
@@ -33,13 +35,38 @@ class Report:
 
 def render_allocation(allocation: Allocation) -> str:
     """``(1,2)`` for one commodity, ``((1,0),(2,1))`` for several."""
-    if allocation.dimension == 1:
-        inner = ",".join(str(b.quantities[0]) for b in allocation.bundles)
+    return render_holdings([b.quantities for b in allocation.bundles])
+
+
+class RationalTexts(dict):
+    """``str(Fraction(n, denominator))`` for each int ``n``, made on first use.
+
+    Each text is made once per distinct ``n``; keep one per call, not
+    globally.
+    """
+
+    def __init__(self, denominator: int):
+        super().__init__()
+        self.denominator = denominator
+
+    def __missing__(self, numerator: int) -> str:
+        text = self[numerator] = str(Fraction(numerator, self.denominator))
+        return text
+
+
+def render_holdings(
+    holdings: Sequence[Sequence], quantity: Callable[[Any], str] = str
+) -> str:
+    """Each agent's quantities as ``render_allocation`` writes them, each
+    quantity written by ``quantity``.
+
+    For int holdings on a scale, ``RationalTexts(scale).__getitem__``
+    writes each as the quantity it stands for.
+    """
+    if len(holdings[0]) == 1:
+        inner = ",".join([quantity(bundle[0]) for bundle in holdings])
     else:
-        inner = ",".join(
-            "(" + ",".join(str(q) for q in b.quantities) + ")"
-            for b in allocation.bundles
-        )
+        inner = ",".join(["(" + ",".join(map(quantity, bundle)) + ")" for bundle in holdings])
     return f"({inner})"
 
 

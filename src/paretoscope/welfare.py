@@ -8,19 +8,35 @@ canonical collapse, so it is rejected rather than silently averaged.
 Only additive combiners and the maximin floor are offered.  A multiplicative
 combiner is deliberately absent: any agent at zero would pin the product to
 zero regardless of everyone else.
+
+Welfare is ranked on exact ints, by the reading the engine uses for moves,
+frontiers and efficiency: every agent's transform is resolved once
+(``_readings``), each state is read from its int holdings (``_read``), every
+agent value is scaled to one common positive denominator, and the combiner
+works on those ints (``_welfare_ints``).  That is the one core.  The
+``welfare`` command feeds it the feasible set's int state stream
+(``feasible_holdings``) and renders its rows from the holdings;
+``welfare_rank`` feeds it its allocations' holdings and makes a ``Fraction``
+only for each entry it returns; ``welfare_value`` is the one-state case.  No
+transform is evaluated on ``Fraction``s here; the tests keep that route as
+the reference.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from itertools import groupby
+from typing import Iterable, Sequence, Union
 
-from .engine import transforms_for
+from .engine import _read, _readings, transforms_for
 from .errors import DimensionMismatch, ValidationError, VectorValuedAgentInfo
-from .polity import Allocation, Bundle, Polity, as_quantity
-from .transforms import TransformSpec, WeightedOwn, evaluate_transform
+from .polity import Allocation, Polity, _Holdings, _state_holdings, as_quantity
+from .transforms import WeightedOwn
 
 
 @dataclass(frozen=True)
@@ -64,43 +80,79 @@ class SwfSpec:
     agent_values: object = None
 
 
-def _resolve(spec: SwfSpec, polity: Polity) -> dict[int, TransformSpec]:
-    """``spec``'s per-agent value transforms, one per agent of ``polity``."""
+def _int_combiner(combiner: Combiner, n_agents: int) -> tuple[tuple[int, ...] | None, int]:
+    """``combiner``'s weights scaled to ints, with the factor they were scaled
+    by; ``None`` and 1 for an unweighted combiner.
+
+    The factor is the least common multiple of the weights' denominators.
+    """
+    if isinstance(combiner, WeightedSum):
+        if len(combiner.weights) != n_agents:
+            raise DimensionMismatch(f"{len(combiner.weights)} weights for {n_agents} agents")
+        factor = math.lcm(*[w.denominator for w in combiner.weights])
+        return tuple([w.numerator * (factor // w.denominator) for w in combiner.weights]), factor
+    if isinstance(combiner, (Sum, Maximin)):
+        return None, 1
+    raise ValidationError(f"unknown combiner {combiner!r}")
+
+
+def _welfare_ints(
+    spec: SwfSpec, polity: Polity, unit: int, holdings: Iterable[_Holdings]
+) -> tuple[list[int], int]:
+    """Every state's welfare under ``spec`` as an int over one positive int.
+
+    ``holdings`` gives each state of ``polity`` as int holdings, every
+    quantity times ``unit``.  Returns ``(values, scale)``: the welfare of
+    state ``i`` is exactly ``values[i] / scale``.  Each agent's value is read
+    by ``_read`` as an int over a positive int and multiplied up to the least
+    common multiple of all those denominators in lowest terms, as
+    ``build_signature_table`` scales its components; ``Maximin`` takes the
+    least of those ints, ``Sum`` adds them and ``WeightedSum`` adds them
+    times its weights scaled to ints, whose factor joins the scale.
+
+    Raises, before any state is read: what ``transforms_for`` raises, then
+    ``InvalidAgent`` and ``DimensionMismatch`` for a bad transform in agent
+    order, then ``DimensionMismatch`` for a weight count that does not match
+    the agents.  Then, at the first state agent by agent,
+    ``VectorValuedAgentInfo`` for an agent whose information is a bundle of
+    several commodities, or ``ZeroReferencePoint`` for a zero reference; then
+    ``ZeroReferencePoint`` at the first degenerate state.
+    """
     assignment = spec.agent_values if spec.agent_values is not None else WeightedOwn()
-    return transforms_for(polity, assignment)
-
-
-def _agent_values(specs: dict[int, TransformSpec], allocation: Allocation) -> list[Fraction]:
-    values = []
-    for agent, agent_spec in specs.items():
-        info = evaluate_transform(agent_spec, allocation, agent)
-        if isinstance(info, Bundle):
+    readings = _readings(transforms_for(polity, assignment), polity)
+    weights, weight_scale = _int_combiner(spec.combiner, polity.n_agents)
+    # the first agent whose information is its bundle, when that is a vector
+    vector = polity.commodity_dim > 1 and next((a for a, r in readings if r is None), None)
+    rows = []
+    denominators: set[int] = set()
+    for state in holdings:
+        if vector:
+            # the agents before it are read at the first state
+            for agent, reading in readings[: vector - 1]:
+                _read(reading, state, agent, unit)
             raise VectorValuedAgentInfo(
-                f"agent {agent} yields vector information; welfare needs scalars"
+                f"agent {vector} yields vector information; welfare needs scalars"
             )
-        values.append(info)
-    return values
-
-
-def _combine(spec: SwfSpec, values: list[Fraction]) -> Fraction:
-    if isinstance(spec.combiner, Sum):
-        return sum(values, Fraction(0))
-    if isinstance(spec.combiner, WeightedSum):
-        if len(spec.combiner.weights) != len(values):
-            raise DimensionMismatch(
-                f"{len(spec.combiner.weights)} weights for {len(values)} agents"
-            )
-        return sum(
-            (w * v for w, v in zip(spec.combiner.weights, values)), Fraction(0)
-        )
+        row = [_read(reading, state, agent, unit) for agent, reading in readings]
+        # the denominator of value / den in lowest terms
+        denominators.update([den // math.gcd(den, value) for (value,), den in row])
+        rows.append(row)
+    scale = math.lcm(*denominators)
+    # den need not divide the scale, but it divides value * scale
+    scaled = ([value * scale // den for (value,), den in row] for row in rows)
     if isinstance(spec.combiner, Maximin):
-        return min(values)
-    raise ValidationError(f"unknown combiner {spec.combiner!r}")
+        values = [min(row) for row in scaled]
+    elif weights is None:
+        values = [sum(row) for row in scaled]
+    else:
+        values = [sum(map(operator.mul, weights, row)) for row in scaled]
+    return values, scale * weight_scale
 
 
-def welfare_value(spec: SwfSpec, allocation: Allocation) -> Fraction:
-    """The welfare of one allocation under ``spec``."""
-    return _combine(spec, _agent_values(_resolve(spec, allocation.polity), allocation))
+def _ranked(values: list[int]) -> tuple[list[int], Counter]:
+    """State ids by descending value, ties in input order, and how many
+    states hold each value."""
+    return sorted(range(len(values)), key=values.__getitem__, reverse=True), Counter(values)
 
 
 @dataclass(frozen=True)
@@ -123,32 +175,38 @@ def welfare_rank(spec: SwfSpec, states: Sequence[Allocation]) -> Ranking:
     """Rank states by descending welfare.
 
     The sort is stable: states of equal value keep their input order and are
-    flagged as tied.  State ids are input positions.  The value transforms
-    are resolved once per agent count, not once per state.
+    flagged as tied.  State ids are input positions.  Each run of
+    consecutive states of one shape is read by ``_welfare_ints`` from its
+    holdings on the least common multiple of its denominators, so the value
+    transforms are resolved once per run, when it starts, and raise what
+    ``_welfare_ints`` raises.  The runs' values are brought to one scale and
+    ranked together.
     """
-    resolved: dict[int, dict[int, TransformSpec]] = {}
-
-    def value_of(state: Allocation) -> Fraction:
-        if state.n_agents not in resolved:
-            resolved[state.n_agents] = _resolve(spec, state.polity)
-        return _combine(spec, _agent_values(resolved[state.n_agents], state))
-
-    valued = [(value_of(s), i, s) for i, s in enumerate(states)]
-    ordered = sorted(valued, key=lambda t: t[0], reverse=True)
-    counts: dict[Fraction, int] = {}
-    for value, _, _ in ordered:
-        counts[value] = counts.get(value, 0) + 1
+    runs = []
+    for (n_agents, dimension), run in groupby(states, lambda s: (s.n_agents, s.dimension)):
+        run = list(run)
+        unit = math.lcm(*[q.denominator for s in run for b in s.bundles for q in b.quantities])
+        holdings = [_state_holdings(s, unit) for s in run]
+        runs.append(_welfare_ints(spec, Polity(n_agents, dimension), unit, holdings))
+    scale = math.lcm(*[run_scale for _, run_scale in runs])
+    values = [v * (scale // run_scale) for run_values, run_scale in runs for v in run_values]
+    order, counts = _ranked(values)
     entries = tuple(
         RankEntry(
-            rank=pos + 1,
+            rank=rank,
             state_id=i,
-            state=s,
-            value=value,
-            tied=counts[value] > 1,
+            state=states[i],
+            value=Fraction(values[i], scale),
+            tied=counts[values[i]] > 1,
         )
-        for pos, (value, i, s) in enumerate(ordered)
+        for rank, i in enumerate(order, 1)
     )
     return Ranking(entries)
+
+
+def welfare_value(spec: SwfSpec, allocation: Allocation) -> Fraction:
+    """The welfare of one allocation under ``spec``."""
+    return welfare_rank(spec, (allocation,)).entries[0].value
 
 
 _SWF_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\((.*)\))?\s*$")

@@ -56,6 +56,10 @@ GOLDEN_RUNS = [
     ("discover", "discover", "csv", [], "discover.csv"),
     ("discover", "discover", "table", [], "discover.table.txt"),
     ("welfare", "maximin_lattice", "csv", [], "welfare_maximin.csv"),
+    ("welfare", "maximin_lattice", "table", [], "welfare_maximin.table.txt"),
+    # fractional holdings and values, and a weighted sum with ties
+    ("welfare", "welfare_weighted_lattice", "table", [], "welfare_weighted_lattice.table.txt"),
+    ("welfare", "welfare_weighted_lattice", "csv", [], "welfare_weighted_lattice.csv"),
     ("welfare", "own_box", "csv", [], "welfare_own_box.csv"),
 ]
 

@@ -335,6 +335,37 @@ def test_feasible_contains():
     assert not feasible_contains(explicit, alloc(0, 0))
 
 
+@pytest.mark.parametrize(
+    "lattice,polity,levels",
+    [
+        (
+            FixedTotalLattice.shared(2, step="1/3"),
+            Polity(3, 1),
+            (0, "1/3", "1/2", "2/3", 1, "5/3", 2, 3),
+        ),
+        (FixedTotalLattice.shared(3), Polity(2, 1), (0, "1/2", 1, 2, 3, 4)),
+        (
+            FixedTotalLattice((Fraction(2), Fraction(4, 3)), Fraction(2, 3)),
+            Polity(3, 2),
+            (0, "1/3", "2/3", "4/3", 2),
+        ),
+    ],
+)
+def test_lattice_membership_matches_enumeration(lattice, polity, levels):
+    # every state of a box around the lattice: states on it, off its grid,
+    # and on its grid with the wrong totals
+    members = {state.flat() for state in enumerate_feasible(lattice, polity)}
+    box = BoxGrid.shared(levels, commodities=polity.commodity_dim)
+    outcomes = set()
+    for state in enumerate_feasible(box, polity):
+        contained = feasible_contains(lattice, state)
+        assert contained == (state.flat() in members)
+        outcomes.add(contained)
+    assert outcomes == {True, False}
+    # a state of another dimension is never a member
+    assert not feasible_contains(lattice, alloc(*[(0,) * (polity.commodity_dim + 1)] * 2))
+
+
 # Small sets of every kind, with several commodities and fractional steps.
 _SMALL_SETS = [
     (BoxGrid.shared([0, 1, 2]), Polity(3, 1)),
