@@ -33,10 +33,9 @@ keeps them, so the moves are listed only on demand.  ``is_pareto_efficient``
 reads the state and each target by the same readings and compares them as
 a move's ends (``_comparable``).  No transform is evaluated on
 ``Fraction``s here; the tests keep the public ``evaluate_transform`` as the
-reference the int routes must match.  ``enumerate_frontier`` keeps two routes alive (those
-bitsets and a sum-presorted skyline) and
-insists they agree on every call; each state the skyline drops is also
-checked by definition against the state that dropped it.
+reference the int routes must match.  ``enumerate_frontier`` certifies
+those bitsets on every call: each dominated state is checked by definition
+against one dominator, and no efficient state may dominate another.
 """
 
 from __future__ import annotations
@@ -214,14 +213,13 @@ def _scaled_holdings(move: Move) -> tuple[_Holdings, _Holdings]:
     return tuple([_state_holdings(end, scale) for end in ends])
 
 
-def _int_weights(weights: tuple[Fraction, ...], dimension: int) -> tuple[tuple[int, ...], int]:
-    """Positive aggregation weights scaled to ints, with the factor they were scaled by.
+def _int_weights(weights: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    """Positive weights scaled to ints, with the factor they were scaled by.
 
     The factor is the least common multiple of the weights' denominators.
     """
-    check_weight_count(weights, dimension)
     scale = math.lcm(*[w.denominator for w in weights])
-    return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
+    return tuple([w.numerator * (scale // w.denominator) for w in weights]), scale
 
 
 def _int_aggregate(holding: tuple[int, ...], weights: tuple[int, ...] | None) -> int:
@@ -261,7 +259,8 @@ def _reading(
         raise ValidationError(f"unknown transform spec {spec!r}")
     if spec.weights is None:
         return _Reading(None, 1, group)
-    return _Reading(*_int_weights(spec.weights, dimension), group)
+    check_weight_count(spec.weights, dimension)
+    return _Reading(*_int_weights(spec.weights), group)
 
 
 def _read(
@@ -528,8 +527,8 @@ class SignatureTable:
     ``c * scale``, where ``scale`` is the least common multiple of the
     reduced denominators of all live components.
     ``components`` holds one int tuple per agent in agent order (a 1-tuple
-    for scalar information); ``signatures`` flattens it to one tuple and
-    ``sums`` adds that up.  All three are ``None`` for a degenerate state.
+    for scalar information) and ``signatures`` flattens it to one tuple.
+    Both are ``None`` for a degenerate state.
 
     One common positive scale keeps every comparison exact: ``x < y`` exactly
     when ``x * scale < y * scale``, and equal rational sums stay equal.
@@ -541,13 +540,13 @@ class SignatureTable:
     componentwise weak rise, and any strict component makes exactly one agent
     strictly better off.  ``_dominator_masks`` reads the signatures
     dimension by dimension; strict dominance also implies a strictly larger
-    sum, which is what lets the skyline skip most pairs.
+    signature sum, which is what lets the frontier's antichain check skip
+    most pairs.
     """
 
     scale: int
     components: tuple[tuple[tuple[int, ...], ...] | None, ...]
     signatures: tuple[tuple[int, ...] | None, ...]
-    sums: tuple[int | None, ...]
 
     @property
     def live(self) -> list[int]:
@@ -590,12 +589,11 @@ def build_signature_table(
         denominators.update([den // math.gcd(den, *item) for item, den in row])
         rows.append(row)
     scale = math.lcm(*denominators)
-    components, signatures, sums = [], [], []
+    components, signatures = [], []
     for row in rows:
         if row is None:
             components.append(None)
             signatures.append(None)
-            sums.append(None)
             continue
         # an item whose denominator is the scale (every own bundle on integer
         # holdings) is kept as it is, so no second tuple per agent is held
@@ -603,11 +601,9 @@ def build_signature_table(
             item if den == scale else tuple([c * scale // den for c in item])
             for item, den in row
         ]
-        signature = tuple([c for item in scaled for c in item])
         components.append(tuple(scaled))
-        signatures.append(signature)
-        sums.append(sum(signature))
-    return SignatureTable(scale, tuple(components), tuple(signatures), tuple(sums))
+        signatures.append(tuple([c for item in scaled for c in item]))
+    return SignatureTable(scale, tuple(components), tuple(signatures))
 
 
 def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -765,91 +761,73 @@ def _dominator_masks(table: SignatureTable) -> Iterator[tuple[int, int]]:
         yield i, weakly & strictly
 
 
-def _skyline(table: SignatureTable) -> tuple[list[int], dict[int, int]]:
-    """The live states no other live state dominates (sort-filter skyline).
-
-    Returns the kept states and, for each dropped state, the kept state that
-    dropped it.  States are visited in descending order of signature sum and
-    each is tested only against the kept states of strictly larger sum,
-    since only those can dominate it.  A state dominated by a dropped state
-    is also dominated by the kept state that dropped it, which has a larger
-    sum still, so testing against kept states suffices.  When every sum is
-    equal no test is made at all.
-    """
-    signatures, sums = table.signatures, table.sums
-    order = sorted(table.live, key=sums.__getitem__, reverse=True)
-    kept: list[int] = []
-    dropped: dict[int, int] = {}
-    higher = 0  # kept[:higher] have a strictly larger sum than the current state
-    previous_sum = None
-    for i in order:
-        if sums[i] != previous_sum:
-            higher, previous_sum = len(kept), sums[i]
-        signature = signatures[i]
-        witness = next(
-            (k for k in kept[:higher] if _dominates(signatures[k], signature)), None
-        )
-        if witness is None:
-            kept.append(i)
-        else:
-            dropped[i] = witness
-    return kept, dropped
-
-
 def enumerate_frontier(
     fs: FeasibleSet, polity: Polity, transforms: Transforms
 ) -> FrontierReport:
     """Classify every feasible state as efficient or not.
 
-    Runs two independent routes on every call over one signature table: the
-    states whose dominator bitset is empty (``_dominator_masks``), and a
-    sort-filter skyline over the signatures.  Every state the skyline drops
-    is checked by definition, agent by agent on the scaled components,
-    against the kept state that dropped it.  Disagreement between the
-    routes, or a witness that does not improve on the state it dropped,
-    raises ``InternalInvariant``; so does an empty frontier, which cannot
-    happen on a finite non-empty set unless every state is degenerate.  The
-    table holds no states; each entry's state comes from
-    ``enumerate_feasible``, which yields them in the table's order.
+    The efficient states are the live states whose dominator bitset is
+    empty (``_dominator_masks``).  Every call certifies that split, in the
+    sense of McConnell, Mehlhorn, Näher & Schweitzer ("Certifying
+    algorithms", Computer Science Review 5(2), 2011), in two parts:
+
+    * (a) witnesses: each state with a non-empty bitset is checked by
+      definition, agent by agent on the scaled components, against one
+      dominator, the bitset's lowest set bit;
+    * (b) antichain: no kept state dominates another.  Strict dominance
+      implies a strictly larger signature sum, so each kept state is tested
+      only against kept states of strictly larger sum; when every sum is
+      equal, as under ``relative_mean``, no test is made.
+
+    By (a) every truly undominated state is kept.  A kept state that is
+    truly dominated is dominated by some undominated state, which is kept
+    too, and that breaks (b).  The certificate covers which bitsets are
+    empty, not every bit of them.  A failed check raises
+    ``InternalInvariant``; so does an empty frontier, which cannot happen on
+    a finite non-empty set unless every state is degenerate.  The table
+    holds no states; each entry's state comes from ``enumerate_feasible``,
+    which yields them in the table's order.
     """
     table = build_signature_table(fs, polity, transforms, "excluded from frontier")
-    live = table.live
-    components = table.components
-
-    # Route 1: the live states that no live state dominates, by bitsets.
-    bitmap_efficient = {i for i, mask in _dominator_masks(table) if not mask}
-
-    # Route 2: skyline over signatures, each drop checked by definition.
-    kept, dropped = _skyline(table)
-    for i, witness in dropped.items():
+    components, signatures = table.components, table.signatures
+    efficient = set()
+    for i, mask in _dominator_masks(table):
+        if not mask:
+            efficient.add(i)
+            continue
+        witness = (mask & -mask).bit_length() - 1
         if not _improves(components[witness], components[i]):
             raise InternalInvariant(
-                f"skyline dropped state {i} for state {witness}, "
-                "which does not improve on it"
+                f"state {witness} is marked as dominating state {i} "
+                "but does not improve on it"
             )
-    skyline_efficient = set(kept)
-
-    if bitmap_efficient != skyline_efficient:
-        raise InternalInvariant(
-            "frontier routes disagree: "
-            f"bitmap={sorted(bitmap_efficient)} skyline={sorted(skyline_efficient)}"
-        )
-    if live and not bitmap_efficient:
-        raise InternalInvariant("non-empty state set produced an empty frontier")
-    if not live:
+    ranked = sorted(((sum(signatures[i]), i) for i in efficient), reverse=True)
+    higher, previous = 0, None  # ranked[:higher] have a strictly larger sum
+    for position, (total, i) in enumerate(ranked):
+        if total != previous:
+            higher, previous = position, total
+        signature = signatures[i]
+        for _, k in ranked[:higher]:
+            if _dominates(signatures[k], signature):
+                raise InternalInvariant(
+                    f"frontier keeps state {i} though kept state {k} dominates it"
+                )
+    if not table.live:
         raise InternalInvariant(
             "every feasible state has an undefined reference point; frontier is empty"
         )
+    if not efficient:
+        raise InternalInvariant("non-empty state set produced an empty frontier")
 
     entries = tuple(
         FrontierEntry(
             state_id=i,
             state=state,
-            efficient=i in bitmap_efficient,
+            efficient=i in efficient,
             degenerate=signature is None,
         )
         for i, (state, signature) in enumerate(
-            zip(enumerate_feasible(fs, polity), table.signatures)
+            zip(enumerate_feasible(fs, polity), signatures)
         )
     )
     return FrontierReport(entries)

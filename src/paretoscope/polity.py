@@ -585,7 +585,10 @@ def feasible_contains(fs: FeasibleSet, state: Allocation) -> bool:
             sum(column) * total.denominator == total.numerator * scale
             for column, total in zip(zip(*holdings), fs.totals)
         )
-    return any(s.flat() == state.flat() for s in fs.states)
+    if state.polity != fs.states[0].polity:
+        return False
+    flat = state.flat()
+    return any(s.flat() == flat for s in fs.states)
 
 
 def count_feasible(fs: FeasibleSet, polity: Polity) -> int:
@@ -595,11 +598,8 @@ def count_feasible(fs: FeasibleSet, polity: Polity) -> int:
         per_agent = math.prod(len(levels) for levels in fs.levels)
         return per_agent**polity.n_agents
     if isinstance(fs, FixedTotalLattice):
-        total = 1
-        for t in fs.totals:
-            units = int(t / fs.step)
-            total *= math.comb(units + polity.n_agents - 1, polity.n_agents - 1)
-        return total
+        k = polity.n_agents - 1
+        return math.prod(math.comb(units + k, k) for units in _lattice_units(fs))
     return len(fs.states)
 
 

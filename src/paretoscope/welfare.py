@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Sequence, Union
 
-from .engine import _read, _readings, transforms_for
+from .engine import _int_weights, _read, _readings, transforms_for
 from .errors import DimensionMismatch, ValidationError, VectorValuedAgentInfo
 from .polity import Allocation, Polity, _Holdings, _state_holdings, as_quantity
 from .transforms import WeightedOwn
@@ -82,15 +82,12 @@ class SwfSpec:
 
 def _int_combiner(combiner: Combiner, n_agents: int) -> tuple[tuple[int, ...] | None, int]:
     """``combiner``'s weights scaled to ints, with the factor they were scaled
-    by; ``None`` and 1 for an unweighted combiner.
-
-    The factor is the least common multiple of the weights' denominators.
+    by (``_int_weights``); ``None`` and 1 for an unweighted combiner.
     """
     if isinstance(combiner, WeightedSum):
         if len(combiner.weights) != n_agents:
             raise DimensionMismatch(f"{len(combiner.weights)} weights for {n_agents} agents")
-        factor = math.lcm(*[w.denominator for w in combiner.weights])
-        return tuple([w.numerator * (factor // w.denominator) for w in combiner.weights]), factor
+        return _int_weights(combiner.weights)
     if isinstance(combiner, (Sum, Maximin)):
         return None, 1
     raise ValidationError(f"unknown combiner {combiner!r}")

@@ -45,6 +45,9 @@ GOLDEN_RUNS = [
     # fractional levels, weighted relative transforms and degenerate states
     ("frontier", "check_move_mixed", "table", [], "frontier_check_move_mixed.table.txt"),
     ("frontier", "check_move_weighted", "csv", [], "frontier_check_move_weighted.csv"),
+    # efficient states on several signature sums
+    ("frontier", "frontier_mixed_box", "csv", [], "frontier_mixed_box.csv"),
+    ("frontier", "frontier_mixed_box", "table", [], "frontier_mixed_box.table.txt"),
     ("scan", "check_move_mixed", "csv", [], "scan_check_move_mixed.csv"),
     ("scan", "relmean_pair", "csv", [], "scan_relmean_pair.csv"),
     ("scan", "relmean_trio", "csv", [], "scan_relmean_trio.csv"),

@@ -12,9 +12,10 @@ import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from paretoscope import engine
@@ -812,41 +813,65 @@ def test_frontier_and_scan_match_the_pairwise_reference_on_grids(fs, polity, spe
     assert scan_all_moves(fs, polity, spec).improving_moves == moves
 
 
-def test_frontier_route_disagreement_raises(monkeypatch):
-    # a skyline that never sees dominance keeps every state, while the
-    # bitmap route keeps only the top corner: the cross-check must catch it
-    monkeypatch.setattr(engine, "_dominates", lambda a, b: False)
-    with pytest.raises(InternalInvariant, match="frontier routes disagree"):
-        enumerate_frontier(BoxGrid.shared([0, 1, 2]), Polity(2, 1), OwnBundle())
-
-
-def test_frontier_bitmap_disagreement_raises(monkeypatch):
-    # the mirror case: empty dominator bitsets keep every state, while the
-    # skyline keeps only the top corner
+def test_frontier_empty_masks_fail_the_antichain_check(monkeypatch):
+    # empty dominator bitsets keep every state, but the top corner (2,2)
+    # dominates the others: the antichain check must catch it
     monkeypatch.setattr(
         engine, "_dominator_masks", lambda table: ((i, 0) for i in table.live)
     )
-    with pytest.raises(InternalInvariant, match="frontier routes disagree"):
+    with pytest.raises(InternalInvariant, match="though kept state 8 dominates it"):
         enumerate_frontier(BoxGrid.shared([0, 1, 2]), Polity(2, 1), OwnBundle())
 
 
-def test_frontier_false_skyline_witness_raises(monkeypatch):
-    # a skyline that sees dominance everywhere drops (0,1) for (3,0), which
-    # does not improve on it: the check by definition must catch it
-    monkeypatch.setattr(engine, "_dominates", lambda a, b: True)
+def test_frontier_false_witness_raises(monkeypatch):
+    # a bitset that marks (0,1) as dominated by (3,0), which does not
+    # improve on it: the witness check by definition must catch it
+    monkeypatch.setattr(engine, "_dominator_masks", lambda table: iter([(0, 0), (1, 0b1)]))
     fs = ExplicitList((alloc(3, 0), alloc(0, 1)))
     with pytest.raises(InternalInvariant, match="does not improve on it"):
         enumerate_frontier(fs, Polity(2, 1), OwnBundle())
 
 
-def test_frontier_empty_on_both_routes_raises(monkeypatch):
-    # routes that agree on an empty frontier over live states still fail
+def test_frontier_all_dominated_raises(monkeypatch):
+    # witnesses that pass for every state still leave an empty frontier
+    # over live states, which must fail
     monkeypatch.setattr(
         engine, "_dominator_masks", lambda table: ((i, 1) for i in table.live)
     )
-    monkeypatch.setattr(engine, "_skyline", lambda table: ([], {}))
+    monkeypatch.setattr(engine, "_improves", lambda after, before: True)
     with pytest.raises(InternalInvariant, match="empty frontier"):
         enumerate_frontier(BoxGrid.shared([0, 1]), Polity(2, 1), OwnBundle())
+
+
+@given(_FRONTIER_CASES, st.data())
+def test_frontier_certificate_catches_every_single_mask_corruption(case, data):
+    # One state's dominator bitset is corrupted in one of three ways: a
+    # non-empty bitset cleared, an empty one given a bit, or a non-empty
+    # one given a non-dominator below its lowest bit.  Each changes which
+    # bitsets are empty or which witness is read, so the certificate must
+    # raise every time.
+    spec, states = case
+    fs = ExplicitList(states)
+    polity = fs.states[0].polity
+    table = engine.build_signature_table(fs, polity, spec)
+    live, masks = table.live, dict(engine._dominator_masks(table))
+    corruptions = []
+    for i, mask in masks.items():
+        if mask:
+            corruptions.append((i, 0))
+            low = mask & -mask
+            corruptions += [(i, mask | 1 << j) for j in live if 1 << j < low]
+        else:
+            corruptions += [(i, 1 << j) for j in live]
+    assume(corruptions)
+    state, corrupt = data.draw(st.sampled_from(corruptions))
+
+    def corrupted(table):
+        return ((i, corrupt if i == state else mask) for i, mask in masks.items())
+
+    with mock.patch.object(engine, "_dominator_masks", corrupted):
+        with pytest.raises(InternalInvariant):
+            enumerate_frontier(fs, polity, spec)
 
 
 @given(_FRONTIER_CASES)
@@ -868,10 +893,9 @@ def test_signature_table_scales_every_component_exactly(case):
             assert all(type(c) is int for c in components)
             assert tuple(Fraction(c, table.scale) for c in components) == expected
         assert table.signatures[i] == tuple(c for item in table.components[i] for c in item)
-        assert table.sums[i] == sum(table.signatures[i])
     assert len(table.signatures) == len(states)
     for i in set(range(len(states))) - set(table.live):
-        assert table.components[i] is None and table.sums[i] is None
+        assert table.components[i] is None and table.signatures[i] is None
     # the scale is the smallest that makes every live component an int
     assert table.scale == math.lcm(*denominators)
 
@@ -989,7 +1013,6 @@ def test_relative_mean_signatures_sum_to_agent_count(fs, polity, spec):
     assert table.live
     for i in table.live:
         assert sum(table.signatures[i]) == polity.n_agents * table.scale
-        assert table.sums[i] == polity.n_agents * table.scale
     report = enumerate_frontier(fs, polity, spec)
     assert report.efficient_ids == tuple(table.live)
 

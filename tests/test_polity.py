@@ -333,6 +333,11 @@ def test_feasible_contains():
     explicit = ExplicitList((alloc(1, 1),))
     assert feasible_contains(explicit, alloc(1, 1))
     assert not feasible_contains(explicit, alloc(0, 0))
+    # the flattened quantities agree, but 4 agents of 1 commodity are not
+    # 2 agents of 2 commodities
+    pairs = ExplicitList((alloc((1, 2), (3, 4)),))
+    assert feasible_contains(pairs, alloc((1, 2), (3, 4)))
+    assert not feasible_contains(pairs, alloc(1, 2, 3, 4))
 
 
 @pytest.mark.parametrize(
