@@ -8,11 +8,9 @@ Exit codes: 0 success, 1 scenario or argument problem, 2 engine error,
 
 from __future__ import annotations
 
-import argparse
-import logging
-import sys
-from itertools import islice
-
+# The package modules are compiled before argparse is imported: argparse
+# loads gettext and locale, and compiling after them raises the peak RSS of
+# every command.
 from . import __version__
 from .discovery import simulate_discovery
 from .engine import (
@@ -41,8 +39,13 @@ from .report import (
     render_move,
 )
 from .scenario import Scenario, load_scenario
-from .transforms import OwnBundle, transform_label
-from .welfare import _ranked, _welfare_ints, swf_label
+from .transforms import OwnBundle, swf_label, transform_label
+from .welfare import _ranked, _welfare_ints
+
+import argparse
+import logging
+import sys
+from itertools import islice
 
 logger = logging.getLogger(__name__)
 

@@ -18,7 +18,6 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Union
@@ -46,22 +45,6 @@ def as_quantity(value: int | str | Fraction) -> Fraction:
     return q
 
 
-class PartialOrderResult(Enum):
-    """Outcome of comparing two values under a partial order.
-
-    The componentwise comparison of exact vectors yields one of these four.
-    """
-
-    EQUAL = "equal"
-    STRICTLY_GREATER = "strictly_greater"
-    STRICTLY_LESS = "strictly_less"
-    INCOMPARABLE = "incomparable"
-
-    @property
-    def weakly_ge(self) -> bool:
-        return self in (PartialOrderResult.EQUAL, PartialOrderResult.STRICTLY_GREATER)
-
-
 @dataclass(frozen=True)
 class Bundle:
     """An agent's commodity holdings: a fixed-length vector of quantities."""
@@ -80,32 +63,6 @@ class Bundle:
     def plus_uniform(self, delta: Fraction) -> Bundle:
         """Return a copy with ``delta`` added to every commodity."""
         return Bundle(tuple(q + delta for q in self.quantities))
-
-
-def compare_bundles(a: Bundle, b: Bundle) -> PartialOrderResult:
-    """Compare two bundles under the componentwise partial order.
-
-    ``STRICTLY_GREATER`` means every component of ``a`` is at least as large
-    as ``b``'s with at least one strictly larger; ``INCOMPARABLE`` means the
-    componentwise differences carry both signs.
-    """
-    if a.dimension != b.dimension:
-        raise DimensionMismatch(f"bundle dimensions differ: {a.dimension} vs {b.dimension}")
-    some_up = some_down = False
-    for x, y in zip(a.quantities, b.quantities):
-        if x == y:
-            continue
-        if x > y:
-            some_up = True
-        else:
-            some_down = True
-        if some_up and some_down:
-            return PartialOrderResult.INCOMPARABLE
-    if some_up:
-        return PartialOrderResult.STRICTLY_GREATER
-    if some_down:
-        return PartialOrderResult.STRICTLY_LESS
-    return PartialOrderResult.EQUAL
 
 
 @dataclass(frozen=True)
@@ -215,34 +172,6 @@ class Move:
     @property
     def polity(self) -> Polity:
         return self.before.polity
-
-
-@dataclass(frozen=True)
-class MoveClassification:
-    """Partition of the polity by how a move changed each agent's bundle."""
-
-    gainers: frozenset[int]
-    weak_losers: frozenset[int]
-    mixed: frozenset[int]
-
-
-def classify_move_agents(move: Move) -> MoveClassification:
-    """Partition agents into strict gainers, weak losers, and mixed changers.
-
-    Gainers strictly increased their bundle in the componentwise order; weak
-    losers stayed equal or (weakly or strictly) decreased; mixed agents saw an
-    incomparable change.  The three sets always partition the polity.
-    """
-    gainers, weak_losers, mixed = set(), set(), set()
-    for agent in move.polity.agents:
-        result = compare_bundles(move.after.bundle_for(agent), move.before.bundle_for(agent))
-        if result is PartialOrderResult.STRICTLY_GREATER:
-            gainers.add(agent)
-        elif result is PartialOrderResult.INCOMPARABLE:
-            mixed.add(agent)
-        else:
-            weak_losers.add(agent)
-    return MoveClassification(frozenset(gainers), frozenset(weak_losers), frozenset(mixed))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InfeasibleConfig, ParseError, ValidationError
 from .polity import (
@@ -33,8 +34,14 @@ from .polity import (
     _unchecked_state,
     as_quantity,
 )
-from .transforms import RelativeToNeighborhood, TransformSpec, parse_transform
-from .welfare import SwfSpec, WeightedSum, parse_swf
+from .transforms import (
+    RelativeToNeighborhood,
+    SwfSpec,
+    TransformSpec,
+    WeightedSum,
+    parse_swf,
+    parse_transform,
+)
 
 _TRANSFORM_KEY = re.compile(r"^transform\.([0-9]+)$")
 
@@ -82,8 +89,7 @@ class Scenario:
         return Polity(self.n_agents, self.commodities)
 
 
-@dataclass
-class _Entry:
+class _Entry(NamedTuple):
     value: str
     line: int
     column: int

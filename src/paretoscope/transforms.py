@@ -10,13 +10,18 @@ agents).
 Scalar transforms aggregate a bundle as the weighted sum of its commodity
 quantities.  Weights must be strictly positive so that aggregation preserves
 strict componentwise dominance; ``None`` means unit weights.
+
+A welfare functional (``SwfSpec``) combines per-agent scalar values with
+``Sum``, ``WeightedSum`` or ``Maximin``.  Its specs and their grammar
+(``parse_swf``, ``swf_label``) live here beside the transform grammar, so
+that reading a scenario loads no ranking code; ``welfare`` ranks states
+by them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Union
 
@@ -26,13 +31,7 @@ from .errors import (
     ValidationError,
     ZeroReferencePoint,
 )
-from .polity import (
-    Allocation,
-    Bundle,
-    PartialOrderResult,
-    as_quantity,
-    compare_bundles,
-)
+from .polity import Allocation, Bundle, as_quantity
 
 PreferenceInfo = Union[Fraction, Bundle]
 
@@ -169,92 +168,6 @@ def evaluate_transform(
     return aggregate(own, spec.weights) / reference
 
 
-def compare_info(a: PreferenceInfo, b: PreferenceInfo) -> PartialOrderResult:
-    """Compare two pieces of preference information of the same shape."""
-    if isinstance(a, Bundle) and isinstance(b, Bundle):
-        return compare_bundles(a, b)
-    if isinstance(a, Bundle) or isinstance(b, Bundle):
-        raise DimensionMismatch("cannot compare vector information with scalar")
-    if a > b:
-        return PartialOrderResult.STRICTLY_GREATER
-    if a < b:
-        return PartialOrderResult.STRICTLY_LESS
-    return PartialOrderResult.EQUAL
-
-
-class Sign(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    ZERO = "zero"
-    MIXED = "mixed"
-
-
-@dataclass(frozen=True)
-class SignReport:
-    """Sign of an information change, with the exact endpoint values."""
-
-    sign: Sign
-    before: PreferenceInfo
-    after: PreferenceInfo
-
-
-def _sign_of_change(before: PreferenceInfo, after: PreferenceInfo) -> Sign:
-    result = compare_info(after, before)
-    if result is PartialOrderResult.STRICTLY_GREATER:
-        return Sign.POSITIVE
-    if result is PartialOrderResult.STRICTLY_LESS:
-        return Sign.NEGATIVE
-    if result is PartialOrderResult.EQUAL:
-        return Sign.ZERO
-    return Sign.MIXED
-
-
-def verify_own_monotonicity(
-    spec: TransformSpec,
-    allocation: Allocation,
-    agent: int,
-    delta: Fraction | int | str = 1,
-) -> SignReport:
-    """Sign of ``agent``'s information change when their own bundle grows.
-
-    Adds ``delta`` to every commodity of the agent's bundle and compares the
-    information before and after.  A well-behaved transform reports
-    ``POSITIVE`` here; a transform whose reference group is exactly the agent
-    itself reports ``ZERO`` (the ratio cancels).
-    """
-    step = as_quantity(delta)
-    if step <= 0:
-        raise ValidationError("monotonicity probe delta must be strictly positive")
-    before = evaluate_transform(spec, allocation, agent)
-    bumped = allocation.with_bundle(agent, allocation.bundle_for(agent).plus_uniform(step))
-    after = evaluate_transform(spec, bumped, agent)
-    return SignReport(_sign_of_change(before, after), before, after)
-
-
-def cross_effect_sign(
-    spec: TransformSpec,
-    allocation: Allocation,
-    observer: int,
-    gainer: int,
-    delta: Fraction | int | str = 1,
-) -> SignReport:
-    """Sign of ``observer``'s information change when ``gainer``'s bundle grows.
-
-    The observer and gainer must be distinct agents; the observer's own bundle
-    is untouched, so any change is a pure reference-group effect.  Absolute
-    transforms (``OwnBundle``, ``WeightedOwn``) always report ``ZERO``.
-    """
-    if observer == gainer:
-        raise ValidationError("cross effect requires distinct observer and gainer")
-    step = as_quantity(delta)
-    if step <= 0:
-        raise ValidationError("cross effect probe delta must be strictly positive")
-    before = evaluate_transform(spec, allocation, observer)
-    bumped = allocation.with_bundle(gainer, allocation.bundle_for(gainer).plus_uniform(step))
-    after = evaluate_transform(spec, bumped, observer)
-    return SignReport(_sign_of_change(before, after), before, after)
-
-
 _WEIGHTS_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\((.*)\))?\s*$")
 
 
@@ -319,3 +232,74 @@ def transform_label(spec: TransformSpec) -> str:
     if spec.weights is None:
         return f"relative_nbhd({ids})"
     return f"relative_nbhd({ids};{','.join(str(w) for w in spec.weights)})"
+
+
+@dataclass(frozen=True)
+class Sum:
+    """Unweighted total of agent values."""
+
+
+@dataclass(frozen=True)
+class WeightedSum:
+    """Weighted total; weights are per-agent, non-negative, not all zero."""
+
+    weights: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        coerced = tuple(as_quantity(w) for w in self.weights)
+        object.__setattr__(self, "weights", coerced)
+        if not coerced:
+            raise ValidationError("weighted_sum needs at least one weight")
+        if all(w == 0 for w in coerced):
+            raise ValidationError("weighted_sum weights are all zero")
+
+
+@dataclass(frozen=True)
+class Maximin:
+    """Value of the worst-off agent."""
+
+
+Combiner = Union[Sum, WeightedSum, Maximin]
+
+
+@dataclass(frozen=True)
+class SwfSpec:
+    """A combiner plus the per-agent value transforms it combines.
+
+    ``agent_values`` follows the same convention as the engine: a bare
+    transform applies to every agent, a mapping assigns per agent, and
+    ``None`` means unit-weighted own aggregates.
+    """
+
+    combiner: Combiner
+    agent_values: object = None
+
+
+def parse_swf(text: str) -> SwfSpec:
+    """Parse ``sum`` | ``weighted_sum(w1,...)`` | ``maximin``."""
+    match = _WEIGHTS_RE.match(text)
+    if not match:
+        raise ValidationError(f"cannot parse welfare functional {text!r}")
+    name, args = match.group(1), match.group(2)
+    if name == "sum":
+        if args is not None:
+            raise ValidationError("sum takes no arguments")
+        return SwfSpec(Sum())
+    if name == "maximin":
+        if args is not None:
+            raise ValidationError("maximin takes no arguments")
+        return SwfSpec(Maximin())
+    if name == "weighted_sum":
+        if args is None or not args.strip():
+            raise ValidationError("weighted_sum requires a weight list")
+        return SwfSpec(WeightedSum(_parse_numbers(args, "weight")))
+    raise ValidationError(f"unknown welfare functional {name!r}")
+
+
+def swf_label(spec: SwfSpec) -> str:
+    """Stable textual form of a welfare functional."""
+    if isinstance(spec.combiner, Sum):
+        return "sum"
+    if isinstance(spec.combiner, Maximin):
+        return "maximin"
+    return f"weighted_sum({','.join(str(w) for w in spec.combiner.weights)})"

@@ -7,7 +7,10 @@ canonical collapse, so it is rejected rather than silently averaged.
 
 Only additive combiners and the maximin floor are offered.  A multiplicative
 combiner is deliberately absent: any agent at zero would pin the product to
-zero regardless of everyone else.
+zero regardless of everyone else.  The specs themselves (``Sum``,
+``WeightedSum``, ``Maximin``, ``SwfSpec``) and their grammar (``parse_swf``,
+``swf_label``) live in ``transforms``, so a scenario is read without loading
+this module or the engine.
 
 Welfare is ranked on exact ints, by the reading the engine uses for moves,
 frontiers and efficiency: every agent's transform is resolved once
@@ -26,58 +29,16 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .engine import _int_weights, _read, _readings, transforms_for
 from .errors import DimensionMismatch, ValidationError, VectorValuedAgentInfo
-from .polity import Allocation, Polity, _Holdings, _state_holdings, as_quantity
-from .transforms import WeightedOwn
-
-
-@dataclass(frozen=True)
-class Sum:
-    """Unweighted total of agent values."""
-
-
-@dataclass(frozen=True)
-class WeightedSum:
-    """Weighted total; weights are per-agent, non-negative, not all zero."""
-
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        coerced = tuple(as_quantity(w) for w in self.weights)
-        object.__setattr__(self, "weights", coerced)
-        if not coerced:
-            raise ValidationError("weighted_sum needs at least one weight")
-        if all(w == 0 for w in coerced):
-            raise ValidationError("weighted_sum weights are all zero")
-
-
-@dataclass(frozen=True)
-class Maximin:
-    """Value of the worst-off agent."""
-
-
-Combiner = Union[Sum, WeightedSum, Maximin]
-
-
-@dataclass(frozen=True)
-class SwfSpec:
-    """A combiner plus the per-agent value transforms it combines.
-
-    ``agent_values`` follows the same convention as the engine: a bare
-    transform applies to every agent, a mapping assigns per agent, and
-    ``None`` means unit-weighted own aggregates.
-    """
-
-    combiner: Combiner
-    agent_values: object = None
+from .polity import Allocation, Polity, _Holdings, _state_holdings
+from .transforms import Combiner, Maximin, Sum, SwfSpec, WeightedOwn, WeightedSum
 
 
 def _int_combiner(combiner: Combiner, n_agents: int) -> tuple[tuple[int, ...] | None, int]:
@@ -204,39 +165,3 @@ def welfare_rank(spec: SwfSpec, states: Sequence[Allocation]) -> Ranking:
 def welfare_value(spec: SwfSpec, allocation: Allocation) -> Fraction:
     """The welfare of one allocation under ``spec``."""
     return welfare_rank(spec, (allocation,)).entries[0].value
-
-
-_SWF_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\((.*)\))?\s*$")
-
-
-def parse_swf(text: str) -> SwfSpec:
-    """Parse ``sum`` | ``weighted_sum(w1,...)`` | ``maximin``."""
-    match = _SWF_RE.match(text)
-    if not match:
-        raise ValidationError(f"cannot parse welfare functional {text!r}")
-    name, args = match.group(1), match.group(2)
-    if name == "sum":
-        if args is not None:
-            raise ValidationError("sum takes no arguments")
-        return SwfSpec(Sum())
-    if name == "maximin":
-        if args is not None:
-            raise ValidationError("maximin takes no arguments")
-        return SwfSpec(Maximin())
-    if name == "weighted_sum":
-        if args is None or not args.strip():
-            raise ValidationError("weighted_sum requires a weight list")
-        parts = [p.strip() for p in args.split(",")]
-        if any(not p for p in parts):
-            raise ValidationError(f"empty entry in weight list: {args!r}")
-        return SwfSpec(WeightedSum(tuple(as_quantity(p) for p in parts)))
-    raise ValidationError(f"unknown welfare functional {name!r}")
-
-
-def swf_label(spec: SwfSpec) -> str:
-    """Stable textual form of a welfare functional."""
-    if isinstance(spec.combiner, Sum):
-        return "sum"
-    if isinstance(spec.combiner, Maximin):
-        return "maximin"
-    return f"weighted_sum({','.join(str(w) for w in spec.combiner.weights)})"

@@ -27,6 +27,7 @@ from paretoscope import (
     parse_scenario,
 )
 from paretoscope import scenario as scenario_module
+from paretoscope.cli import main
 from paretoscope.scenario import _Literals, _parse_allocation
 
 DATA = Path(__file__).parent / "data"
@@ -98,6 +99,26 @@ def test_swf_weights_all_zero():
 def test_swf_weight_count_checked():
     with pytest.raises(ValidationError, match="2 agents"):
         parse_scenario(MINIMAL + "swf = weighted_sum(1,2,3)\n")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("product", "swf: unknown welfare functional 'product'"),
+        ("weighted_sum(1,,2)", "swf: empty entry in weight list: '1,,2'"),
+        ("weighted_sum(0,0)", "swf: weighted_sum weights are all zero"),
+        ("weighted_sum(1,2,3)", "swf: 3 weights for 2 agents"),
+    ],
+)
+def test_swf_errors_name_the_key(value, message, tmp_path, capsys):
+    with pytest.raises(ValidationError) as caught:
+        parse_scenario(MINIMAL + f"swf = {value}\n")
+    assert str(caught.value) == message
+    assert caught.value.key == "swf"
+    path = tmp_path / "bad_swf.scn"
+    path.write_text(MINIMAL + f"swf = {value}\n")
+    assert main(["welfare", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_swf_parses():

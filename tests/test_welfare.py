@@ -158,9 +158,20 @@ def test_parse_swf_grammar():
     assert parse_swf("weighted_sum(0,1)").combiner == WeightedSum(
         (Fraction(0), Fraction(1))
     )
-    for bad in ("product", "sum(1)", "maximin()", "weighted_sum", "weighted_sum(0,0)"):
-        with pytest.raises(ValidationError):
+    for bad, message in (
+        ("product", "unknown welfare functional 'product'"),
+        ("sum(1)", "sum takes no arguments"),
+        ("maximin()", "maximin takes no arguments"),
+        ("weighted_sum", "weighted_sum requires a weight list"),
+        ("weighted_sum()", "weighted_sum requires a weight list"),
+        ("weighted_sum(1,,2)", "empty entry in weight list: '1,,2'"),
+        ("weighted_sum(0,0)", "weighted_sum weights are all zero"),
+        ("", "cannot parse welfare functional ''"),
+    ):
+        with pytest.raises(ValidationError) as caught:
             parse_swf(bad)
+        assert str(caught.value) == message
+        assert caught.value.key is None
 
 
 def test_swf_label_round_trips():
