@@ -49,7 +49,6 @@ _EXPORTS = {
         "enumerate_frontier",
         "is_pareto_efficient",
         "scan_all_moves",
-        "transforms_for",
     ),
     "errors": (
         "CapExceeded",
@@ -105,6 +104,7 @@ _EXPORTS = {
         "parse_transform",
         "swf_label",
         "transform_label",
+        "transforms_for",
     ),
     "welfare": ("RankEntry", "Ranking", "welfare_rank", "welfare_value"),
 }

@@ -11,31 +11,31 @@ rises and at least one agent's strictly rises.  Three checkers implement this:
   bundle changes.  It is a genuinely separate evaluation route: the tests
   confirm it agrees with the definitional checker rather than assuming it.
 
-One int reading serves moves and states alike: ``_reading`` resolves each
-agent's transform once, and ``_read`` takes that agent's information at one
+Every transform is read on ints by the one reading layer in
+``transforms``: ``_readings`` resolves every agent's transform before any
+state is read, and ``_read_state`` takes every agent's information at one
 state from int holdings as int components over a positive int, with no
-``Fraction`` arithmetic.  Every agent's reading is resolved before any state
-is read.  All three checkers read one exact-int evaluation of the move built
-from it (``_move_information``): each agent's information at both ends as
-int component tuples that compare exactly as the information does.
-``check_moves`` resolves the readings once per polity shape and yields all
-three verdicts per move from that evaluation; ``check_move`` is its one-move
-case, and the single checkers build the same evaluation from the same
-readings.  The checkers share one definition of improvement with reasons
-(``_tally``); ``_improves`` is its yes/no form for the loops that need no
-reasons.  Frontiers and scans read one ``SignatureTable``, built by the same
-reading once per state from the feasible set's int state stream
-(``feasible_holdings``, with no ``Allocation`` made) and scaled to exact
-ints by one common factor, and one dominance layer over it
-(``_dominator_masks``) that gives each state the bitset of the states that
-dominate it.  A scan counts its improving moves from those bitsets and
-keeps them, so the moves are listed only on demand.  ``is_pareto_efficient``
-reads the state and each target by the same readings and compares them as
-a move's ends (``_comparable``).  No transform is evaluated on
-``Fraction``s here; the tests keep the public ``evaluate_transform`` as the
-reference the int routes must match.  ``enumerate_frontier`` certifies
-those bitsets on every call: each dominated state is checked by definition
-against one dominator, and no efficient state may dominate another.
+``Fraction`` arithmetic.  All three checkers read one exact-int evaluation
+of the move built from it (``_move_information``): each agent's information
+at both ends as int component tuples that compare exactly as the
+information does.  ``check_moves`` resolves the readings once per polity
+shape and yields all three verdicts per move from that evaluation;
+``check_move`` is its one-move case, and the single checkers build the same
+evaluation from the same readings.  The checkers share one definition of
+improvement with reasons (``_tally``); ``_improves`` is its yes/no form for
+the loops that need no reasons.  Frontiers and scans read one
+``SignatureTable``, built by the same reading once per state from the
+feasible set's int state stream (``feasible_holdings``, with no
+``Allocation`` made) and scaled to exact ints by one common factor, and one
+dominance layer over it (``_dominator_masks``) that gives each state the
+bitset of the states that dominate it.  A scan counts its improving moves
+from those bitsets and keeps them, so the moves are listed only on demand.
+``is_pareto_efficient`` reads the state and each target by the same
+readings and compares them as a move's ends (``_comparable``).  The tests
+hold every int route against a separate evaluation of the transforms on
+``Fraction``s.  ``enumerate_frontier`` certifies those bitsets on every
+call: each dominated state is checked by definition against one dominator,
+and no efficient state may dominate another.
 """
 
 from __future__ import annotations
@@ -45,23 +45,16 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import (
-    CapExceeded,
-    HypothesisViolated,
-    InternalInvariant,
-    InvalidAgent,
-    ValidationError,
-    ZeroReferencePoint,
-)
+from .errors import CapExceeded, HypothesisViolated, InternalInvariant, ZeroReferencePoint
 from .polity import (
     Allocation,
     FeasibleSet,
     Move,
     Polity,
     _Holdings,
+    _own_holdings,
     _state_holdings,
     count_feasible,
     enumerate_feasible,
@@ -71,40 +64,18 @@ from .polity import (
 )
 from .transforms import (
     OwnBundle,
-    RelativeToMean,
-    RelativeToNeighborhood,
     TransformSpec,
+    Transforms,
     WeightedOwn,
-    check_weight_count,
-    neighborhood_members,
+    _Reading,
+    _read_state,
+    _readings,
+    transforms_for,
 )
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_SCAN_CAP = 200_000
-
-Transforms = Union[TransformSpec, Mapping[int, TransformSpec]]
-
-_SPEC_TYPES = (OwnBundle, WeightedOwn, RelativeToMean, RelativeToNeighborhood)
-
-
-def transforms_for(polity: Polity, transforms: Transforms) -> dict[int, TransformSpec]:
-    """Normalize a transform assignment to one spec per agent.
-
-    A bare spec applies to every agent; a mapping must cover the polity
-    exactly.
-    """
-    if isinstance(transforms, _SPEC_TYPES):
-        return {a: transforms for a in polity.agents}
-    mapping = dict(transforms)
-    missing = [a for a in polity.agents if a not in mapping]
-    if missing:
-        raise ValidationError(f"no transform assigned to agent(s) {missing}")
-    extra = sorted(a for a in mapping if a not in polity.agents)
-    if extra:
-        raise InvalidAgent(f"transform assigned to unknown agent(s) {extra}")
-    return {a: mapping[a] for a in polity.agents}
-
 
 class Method(Enum):
     DEFINITIONAL = "definitional"
@@ -213,92 +184,6 @@ def _scaled_holdings(move: Move) -> tuple[_Holdings, _Holdings]:
     return tuple([_state_holdings(end, scale) for end in ends])
 
 
-def _int_weights(weights: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
-    """Positive weights scaled to ints, with the factor they were scaled by.
-
-    The factor is the least common multiple of the weights' denominators.
-    """
-    scale = math.lcm(*[w.denominator for w in weights])
-    return tuple([w.numerator * (scale // w.denominator) for w in weights]), scale
-
-
-def _int_aggregate(holding: tuple[int, ...], weights: tuple[int, ...] | None) -> int:
-    if weights is None:
-        return sum(holding)
-    return sum(map(operator.mul, weights, holding))
-
-
-class _Reading(NamedTuple):
-    """How a scalar transform reads an agent's information from int holdings."""
-
-    weights: tuple[int, ...] | None  # int aggregation weights; None for unit weights
-    weight_scale: int  # the factor the weights were scaled by
-    group: list[int] | range | None  # 0-based reference group; None when absolute
-
-
-def _reading(
-    spec: TransformSpec, agent: int, n_agents: int, dimension: int
-) -> _Reading | None:
-    """How ``agent``'s information under ``spec`` is read from int holdings.
-
-    ``None`` means the information is the bundle itself.  Raises what
-    ``evaluate_transform`` raises before it evaluates anything, in the same
-    order: ``InvalidAgent`` for a neighbourhood member outside the polity,
-    then ``DimensionMismatch`` for a weight count that does not match the
-    commodities.
-    """
-    if isinstance(spec, OwnBundle):
-        return None
-    if isinstance(spec, WeightedOwn):
-        group = None
-    elif isinstance(spec, RelativeToMean):
-        group = range(n_agents)
-    elif isinstance(spec, RelativeToNeighborhood):
-        group = [m - 1 for m in neighborhood_members(spec, agent, n_agents)]
-    else:
-        raise ValidationError(f"unknown transform spec {spec!r}")
-    if spec.weights is None:
-        return _Reading(None, 1, group)
-    check_weight_count(spec.weights, dimension)
-    return _Reading(*_int_weights(spec.weights), group)
-
-
-def _read(
-    reading: _Reading | None, holdings: _Holdings, agent: int, unit: int
-) -> tuple[tuple[int, ...], int]:
-    """``agent``'s information at one state as int components over a positive int.
-
-    ``holdings`` holds every quantity times ``unit``.  The components
-    divided by the returned denominator are exactly the information:
-    ``unit`` for the bundle itself, ``unit`` times the weight scale for a
-    weighted sum, and for a relative transform, whose value aggₖ / (Σ_G agg
-    / |G|) does not depend on either scale, |G|·aggₖ over Σ_G agg.
-
-    Raises ``ZeroReferencePoint`` when the reference Σ_G agg is zero.
-    """
-    own = holdings[agent - 1]
-    if reading is None:
-        return own, unit
-    weights, weight_scale, group = reading
-    value = _int_aggregate(own, weights)
-    if group is None:
-        return (value,), unit * weight_scale
-    reference = sum(_int_aggregate(holdings[m], weights) for m in group)
-    if reference == 0:
-        raise ZeroReferencePoint(f"reference mean for agent {agent} is zero", agent=agent)
-    return (len(group) * value,), reference
-
-
-def _readings(
-    specs: dict[int, TransformSpec], polity: Polity
-) -> list[tuple[int, _Reading | None]]:
-    """Every agent with its reading under ``specs``, resolved in agent order."""
-    return [
-        (agent, _reading(spec, agent, polity.n_agents, polity.commodity_dim))
-        for agent, spec in specs.items()
-    ]
-
-
 def _move_information(
     readings: list[tuple[int, _Reading | None]], holdings: tuple[_Holdings, _Holdings]
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -316,11 +201,11 @@ def _move_information(
     """
     after_holdings, before_holdings = holdings
     try:
-        before = [_read(reading, before_holdings, agent, 1) for agent, reading in readings]
+        before = _read_state(readings, before_holdings, 1)
     except ZeroReferencePoint as exc:
         raise _tagged_zero_reference(exc, "from") from exc
     try:
-        after = [_read(reading, after_holdings, agent, 1) for agent, reading in readings]
+        after = _read_state(readings, after_holdings, 1)
     except ZeroReferencePoint as exc:
         raise _tagged_zero_reference(exc, "to") from exc
     return _comparable(after, before)
@@ -578,7 +463,7 @@ def build_signature_table(
     denominators: set[int] = set()
     for idx, holdings in enumerate(feasible):
         try:
-            row = [_read(reading, holdings, agent, unit) for agent, reading in readings]
+            row = _read_state(readings, holdings, unit)
         except ZeroReferencePoint as exc:
             if warning is not None:
                 logger.warning("state %d %s: %s", idx, warning, exc)
@@ -659,10 +544,9 @@ def is_pareto_efficient(
     readings = _readings(specs, polity)
     if not feasible_contains(fs, state):
         logger.warning("state %s is not in the declared feasible set", state.flat())
-    scale = math.lcm(*[q.denominator for q in state.flat()])
-    holdings = _state_holdings(state, scale)
+    scale, holdings = _own_holdings(state)
     try:
-        before = [_read(reading, holdings, agent, scale) for agent, reading in readings]
+        before = _read_state(readings, holdings, scale)
     except ZeroReferencePoint as exc:
         raise _tagged_zero_reference(exc, "from") from exc
     unit, feasible = feasible_holdings(fs, polity)
@@ -677,7 +561,7 @@ def is_pareto_efficient(
     # on large sets and the search stops at the first witness.
     for target, holdings in targets:
         try:
-            after = [_read(reading, holdings, agent, unit) for agent, reading in readings]
+            after = _read_state(readings, holdings, unit)
         except ZeroReferencePoint:
             skipped += 1
             continue

@@ -366,6 +366,13 @@ def _state_holdings(state: Allocation, scale: int) -> _Holdings:
     return tuple([_scaled(b.quantities, scale) for b in state.bundles])
 
 
+def _own_holdings(state: Allocation) -> tuple[int, _Holdings]:
+    """``state``'s holdings on its own int scale: ``(scale, holdings)``, where
+    the scale is the least common multiple of the state's denominators."""
+    scale = math.lcm(*[q.denominator for q in state.flat()])
+    return scale, _state_holdings(state, scale)
+
+
 def feasible_holdings(fs: FeasibleSet, polity: Polity) -> tuple[int, Iterator[_Holdings]]:
     """The states of ``enumerate_feasible(fs, polity)`` as int holdings, in order.
 
@@ -505,8 +512,7 @@ def feasible_contains(fs: FeasibleSet, state: Allocation) -> bool:
         # On the state's own int scale s, a quantity h / s is a whole number
         # of steps p / d when h·d is a multiple of p·s, and a sum of
         # holdings H is the total n / m when H·m = n·s.
-        scale = math.lcm(*[q.denominator for q in state.flat()])
-        holdings = _state_holdings(state, scale)
+        scale, holdings = _own_holdings(state)
         d, cell = fs.step.denominator, fs.step.numerator * scale
         if any(h * d % cell for bundle in holdings for h in bundle):
             return False

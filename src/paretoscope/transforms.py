@@ -11,6 +11,14 @@ Scalar transforms aggregate a bundle as the weighted sum of its commodity
 quantities.  Weights must be strictly positive so that aggregation preserves
 strict componentwise dominance; ``None`` means unit weights.
 
+Each transform is defined once, on ints.  ``_reading`` resolves an agent's
+transform to int weights and a reference group, and ``_read`` takes the
+agent's information at one state from int holdings as int components over
+a positive int; ``_readings`` and ``_read_state`` do so for every agent.
+Every command reads through them.  ``evaluate_transform`` is the public
+one-state form: it reads one allocation on its own int scale and returns
+the information as an exact ``Fraction`` or the agent's bundle.
+
 A welfare functional (``SwfSpec``) combines per-agent scalar values with
 ``Sum``, ``WeightedSum`` or ``Maximin``.  Its specs and their grammar
 (``parse_swf``, ``swf_label``) live here beside the transform grammar, so
@@ -20,18 +28,15 @@ by them.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Mapping, NamedTuple, Union
 
-from .errors import (
-    DimensionMismatch,
-    InvalidAgent,
-    ValidationError,
-    ZeroReferencePoint,
-)
-from .polity import Allocation, Bundle, as_quantity
+from .errors import DimensionMismatch, InvalidAgent, ValidationError, ZeroReferencePoint
+from .polity import Allocation, Bundle, Polity, _Holdings, _own_holdings, as_quantity
 
 PreferenceInfo = Union[Fraction, Bundle]
 
@@ -91,6 +96,28 @@ class RelativeToNeighborhood:
 
 TransformSpec = Union[OwnBundle, WeightedOwn, RelativeToMean, RelativeToNeighborhood]
 
+Transforms = Union[TransformSpec, Mapping[int, TransformSpec]]
+
+_SPEC_TYPES = (OwnBundle, WeightedOwn, RelativeToMean, RelativeToNeighborhood)
+
+
+def transforms_for(polity: Polity, transforms: Transforms) -> dict[int, TransformSpec]:
+    """Normalize a transform assignment to one spec per agent.
+
+    A bare spec applies to every agent; a mapping must cover the polity
+    exactly.
+    """
+    if isinstance(transforms, _SPEC_TYPES):
+        return {a: transforms for a in polity.agents}
+    mapping = dict(transforms)
+    missing = [a for a in polity.agents if a not in mapping]
+    if missing:
+        raise ValidationError(f"no transform assigned to agent(s) {missing}")
+    extra = sorted(a for a in mapping if a not in polity.agents)
+    if extra:
+        raise InvalidAgent(f"transform assigned to unknown agent(s) {extra}")
+    return {a: mapping[a] for a in polity.agents}
+
 
 def check_weight_count(weights: tuple[Fraction, ...], dimension: int) -> None:
     """Raise ``DimensionMismatch`` unless there is one weight per commodity."""
@@ -106,15 +133,6 @@ def aggregate(bundle: Bundle, weights: tuple[Fraction, ...] | None) -> Fraction:
         terms = tuple(w * q for w, q in zip(weights, terms))
     # A bundle is never empty; starting from the first term saves adding 0.
     return sum(terms[1:], terms[0])
-
-
-def _mean_aggregate(
-    bundles: tuple[Bundle, ...], weights: tuple[Fraction, ...] | None
-) -> Fraction:
-    total = aggregate(bundles[0], weights)
-    for bundle in bundles[1:]:
-        total += aggregate(bundle, weights)
-    return total / len(bundles)
 
 
 def neighborhood_members(
@@ -135,37 +153,116 @@ def neighborhood_members(
     return group
 
 
+def _int_weights(weights: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    """Positive weights scaled to ints, with the factor they were scaled by.
+
+    The factor is the least common multiple of the weights' denominators.
+    """
+    scale = math.lcm(*[w.denominator for w in weights])
+    return tuple([w.numerator * (scale // w.denominator) for w in weights]), scale
+
+
+def _int_aggregate(holding: tuple[int, ...], weights: tuple[int, ...] | None) -> int:
+    if weights is None:
+        return sum(holding)
+    return sum(map(operator.mul, weights, holding))
+
+
+class _Reading(NamedTuple):
+    """How a scalar transform reads an agent's information from int holdings."""
+
+    weights: tuple[int, ...] | None  # int aggregation weights; None for unit weights
+    weight_scale: int  # the factor the weights were scaled by
+    group: list[int] | range | None  # 0-based reference group; None when absolute
+
+
+def _reading(
+    spec: TransformSpec, agent: int, n_agents: int, dimension: int
+) -> _Reading | None:
+    """How ``agent``'s information under ``spec`` is read from int holdings.
+
+    ``None`` means the information is the bundle itself.  Raises, before
+    any holding is read: ``InvalidAgent`` for a neighbourhood member outside
+    the polity, then ``DimensionMismatch`` for a weight count that does not
+    match the commodities.
+    """
+    if isinstance(spec, OwnBundle):
+        return None
+    if isinstance(spec, WeightedOwn):
+        group = None
+    elif isinstance(spec, RelativeToMean):
+        group = range(n_agents)
+    elif isinstance(spec, RelativeToNeighborhood):
+        group = [m - 1 for m in neighborhood_members(spec, agent, n_agents)]
+    else:
+        raise ValidationError(f"unknown transform spec {spec!r}")
+    if spec.weights is None:
+        return _Reading(None, 1, group)
+    check_weight_count(spec.weights, dimension)
+    return _Reading(*_int_weights(spec.weights), group)
+
+
+def _read(
+    reading: _Reading | None, holdings: _Holdings, agent: int, unit: int
+) -> tuple[tuple[int, ...], int]:
+    """``agent``'s information at one state as int components over a positive int.
+
+    ``holdings`` holds every quantity times ``unit``.  The components
+    divided by the returned denominator are exactly the information:
+    ``unit`` for the bundle itself, ``unit`` times the weight scale for a
+    weighted sum, and for a relative transform, whose value aggₖ / (Σ_G agg
+    / |G|) does not depend on either scale, |G|·aggₖ over Σ_G agg.
+
+    Raises ``ZeroReferencePoint`` when the reference Σ_G agg is zero.
+    """
+    own = holdings[agent - 1]
+    if reading is None:
+        return own, unit
+    weights, weight_scale, group = reading
+    value = _int_aggregate(own, weights)
+    if group is None:
+        return (value,), unit * weight_scale
+    reference = sum(_int_aggregate(holdings[m], weights) for m in group)
+    if reference == 0:
+        raise ZeroReferencePoint(f"reference mean for agent {agent} is zero", agent=agent)
+    return (len(group) * value,), reference
+
+
+def _readings(
+    specs: dict[int, TransformSpec], polity: Polity
+) -> list[tuple[int, _Reading | None]]:
+    """Every agent with its reading under ``specs``, resolved in agent order."""
+    return [
+        (agent, _reading(spec, agent, polity.n_agents, polity.commodity_dim))
+        for agent, spec in specs.items()
+    ]
+
+
+def _read_state(
+    readings: list[tuple[int, _Reading | None]], holdings: _Holdings, unit: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """``_read`` of every agent in ``readings`` at one state, in their order."""
+    return [_read(reading, holdings, agent, unit) for agent, reading in readings]
+
+
 def evaluate_transform(
     spec: TransformSpec, allocation: Allocation, agent: int
 ) -> PreferenceInfo:
     """The information ``agent`` receives at ``allocation`` under ``spec``.
 
     Returns a ``Bundle`` for ``OwnBundle`` over multiple commodities and an
-    exact scalar otherwise.  Raises ``ZeroReferencePoint`` when a relative
-    transform's reference mean is zero: the ratio is undefined there.
+    exact scalar, read by ``_read``, otherwise.  Raises ``InvalidAgent`` for
+    an agent outside the polity, then what ``_reading`` and ``_read`` raise.
     """
     if not 1 <= agent <= allocation.n_agents:
         raise InvalidAgent(f"agent {agent} not in 1..{allocation.n_agents}")
-    own = allocation.bundle_for(agent)
-    if isinstance(spec, OwnBundle):
-        if own.dimension == 1:
-            return own.quantities[0]
-        return own
-    if isinstance(spec, WeightedOwn):
-        return aggregate(own, spec.weights)
-    if isinstance(spec, RelativeToMean):
-        members = allocation.bundles
-    elif isinstance(spec, RelativeToNeighborhood):
-        group = neighborhood_members(spec, agent, allocation.n_agents)
-        members = tuple(allocation.bundle_for(m) for m in group)
-    else:
-        raise ValidationError(f"unknown transform spec {spec!r}")
-    reference = _mean_aggregate(members, spec.weights)
-    if reference == 0:
-        raise ZeroReferencePoint(
-            f"reference mean for agent {agent} is zero", agent=agent
-        )
-    return aggregate(own, spec.weights) / reference
+    reading = _reading(spec, agent, allocation.n_agents, allocation.dimension)
+    if reading is None:
+        own = allocation.bundles[agent - 1]
+        return own.quantities[0] if own.dimension == 1 else own
+    unit, holdings = _own_holdings(allocation)
+    (value,), den = _read(reading, holdings, agent, unit)
+    return Fraction(value, den)
 
 
 _WEIGHTS_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\((.*)\))?\s*$")

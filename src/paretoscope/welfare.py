@@ -12,17 +12,17 @@ zero regardless of everyone else.  The specs themselves (``Sum``,
 ``swf_label``) live in ``transforms``, so a scenario is read without loading
 this module or the engine.
 
-Welfare is ranked on exact ints, by the reading the engine uses for moves,
-frontiers and efficiency: every agent's transform is resolved once
-(``_readings``), each state is read from its int holdings (``_read``), every
-agent value is scaled to one common positive denominator, and the combiner
-works on those ints (``_welfare_ints``).  That is the one core.  The
-``welfare`` command feeds it the feasible set's int state stream
-(``feasible_holdings``) and renders its rows from the holdings;
-``welfare_rank`` feeds it its allocations' holdings and makes a ``Fraction``
-only for each entry it returns; ``welfare_value`` is the one-state case.  No
-transform is evaluated on ``Fraction``s here; the tests keep that route as
-the reference.
+Welfare is ranked on exact ints, by the one reading layer in ``transforms``
+that also serves moves, frontiers and efficiency: every agent's transform
+is resolved once (``_readings``), each state is read from its int holdings
+(``_read_state``), every agent value is scaled to one common positive
+denominator, and the combiner works on those ints (``_welfare_ints``).
+That is the one core.  The ``welfare`` command feeds it the feasible set's
+int state stream (``feasible_holdings``) and renders its rows from the
+holdings; ``welfare_rank`` feeds it its allocations' holdings and makes a
+``Fraction`` only for each entry it returns; ``welfare_value`` is the
+one-state case.  The tests hold it against a ranking computed on
+``Fraction``s from a separate evaluation of the transforms.
 """
 
 from __future__ import annotations
@@ -35,10 +35,20 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Sequence
 
-from .engine import _int_weights, _read, _readings, transforms_for
 from .errors import DimensionMismatch, ValidationError, VectorValuedAgentInfo
 from .polity import Allocation, Polity, _Holdings, _state_holdings
-from .transforms import Combiner, Maximin, Sum, SwfSpec, WeightedOwn, WeightedSum
+from .transforms import (
+    Combiner,
+    Maximin,
+    Sum,
+    SwfSpec,
+    WeightedOwn,
+    WeightedSum,
+    _int_weights,
+    _read_state,
+    _readings,
+    transforms_for,
+)
 
 
 def _int_combiner(combiner: Combiner, n_agents: int) -> tuple[tuple[int, ...] | None, int]:
@@ -86,12 +96,11 @@ def _welfare_ints(
     for state in holdings:
         if vector:
             # the agents before it are read at the first state
-            for agent, reading in readings[: vector - 1]:
-                _read(reading, state, agent, unit)
+            _read_state(readings[: vector - 1], state, unit)
             raise VectorValuedAgentInfo(
                 f"agent {vector} yields vector information; welfare needs scalars"
             )
-        row = [_read(reading, state, agent, unit) for agent, reading in readings]
+        row = _read_state(readings, state, unit)
         # the denominator of value / den in lowest terms
         denominators.update([den // math.gcd(den, value) for (value,), den in row])
         rows.append(row)

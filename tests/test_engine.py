@@ -60,18 +60,19 @@ from paretoscope import (
     count_feasible,
     enumerate_feasible,
     enumerate_frontier,
-    evaluate_transform,
     is_pareto_efficient,
     scan_all_moves,
     transforms_for,
     unrank_feasible,
 )
 
+from fraction_reference import evaluate_transform as reference_transform
+
 DATA = Path(__file__).parent / "data"
 
 
 def info_components(info):
-    """Flatten ``evaluate_transform``'s information to its components: a
+    """Flatten ``reference_transform``'s information to its components: a
     bundle's quantities, or a scalar as a 1-tuple."""
     if isinstance(info, Bundle):
         return info.quantities
@@ -238,8 +239,9 @@ def test_improves_is_the_tally_verdict(pair):
 
 # --- The int move evaluation against a Fraction reference ------------------
 #
-# The reference evaluates every transform with ``evaluate_transform`` on
-# exact ``Fraction``s, flattens it with ``info_components`` and tallies it;
+# The reference evaluates every transform on exact ``Fraction``s with
+# ``reference_transform`` (``fraction_reference.evaluate_transform``, not the
+# package's int reading), flattens it with ``info_components`` and tallies it;
 # its ratio form divides each information change by each holding change.
 
 _QUANTITIES = [0, 0, 0, Fraction(1, 2), 1, Fraction(3, 2), Fraction(2, 3), 3]
@@ -273,14 +275,14 @@ def _reference_check_transforms(polity, specs):
     # is read: a state of ones has a positive reference for every transform
     ones = alloc(*[(1,) * polity.commodity_dim] * polity.n_agents)
     for a, spec in specs.items():
-        evaluate_transform(spec, ones, a)
+        reference_transform(spec, ones, a)
 
 
 def _reference_information(allocation, specs, endpoint):
     """Every agent's information components at ``allocation``, a zero
     reference tagged with ``endpoint``."""
     try:
-        infos = [evaluate_transform(spec, allocation, a) for a, spec in specs.items()]
+        infos = [reference_transform(spec, allocation, a) for a, spec in specs.items()]
     except ZeroReferencePoint as exc:
         raise ZeroReferencePoint(
             f"{exc.args[0]} at the {endpoint} state of the move",
@@ -455,9 +457,9 @@ def test_move_checkers_reject_bad_transforms_before_reading_either_end(check):
 
 def test_check_moves_decides_moves_of_two_shapes(monkeypatch):
     resolved = []
-    reading = engine._reading
+    reading = transforms_module._reading
     monkeypatch.setattr(
-        engine, "_reading", lambda *args: resolved.append(args[1:]) or reading(*args)
+        transforms_module, "_reading", lambda *args: resolved.append(args[1:]) or reading(*args)
     )
     spec = RelativeToMean()
     pair = [Move(alloc(1, 2), alloc(2, 2)), Move(alloc(2, 1), alloc(1, 1))]
@@ -719,7 +721,7 @@ def _pairwise_reference(fs, polity, spec):
     for idx, state in enumerate(enumerate_feasible(fs, polity)):
         try:
             infos[idx] = [
-                info_components(evaluate_transform(s, state, agent))
+                info_components(reference_transform(s, state, agent))
                 for agent, s in specs.items()
             ]
         except ZeroReferencePoint:
@@ -888,7 +890,7 @@ def test_signature_table_scales_every_component_exactly(case):
     for i in table.live:
         state = states[i]
         for components, (agent, agent_spec) in zip(table.components[i], specs.items()):
-            expected = info_components(evaluate_transform(agent_spec, state, agent))
+            expected = info_components(reference_transform(agent_spec, state, agent))
             denominators += [c.denominator for c in expected]
             assert all(type(c) is int for c in components)
             assert tuple(Fraction(c, table.scale) for c in components) == expected
@@ -1235,7 +1237,7 @@ def _reference_efficiency(state, fs, specs):
     """The efficiency search over ``Fraction``s, as the reference.
 
     Every transform is checked in agent order on a state of ones, the state
-    is evaluated with ``evaluate_transform`` (a zero reference tagged with
+    is evaluated with ``reference_transform`` (a zero reference tagged with
     the from end), and then every target of ``enumerate_feasible`` in order;
     targets with a zero reference are skipped and counted.
     """

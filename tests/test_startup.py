@@ -105,6 +105,22 @@ def test_submodule_resolves_after_bare_import():
     assert "paretoscope.welfare" not in loaded
 
 
+@pytest.mark.parametrize("module", ["welfare", "compare"])
+def test_reading_modules_load_no_engine(module):
+    # welfare ranks, and compare evaluates, through the reading layer in
+    # transforms, which needs nothing from the engine
+    loaded = _fresh(f"import paretoscope.{module}\nprint(json.dumps(loaded()))")
+    assert f"paretoscope.{module}" in loaded
+    assert "paretoscope.engine" not in loaded
+
+
+def test_transforms_for_has_one_definition():
+    from paretoscope import engine, transforms
+
+    assert paretoscope.transforms_for is transforms.transforms_for is engine.transforms_for
+    assert paretoscope._HOME["transforms_for"] == "transforms"
+
+
 def test_cli_import_loads_every_traced_layer():
     found = _fresh(
         "import paretoscope.cli\n"

@@ -5,16 +5,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paretoscope import (
+    Allocation,
     Bundle,
     DimensionMismatch,
     InvalidAgent,
     OwnBundle,
+    ParetoscopeError,
     PartialOrderResult,
     RelativeToMean,
     RelativeToNeighborhood,
     Sign,
+    Sum,
     ValidationError,
     WeightedOwn,
     ZeroReferencePoint,
@@ -27,6 +32,8 @@ from paretoscope import (
     transform_label,
     verify_own_monotonicity,
 )
+
+import fraction_reference
 
 
 def test_own_bundle_scalar_for_one_commodity():
@@ -100,6 +107,56 @@ def test_relative_neighborhood_unknown_agent():
 def test_evaluate_transform_agent_bounds():
     with pytest.raises(InvalidAgent):
         evaluate_transform(OwnBundle(), alloc(1, 1), 3)
+
+
+@st.composite
+def _transform_cases(draw):
+    """A spec, an allocation of 1-4 agents over 1-3 commodities, and an
+    agent id that may fall outside the polity.  Weight lists may not match
+    the commodities, neighbourhoods may name an agent past the polity, and
+    zero holdings are common, so zero references come up."""
+    n_agents = draw(st.integers(1, 4))
+    dimension = draw(st.integers(1, 3))
+    quantity = st.sampled_from([0, 0, 0, Fraction(1, 2), 1, Fraction(2, 3), 3])
+    bundles = [Bundle(tuple(draw(quantity) for _ in range(dimension))) for _ in range(n_agents)]
+    size = st.sampled_from([dimension, dimension, dimension, 1, 4])
+    weights = st.none() | size.flatmap(
+        lambda k: st.tuples(*[st.sampled_from([Fraction(1, 2), 1, Fraction(2, 3), 3])] * k)
+    )
+    # one agent id in five falls outside the polity
+    agents = [*range(1, n_agents + 1)] * 4
+    neighbors = st.frozensets(st.sampled_from([*agents, n_agents + 1]), min_size=1, max_size=3)
+    spec = draw(
+        st.just(OwnBundle())
+        | weights.map(WeightedOwn)
+        | weights.map(RelativeToMean)
+        | st.builds(RelativeToNeighborhood, neighbors, weights)
+        | st.just(Sum())
+    )
+    return spec, Allocation(tuple(bundles)), draw(st.sampled_from([*agents, 0, n_agents + 1]))
+
+
+def _evaluated(evaluate, spec, allocation, agent):
+    """The information with its type, or the exception's type, text and ``agent``."""
+    try:
+        info = evaluate(spec, allocation, agent)
+    except ParetoscopeError as exc:
+        return type(exc), str(exc), getattr(exc, "agent", None)
+    return type(info), info
+
+
+@settings(max_examples=400)
+@given(_transform_cases())
+@example((RelativeToMean(), alloc(0, 0), 2))
+@example((RelativeToNeighborhood(frozenset({2, 3}), (Fraction(1, 2),)), alloc(1, 0, 0), 1))
+@example((RelativeToNeighborhood(frozenset({3}), (1, 2)), alloc(1, 1), 1))
+@example((WeightedOwn((1, 2)), alloc((1, 2, 3), (0, 1, 0)), 1))
+@example((OwnBundle(), alloc((1, 2), (0, 1)), 3))
+def test_evaluate_transform_matches_the_fraction_reference(case):
+    spec, allocation, agent = case
+    assert _evaluated(evaluate_transform, spec, allocation, agent) == _evaluated(
+        fraction_reference.evaluate_transform, spec, allocation, agent
+    )
 
 
 def test_compare_info_shapes():

@@ -34,7 +34,6 @@ from paretoscope import (
     alloc,
     check_improvement_neoclassical,
     enumerate_feasible,
-    evaluate_transform,
     load_scenario,
     parse_swf,
     render_allocation,
@@ -50,6 +49,8 @@ from paretoscope import welfare as welfare_module
 from paretoscope.cli import run_command
 from paretoscope.polity import feasible_holdings
 from paretoscope.report import RationalTexts, render_holdings
+
+from fraction_reference import evaluate_transform as reference_transform
 
 DATA = Path(__file__).parent / "data"
 
@@ -190,7 +191,7 @@ def _reference_specs(spec, polity):
     specs = transforms_for(polity, assignment)
     ones = alloc(*[(1,) * polity.commodity_dim] * polity.n_agents)
     for agent, agent_spec in specs.items():
-        evaluate_transform(agent_spec, ones, agent)
+        reference_transform(agent_spec, ones, agent)
     if isinstance(spec.combiner, WeightedSum) and len(spec.combiner.weights) != polity.n_agents:
         raise DimensionMismatch(
             f"{len(spec.combiner.weights)} weights for {polity.n_agents} agents"
@@ -199,10 +200,10 @@ def _reference_specs(spec, polity):
 
 
 def _reference_combined(spec, specs, allocation):
-    """The welfare of ``allocation``, each agent's value by ``evaluate_transform``."""
+    """The welfare of ``allocation``, each agent's value by ``reference_transform``."""
     values = []
     for agent, agent_spec in specs.items():
-        info = evaluate_transform(agent_spec, allocation, agent)
+        info = reference_transform(agent_spec, allocation, agent)
         if isinstance(info, Bundle):
             raise VectorValuedAgentInfo(
                 f"agent {agent} yields vector information; welfare needs scalars"
