@@ -34,7 +34,6 @@ _EXPORTS = {
     "engine": (
         "DEFAULT_SCAN_CAP",
         "EfficiencyVerdict",
-        "FrontierEntry",
         "FrontierReport",
         "ImprovementVerdict",
         "Method",

@@ -145,16 +145,20 @@ def _run_efficient(scenario: Scenario, state_id: int | None) -> Report:
 
 def _run_frontier(scenario: Scenario) -> Report:
     frontier = enumerate_frontier(scenario.feasible, scenario.polity, scenario.transforms)
+    # The rows are rendered from the int state stream, as welfare's are.
+    unit, stream = feasible_holdings(scenario.feasible, scenario.polity)
+    quantity = RationalTexts(unit).__getitem__
+    efficient, degenerate = set(frontier.efficient_ids), set(frontier.degenerate_ids)
     rows = tuple(
         (
-            str(entry.state_id),
-            render_allocation(entry.state),
-            "n/a" if entry.degenerate else render_bool(entry.efficient),
+            str(i),
+            render_holdings(holdings, quantity),
+            "n/a" if i in degenerate else render_bool(i in efficient),
         )
-        for entry in frontier.entries
+        for i, holdings in enumerate(stream)
     )
     diagnostics = [
-        f"efficient: {len(frontier.efficient_ids)} of {len(frontier.entries)} states"
+        f"efficient: {len(frontier.efficient_ids)} of {frontier.states} states"
     ]
     if frontier.degenerate_ids:
         diagnostics.append(

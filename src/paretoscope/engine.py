@@ -30,8 +30,9 @@ feasible set's int state stream (``feasible_holdings``, with no
 dominance layer over it (``_dominator_masks``) that gives each state the
 bitset of the states that dominate it.  A scan counts its improving moves
 from those bitsets and keeps them, so the moves are listed only on demand.
-``is_pareto_efficient`` reads the state and each target by the same
-readings and compares them as a move's ends (``_comparable``).  The tests
+``is_pareto_efficient`` reads the state and each target of that int
+stream, or of its upper cone (``_upper_cone``), by the same readings and
+compares them as a move's ends (``_comparable``).  The tests
 hold every int route against a separate evaluation of the transforms on
 ``Fraction``s.  ``enumerate_frontier`` certifies those bitsets on every
 call: each dominated state is checked by definition against one dominator,
@@ -54,11 +55,11 @@ from .polity import (
     Move,
     Polity,
     _Holdings,
+    _allocations,
     _own_holdings,
     _state_holdings,
+    _upper_cone,
     count_feasible,
-    enumerate_feasible,
-    enumerate_upper_cone,
     feasible_contains,
     feasible_holdings,
 )
@@ -518,15 +519,17 @@ def is_pareto_efficient(
     the witness.  When every agent's transform is own-type (``OwnBundle``,
     or ``WeightedOwn`` on a single commodity), an improving target must hold
     at least ``state``'s quantity in every slot, so only that upper cone is
-    searched (``enumerate_upper_cone``).  The cone keeps enumeration order,
-    so the witness is the same.  The cone of a state of a fixed-total
-    lattice is the state alone: under own-bundle preferences every
-    redistribution is efficient, and this costs nothing to confirm.  Other
-    transforms search every feasible state.
+    searched (``_upper_cone``, the subsequence of the feasible set's int
+    stream that holds at least the state).  The cone keeps enumeration
+    order, so the witness is the same.  The cone of a state of a
+    fixed-total lattice is the state alone: under own-bundle preferences
+    every redistribution is efficient, and this costs nothing to confirm.
+    Other transforms search the whole int stream (``feasible_holdings``).
 
-    The state is read once on its own int scale and each target on the
-    feasible set's (``feasible_holdings``), as ``check_move`` reads a move's
-    ends, and the two are compared by ``_comparable``.
+    The state is read once on its own int scale and each target as int
+    holdings on the feasible set's scale, as ``check_move`` reads a move's
+    ends, and the two are compared by ``_comparable``.  No target is made an
+    ``Allocation`` but the witness, from its holdings.
 
     Raises ``InvalidAgent`` and ``DimensionMismatch`` for a bad transform in
     agent order before the state is read, as ``check_move`` does; then
@@ -549,57 +552,39 @@ def is_pareto_efficient(
         before = _read_state(readings, holdings, scale)
     except ZeroReferencePoint as exc:
         raise _tagged_zero_reference(exc, "from") from exc
-    unit, feasible = feasible_holdings(fs, polity)
     if _own_type(specs, polity.commodity_dim):
-        # every cone state is in the set, so the set's scale fits it
-        cone = enumerate_upper_cone(fs, state)
-        targets = ((target, _state_holdings(target, unit)) for target in cone)
+        unit, targets = _upper_cone(fs, state)
     else:
-        targets = zip(enumerate_feasible(fs, polity), feasible)
+        unit, targets = feasible_holdings(fs, polity)
     skipped = 0
-    # Targets stream through rather than filling a table: memory stays flat
-    # on large sets and the search stops at the first witness.
-    for target, holdings in targets:
+    # Targets stream through as int holdings rather than filling a table:
+    # memory stays flat on large sets, the search stops at the first
+    # witness, and only the witness is made an Allocation.
+    for holdings in targets:
         try:
             after = _read_state(readings, holdings, unit)
         except ZeroReferencePoint:
             skipped += 1
             continue
         if _improves(*_comparable(after, before)):
-            return EfficiencyVerdict(False, Move(before=state, after=target), skipped)
+            witness = next(_allocations(unit, (holdings,)))
+            return EfficiencyVerdict(False, Move(before=state, after=witness), skipped)
     return EfficiencyVerdict(True, None, skipped)
-
-
-@dataclass(frozen=True)
-class FrontierEntry:
-    state_id: int
-    state: Allocation
-    efficient: bool
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
 class FrontierReport:
     """Per-state efficiency over a whole feasible set.
 
-    ``entries`` follows enumeration order and covers every state; degenerate
-    states (zero reference point) are flagged rather than classified.
+    ``states`` counts the feasible states, whose ids are their enumeration
+    indices.  ``efficient_ids`` is the frontier itself and
+    ``degenerate_ids`` the states with an undefined reference point, which
+    are flagged rather than classified; both are in enumeration order.
     """
 
-    entries: tuple[FrontierEntry, ...]
-
-    @property
-    def efficient_ids(self) -> tuple[int, ...]:
-        return tuple(e.state_id for e in self.entries if e.efficient)
-
-    @property
-    def efficient_states(self) -> tuple[Allocation, ...]:
-        """The frontier itself: efficient states in enumeration order."""
-        return tuple(e.state for e in self.entries if e.efficient)
-
-    @property
-    def degenerate_ids(self) -> tuple[int, ...]:
-        return tuple(e.state_id for e in self.entries if e.degenerate)
+    states: int
+    efficient_ids: tuple[int, ...]
+    degenerate_ids: tuple[int, ...]
 
 
 def _dominator_masks(table: SignatureTable) -> Iterator[tuple[int, int]]:
@@ -668,16 +653,16 @@ def enumerate_frontier(
     too, and that breaks (b).  The certificate covers which bitsets are
     empty, not every bit of them.  A failed check raises
     ``InternalInvariant``; so does an empty frontier, which cannot happen on
-    a finite non-empty set unless every state is degenerate.  The table
-    holds no states; each entry's state comes from ``enumerate_feasible``,
-    which yields them in the table's order.
+    a finite non-empty set unless every state is degenerate.  The report
+    holds state ids only, so no ``Allocation`` is made: a caller that shows
+    the states reads them from ``feasible_holdings``, in the table's order.
     """
     table = build_signature_table(fs, polity, transforms, "excluded from frontier")
     components, signatures = table.components, table.signatures
-    efficient = set()
+    efficient = []  # in enumeration order, as the masks come
     for i, mask in _dominator_masks(table):
         if not mask:
-            efficient.add(i)
+            efficient.append(i)
             continue
         witness = (mask & -mask).bit_length() - 1
         if not _improves(components[witness], components[i]):
@@ -703,18 +688,11 @@ def enumerate_frontier(
     if not efficient:
         raise InternalInvariant("non-empty state set produced an empty frontier")
 
-    entries = tuple(
-        FrontierEntry(
-            state_id=i,
-            state=state,
-            efficient=i in efficient,
-            degenerate=signature is None,
-        )
-        for i, (state, signature) in enumerate(
-            zip(enumerate_feasible(fs, polity), signatures)
-        )
+    return FrontierReport(
+        len(signatures),
+        tuple(efficient),
+        tuple([i for i, signature in enumerate(signatures) if signature is None]),
     )
-    return FrontierReport(entries)
 
 
 @dataclass(frozen=True)

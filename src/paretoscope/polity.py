@@ -7,9 +7,11 @@ partial order, so exactness removes epsilon tie-breaking entirely.
 Agent ids are 1-based throughout the public API.  Enumeration of feasible sets
 is deterministic: states are produced in lexicographic order of the flattened
 quantity tuple (agent-major, commodity-minor), so witnesses are reproducible
-bit-for-bit across runs and platforms.  ``feasible_holdings`` streams the
-same states in the same order as int holdings on one common scale, for
-callers that read states without returning them.
+bit-for-bit across runs and platforms.  Each feasible set is enumerated once,
+by ``feasible_holdings``, as int holdings on one common scale;
+``_upper_cone`` is a subsequence of that stream on the same scale.
+``enumerate_feasible`` and ``enumerate_upper_cone`` are views of the two
+that make each state an ``Allocation``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Iterable, Iterator, Union
 
@@ -291,11 +294,6 @@ def _check_shape(fs: FeasibleSet, polity: Polity) -> None:
         )
 
 
-def _slot_levels(fs: BoxGrid, polity: Polity) -> list[tuple[Fraction, ...]]:
-    """The levels of each flattened slot (agent-major, commodity-minor)."""
-    return list(fs.levels) * polity.n_agents
-
-
 def _lattice_units(fs: FixedTotalLattice) -> list[int]:
     """Each commodity's total as a count of lattice steps."""
     return [int(t / fs.step) for t in fs.totals]
@@ -314,42 +312,6 @@ def _splits(units: tuple[int, ...], agents: int) -> Iterator[tuple[int, ...]]:
         rest = tuple(u - h for u, h in zip(units, head))
         for tail in _splits(rest, agents - 1):
             yield head + tail
-
-
-def _lattice_states(
-    fs: FixedTotalLattice, polity: Polity, floor: tuple[int, ...], residual: tuple[int, ...]
-) -> Iterator[Allocation]:
-    """The lattice states ``floor + split`` for every split of ``residual``.
-
-    ``floor`` holds flattened unit counts and ``residual`` the units of each
-    commodity left to split.  Adding a fixed vector keeps lexicographic
-    order, so the states come out in enumeration order.
-    """
-    dim = polity.commodity_dim
-    values = {
-        k: fs.step * k
-        for slot, low in enumerate(floor)
-        for k in range(low, low + residual[slot % dim] + 1)
-    }
-    for split in _splits(residual, polity.n_agents):
-        yield _unchecked_state(tuple(values[f + s] for f, s in zip(floor, split)), dim)
-
-
-def enumerate_feasible(fs: FeasibleSet, polity: Polity) -> Iterator[Allocation]:
-    """Yield every allocation of the feasible set in lexicographic order.
-
-    The order key is the flattened quantity tuple (agent-major,
-    commodity-minor), ascending.
-    """
-    _check_shape(fs, polity)
-    if isinstance(fs, BoxGrid):
-        for flat in product(*_slot_levels(fs, polity)):
-            yield _unchecked_state(flat, polity.commodity_dim)
-    elif isinstance(fs, FixedTotalLattice):
-        slots = polity.n_agents * polity.commodity_dim
-        yield from _lattice_states(fs, polity, (0,) * slots, tuple(_lattice_units(fs)))
-    else:
-        yield from fs.states
 
 
 _Holdings = tuple[tuple[int, ...], ...]
@@ -373,18 +335,31 @@ def _own_holdings(state: Allocation) -> tuple[int, _Holdings]:
     return scale, _state_holdings(state, scale)
 
 
-def feasible_holdings(fs: FeasibleSet, polity: Polity) -> tuple[int, Iterator[_Holdings]]:
-    """The states of ``enumerate_feasible(fs, polity)`` as int holdings, in order.
+def _allocations(scale: int, stream: Iterable[_Holdings]) -> Iterator[Allocation]:
+    """Each int state of ``stream``, on ``scale``, as an ``Allocation``.
 
-    Returns a positive int ``scale`` and an iterator over the states, each
-    given as one tuple of ints per agent: every quantity times ``scale``.
-    The scale is fixed before any state is made: the least common multiple
-    of the level denominators for a box grid, the step's denominator for a
-    fixed-total lattice (each holding is then a count of steps times the
-    step's numerator) and the least common multiple of every listed
-    quantity's denominator for an explicit list.  A feasible set that does
-    not fit the polity raises ``InfeasibleConfig`` here, at the call, not at
-    the first state.
+    Each distinct holding's ``Fraction`` is made once per call.
+    """
+    quantity = cache(lambda holding: Fraction(holding, scale))
+    for holdings in stream:
+        flat = tuple([quantity(h) for bundle in holdings for h in bundle])
+        yield _unchecked_state(flat, len(holdings[0]))
+
+
+def feasible_holdings(fs: FeasibleSet, polity: Polity) -> tuple[int, Iterator[_Holdings]]:
+    """Every state of the feasible set as int holdings, in enumeration order.
+
+    This is the one enumeration of a feasible set; ``enumerate_feasible``
+    and ``enumerate_upper_cone`` are views of it.  Returns a positive int
+    ``scale`` and an iterator over the states, each given as one tuple of
+    ints per agent: every quantity times ``scale``.  The scale is fixed
+    before any state is made: the least common multiple of the level
+    denominators for a box grid, the step's denominator for a fixed-total
+    lattice (each holding is then a count of steps times the step's
+    numerator) and the least common multiple of every listed quantity's
+    denominator for an explicit list.  A feasible set that does not fit the
+    polity raises ``InfeasibleConfig`` here, at the call, not at the first
+    state.
     """
     _check_shape(fs, polity)
     if isinstance(fs, BoxGrid):
@@ -395,20 +370,81 @@ def feasible_holdings(fs: FeasibleSet, polity: Polity) -> tuple[int, Iterator[_H
         bundles = list(product(*[_scaled(levels, scale) for levels in fs.levels]))
         return scale, product(bundles, repeat=polity.n_agents)
     if isinstance(fs, FixedTotalLattice):
-        return fs.step.denominator, _lattice_holdings(fs, polity)
+        slots = polity.n_agents * polity.commodity_dim
+        units = tuple(_lattice_units(fs))
+        return fs.step.denominator, _lattice_holdings(fs, polity, (0,) * slots, units)
     scale = math.lcm(*[q.denominator for state in fs.states for q in state.flat()])
     return scale, (_state_holdings(state, scale) for state in fs.states)
 
 
-def _lattice_holdings(fs: FixedTotalLattice, polity: Polity) -> Iterator[_Holdings]:
-    """Every lattice state as its step counts times the step's numerator."""
+def _lattice_holdings(
+    fs: FixedTotalLattice, polity: Polity, floor: tuple[int, ...], residual: tuple[int, ...]
+) -> Iterator[_Holdings]:
+    """The lattice states ``floor + split`` for every split of ``residual``,
+    as step counts times the step's numerator.
+
+    ``floor`` holds flattened step counts and ``residual`` the steps of
+    each commodity left to split.  Adding a fixed vector keeps
+    lexicographic order, so the states come out in enumeration order.  On
+    a zero floor with a step of numerator 1, as for the whole lattice, each
+    split is used as it comes.
+    """
     numerator = fs.step.numerator
     dim = polity.commodity_dim
-    for split in _splits(tuple(_lattice_units(fs)), polity.n_agents):
-        if numerator != 1:
-            split = [k * numerator for k in split]
+    shifted = numerator != 1 or any(floor)
+    for split in _splits(residual, polity.n_agents):
+        if shifted:
+            split = [(f + k) * numerator for f, k in zip(floor, split)]
         # dim references to one iterator: zip takes each agent's dim slots
         yield tuple(zip(*[iter(split)] * dim))
+
+
+def enumerate_feasible(fs: FeasibleSet, polity: Polity) -> Iterator[Allocation]:
+    """Yield every allocation of the feasible set in lexicographic order.
+
+    The order key is the flattened quantity tuple (agent-major,
+    commodity-minor), ascending.  The states are ``feasible_holdings``'s,
+    each made an ``Allocation``.
+    """
+    yield from _allocations(*feasible_holdings(fs, polity))
+
+
+def _upper_cone(fs: FeasibleSet, floor: Allocation) -> tuple[int, Iterator[_Holdings]]:
+    """The states of ``feasible_holdings(fs, floor.polity)`` that hold at
+    least ``floor`` in every slot, on its scale and in its order.
+
+    A holding h on that scale is at least a quantity q exactly when h is at
+    least ceil(q · scale), so ``floor`` need not be in the set, nor on its
+    grid.
+
+    * Box grid: the product of each slot's levels at or above the floor.
+    * Fixed-total lattice: the floor rounded up onto the step grid, plus
+      every split of what the totals leave over; nothing when a commodity's
+      rounded floor already exceeds its total.
+    * Explicit list: the listed states that pass the test.
+    """
+    polity = floor.polity
+    dim = polity.commodity_dim
+    scale, feasible = feasible_holdings(fs, polity)
+    low = [-(-q.numerator * scale // q.denominator) for q in floor.flat()]
+    if isinstance(fs, BoxGrid):
+        slots = [_scaled(levels, scale) for levels in fs.levels] * polity.n_agents
+        options = [levels[bisect_left(levels, q) :] for levels, q in zip(slots, low)]
+        bundles = [list(product(*options[s : s + dim])) for s in range(0, len(low), dim)]
+        return scale, product(*bundles)
+    if isinstance(fs, FixedTotalLattice):
+        base = tuple([-(-q // fs.step.numerator) for q in low])
+        residual = tuple(
+            units - sum(base[c::dim]) for c, units in enumerate(_lattice_units(fs))
+        )
+        if min(residual) < 0:
+            return scale, iter(())  # a commodity's floor exceeds its total
+        return scale, _lattice_holdings(fs, polity, base, residual)
+    return scale, (
+        holdings
+        for holdings in feasible
+        if all(map(operator.ge, [h for bundle in holdings for h in bundle], low))
+    )
 
 
 def enumerate_upper_cone(fs: FeasibleSet, floor: Allocation) -> Iterator[Allocation]:
@@ -418,36 +454,10 @@ def enumerate_upper_cone(fs: FeasibleSet, floor: Allocation) -> Iterator[Allocat
     agent's quantity of the same commodity in ``floor``.  The states come
     in enumeration order: the cone is a subsequence of
     ``enumerate_feasible(fs, floor.polity)``.  ``floor`` need not be in the
-    set, nor on its grid.
-
-    * Box grid: the product of each slot's levels at or above the floor.
-    * Fixed-total lattice: the floor rounded up onto the step grid, plus
-      every split of what the totals leave over; nothing when a commodity's
-      rounded floor already exceeds its total.
-    * Explicit list: the listed states that pass the test.
+    set, nor on its grid.  Each state is made from the cone's int holdings
+    on ``feasible_holdings``'s scale.
     """
-    polity = floor.polity
-    _check_shape(fs, polity)
-    low = floor.flat()
-    if isinstance(fs, BoxGrid):
-        options = [
-            levels[bisect_left(levels, q) :]
-            for levels, q in zip(_slot_levels(fs, polity), low)
-        ]
-        for flat in product(*options):
-            yield _unchecked_state(flat, polity.commodity_dim)
-    elif isinstance(fs, FixedTotalLattice):
-        dim = polity.commodity_dim
-        base = tuple(math.ceil(q / fs.step) for q in low)
-        residual = tuple(
-            units - sum(base[c::dim]) for c, units in enumerate(_lattice_units(fs))
-        )
-        if min(residual) >= 0:
-            yield from _lattice_states(fs, polity, base, residual)
-    else:
-        for state in fs.states:
-            if all(map(operator.ge, state.flat(), low)):
-                yield state
+    yield from _allocations(*_upper_cone(fs, floor))
 
 
 def unrank_feasible(fs: FeasibleSet, polity: Polity, index: int) -> Allocation:
@@ -468,7 +478,8 @@ def unrank_feasible(fs: FeasibleSet, polity: Polity, index: int) -> Allocation:
         return fs.states[index]
     if isinstance(fs, BoxGrid):
         flat = []
-        for levels in reversed(_slot_levels(fs, polity)):
+        # each flattened slot's levels, agent-major, from the last slot
+        for levels in reversed(fs.levels * polity.n_agents):
             index, digit = divmod(index, len(levels))
             flat.append(levels[digit])
         return _unchecked_state(tuple(reversed(flat)), polity.commodity_dim)

@@ -432,6 +432,9 @@ def _build_transforms(
             raise ValidationError(
                 f"agent {agent} not in 1..{agents}", key=key
             )
+        if agent in overrides:
+            # transform.1 and transform.01 name one agent: one key twice
+            raise ValidationError("duplicate key", key=key)
         overrides[agent] = parsed(entry, key)
     if default is None:
         default = parse_transform("own")

@@ -22,8 +22,8 @@ from paretoscope import engine
 from paretoscope import polity as polity_module
 from paretoscope import transforms as transforms_module
 from paretoscope.cli import run_command
-from paretoscope.report import render_allocation
-from paretoscope.scenario import load_scenario
+from paretoscope.report import render_allocation, render_move
+from paretoscope.scenario import load_scenario, parse_scenario
 from paretoscope import (
     Allocation,
     BoxGrid,
@@ -558,9 +558,17 @@ def test_efficient_skips_degenerate_targets():
     assert verdict.skipped_targets == 1
 
 
+def _frontier_states(report, fs, polity):
+    """The flat quantities of the report's efficient states, by unranking."""
+    return [unrank_feasible(fs, polity, i).flat() for i in report.efficient_ids]
+
+
 def test_frontier_own_on_lattice_keeps_everything():
-    report = enumerate_frontier(FixedTotalLattice.shared(2), Polity(2, 1), OwnBundle())
-    assert [s.flat() for s in report.efficient_states] == [
+    fs, polity = FixedTotalLattice.shared(2), Polity(2, 1)
+    report = enumerate_frontier(fs, polity, OwnBundle())
+    assert report.states == 3
+    assert report.efficient_ids == (0, 1, 2)
+    assert _frontier_states(report, fs, polity) == [
         (Fraction(0), Fraction(2)),
         (Fraction(1), Fraction(1)),
         (Fraction(2), Fraction(0)),
@@ -568,21 +576,24 @@ def test_frontier_own_on_lattice_keeps_everything():
 
 
 def test_frontier_own_on_box_is_the_top_corner():
-    report = enumerate_frontier(BoxGrid.shared([0, 1, 2]), Polity(2, 1), OwnBundle())
-    assert [s.flat() for s in report.efficient_states] == [(Fraction(2), Fraction(2))]
+    fs, polity = BoxGrid.shared([0, 1, 2]), Polity(2, 1)
+    report = enumerate_frontier(fs, polity, OwnBundle())
+    assert _frontier_states(report, fs, polity) == [(Fraction(2), Fraction(2))]
     assert report.efficient_ids == (8,)
+    assert report.states == 9 and report.degenerate_ids == ()
 
 
 def test_frontier_relative_mean_keeps_all_states():
     report = enumerate_frontier(BoxGrid.shared([1, 2]), Polity(2, 1), RelativeToMean())
-    assert len(report.efficient_states) == 4
-    assert all(e.efficient for e in report.entries)
+    assert report.states == 4
+    assert report.efficient_ids == (0, 1, 2, 3)
 
 
 def test_frontier_flags_degenerate_states():
     report = enumerate_frontier(BoxGrid.shared([0, 1]), Polity(2, 1), RelativeToMean())
+    assert report.states == 4
     assert report.degenerate_ids == (0,)
-    assert not report.entries[0].efficient
+    assert 0 not in report.efficient_ids
     # the three remaining states are mutually incomparable in relative terms
     assert report.efficient_ids == (1, 2, 3)
 
@@ -598,11 +609,9 @@ def test_frontier_matches_per_state_efficiency():
     polity = Polity(2, 1)
     spec = WeightedOwn((Fraction(1),))
     report = enumerate_frontier(fs, polity, spec)
-    for entry in report.entries:
-        assert (
-            entry.efficient
-            == is_pareto_efficient(entry.state, fs, spec).is_efficient
-        )
+    assert report.states == count_feasible(fs, polity)
+    for i, state in enumerate(enumerate_feasible(fs, polity)):
+        assert (i in report.efficient_ids) == is_pareto_efficient(state, fs, spec).is_efficient
 
 
 _LEVEL = st.integers(min_value=0, max_value=3)
@@ -998,6 +1007,69 @@ def test_signature_table_reads_no_fraction_information(monkeypatch):
     }
 
 
+_EXPLICIT_SCENARIO = """\
+agents = 2
+commodities = 1
+feasible.kind = explicit_list
+feasible.list = (0,0); (1/2,1); (2/3,1/3); (1,1/4)
+transform = relative_mean
+"""
+
+
+def test_frontier_command_makes_no_allocation(monkeypatch):
+    # the command classifies every state from the signature table and
+    # renders every row from the int state stream, as welfare does
+    scenarios = [
+        load_scenario(DATA / f"{name}.scn")
+        for name in ("check_move_mixed", "check_move_weighted", "maximin_lattice", "own_box")
+    ]
+    scenarios.append(parse_scenario(_EXPLICIT_SCENARIO))
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("Allocation built")
+
+    monkeypatch.setattr(polity_module, "_unchecked_state", no_state)
+    monkeypatch.setattr(Allocation, "__post_init__", no_state)
+    for scenario in scenarios:
+        report = run_command(scenario, "frontier")
+        assert [row[0] for row in report.rows] == [
+            str(i) for i in range(count_feasible(scenario.feasible, scenario.polity))
+        ]
+    assert [row[1:] for row in report.rows] == [
+        ("(0,0)", "n/a"),
+        ("(1/2,1)", "true"),
+        ("(2/3,1/3)", "true"),
+        ("(1,1/4)", "true"),
+    ]
+
+
+def test_full_efficiency_search_makes_only_the_state_and_its_witness(monkeypatch):
+    # the targets stream as int holdings: the command makes the unranked
+    # state, and the search makes the one witness from its holdings
+    mixed = load_scenario(DATA / "check_move_mixed.scn")
+    made = []
+    unchecked = polity_module._unchecked_state
+
+    def unchecked_state(flat, dim):
+        made.append(unchecked(flat, dim))
+        return made[-1]
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("Allocation built")
+
+    monkeypatch.setattr(polity_module, "_unchecked_state", unchecked_state)
+    monkeypatch.setattr(Allocation, "__post_init__", no_state)
+    row = run_command(mixed, "efficient", state_id=40).rows[0]
+    state, witness = made
+    assert state.flat() == (Fraction(1, 2), 0, 2)
+    assert witness.flat() == (Fraction(1, 2), 0, 3)
+    assert row == ("40", render_allocation(state), "false", render_move(Move(state, witness)))
+    # an efficient state makes no witness
+    made.clear()
+    row = run_command(mixed, "efficient", state_id=215).rows[0]
+    assert row[2:] == ("true", "") and len(made) == 1
+
+
 @pytest.mark.parametrize(
     "fs,polity,spec",
     [
@@ -1186,7 +1258,7 @@ def test_cone_search_is_not_taken_for_other_transforms(monkeypatch):
     def refuse(fs, floor):
         raise AssertionError("upper cone used")
 
-    monkeypatch.setattr(engine, "enumerate_upper_cone", refuse)
+    monkeypatch.setattr(engine, "_upper_cone", refuse)
     two = BoxGrid.shared([0, 1, 2], commodities=2)
     state = alloc((1, 1), (1, 1))
     verdict = is_pareto_efficient(state, two, WeightedOwn((1, 1)))
@@ -1221,13 +1293,20 @@ def test_every_redistribution_is_efficient_under_own(fs, polity):
 def test_redistribution_efficiency_needs_no_enumeration(monkeypatch):
     # a 3-agent lattice of total 10^6 holds about 5 * 10^11 states; under
     # own the search reads the state's upper cone, the state alone
-    def refuse(fs, polity):
-        raise AssertionError("feasible set enumerated")
+    lattice_holdings = polity_module._lattice_holdings
+    streamed = []
 
-    monkeypatch.setattr(engine, "enumerate_feasible", refuse)
+    def counted(*args):
+        for holdings in lattice_holdings(*args):
+            streamed.append(holdings)
+            assert len(streamed) == 1, "lattice streamed past the state's cone"
+            yield holdings
+
+    monkeypatch.setattr(polity_module, "_lattice_holdings", counted)
     lattice = FixedTotalLattice.shared(10**6)
     verdict = is_pareto_efficient(alloc(1, 2, 10**6 - 3), lattice, OwnBundle())
     assert verdict.is_efficient and verdict.witness is None
+    assert streamed == [((1,), (2,), (10**6 - 3,))]
 
 
 # --- The int efficiency search against a Fraction reference ----------------

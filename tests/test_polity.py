@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -393,8 +394,30 @@ def test_enumerated_quantities_are_exact_fractions(fs, polity):
         assert {b.dimension for b in state.bundles} == {polity.commodity_dim}
 
 
+def _reference_enumeration(fs, polity):
+    """Every state of ``fs`` as its flat quantity tuple, by brute force and
+    sorting: the enumeration order by its definition."""
+    dim = polity.commodity_dim
+    slots = range(polity.n_agents * dim)
+    if isinstance(fs, BoxGrid):
+        states = product(*[fs.levels[s % dim] for s in slots])
+    elif isinstance(fs, FixedTotalLattice):
+        multiples = [
+            [fs.step * k for k in range(int(total / fs.step) + 1)] for total in fs.totals
+        ]
+        states = (
+            flat
+            for flat in product(*[multiples[s % dim] for s in slots])
+            if all(sum(flat[c::dim]) == total for c, total in enumerate(fs.totals))
+        )
+    else:
+        states = {state.flat() for state in fs.states}
+    return sorted(states)
+
+
 @pytest.mark.parametrize("fs,polity", _SMALL_SETS)
 def test_int_holdings_are_the_enumeration_on_one_scale(fs, polity):
+    expected = _reference_enumeration(fs, polity)
     scale, stream = feasible_holdings(fs, polity)
     holdings = list(stream)
     assert type(scale) is int and scale > 0
@@ -403,9 +426,8 @@ def test_int_holdings_are_the_enumeration_on_one_scale(fs, polity):
         and all(len(b) == polity.commodity_dim and all(type(q) is int for q in b) for b in h)
         for h in holdings
     )
-    assert [tuple(Fraction(q, scale) for b in h for q in b) for h in holdings] == [
-        state.flat() for state in enumerate_feasible(fs, polity)
-    ]
+    assert [tuple(Fraction(q, scale) for b in h for q in b) for h in holdings] == expected
+    assert [state.flat() for state in enumerate_feasible(fs, polity)] == expected
 
 
 def test_int_holdings_check_the_shape_before_any_state():
@@ -417,12 +439,13 @@ def test_int_holdings_check_the_shape_before_any_state():
 
 @pytest.mark.parametrize("fs,polity", _SMALL_SETS)
 def test_unrank_matches_enumeration_at_every_index(fs, polity):
+    expected = _reference_enumeration(fs, polity)
     states = list(enumerate_feasible(fs, polity))
-    assert len(states) == count_feasible(fs, polity)
+    assert len(states) == len(expected) == count_feasible(fs, polity)
     for k, state in enumerate(states):
         unranked = unrank_feasible(fs, polity, k)
         assert unranked == state
-        assert unranked.flat() == state.flat()
+        assert unranked.flat() == expected[k]
     for k in (-1, len(states)):
         with pytest.raises(IndexError, match=f"not in 0..{len(states) - 1}"):
             unrank_feasible(fs, polity, k)
@@ -455,12 +478,10 @@ def _off_grid_floors(polity):
 
 @pytest.mark.parametrize("fs,polity", _SMALL_SETS)
 def test_upper_cone_is_the_filtered_enumeration(fs, polity):
-    states = list(enumerate_feasible(fs, polity))
-    for floor in states + _off_grid_floors(polity):
-        expected = [
-            s for s in states if all(y >= x for y, x in zip(s.flat(), floor.flat()))
-        ]
-        assert list(enumerate_upper_cone(fs, floor)) == expected
+    states = _reference_enumeration(fs, polity)
+    for floor in list(enumerate_feasible(fs, polity)) + _off_grid_floors(polity):
+        expected = [s for s in states if all(y >= x for y, x in zip(s, floor.flat()))]
+        assert [state.flat() for state in enumerate_upper_cone(fs, floor)] == expected
 
 
 def test_upper_cone_of_a_lattice_state_is_the_state_alone():

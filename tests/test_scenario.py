@@ -207,6 +207,27 @@ def test_duplicate_and_unknown_keys():
         parse_scenario(MINIMAL + "colour = blue\n")
 
 
+def test_agent_transform_keys_naming_one_agent_are_duplicates(tmp_path, capsys):
+    # transform.1 and transform.01 are different strings for one agent; the
+    # later one is refused rather than silently winning
+    base = MINIMAL.replace("transform = own\n", "")
+    for first, second in [("1", "01"), ("02", "2"), ("1", "001")]:
+        text = base + f"transform.{first} = own\ntransform.{second} = relative_mean\n"
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(text)
+        assert str(exc.value) == f"transform.{second}: duplicate key"
+        assert exc.value.key == f"transform.{second}"
+    path = tmp_path / "twice.scn"
+    path.write_text(base + "transform.1 = own\ntransform.01 = relative_mean\n")
+    assert main(["frontier", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: transform.01: duplicate key\n"
+    # an agent out of range is still named as such, even when repeated
+    with pytest.raises(ValidationError, match=r"^transform\.00: agent 0 not in 1\.\.2$"):
+        parse_scenario(base + "transform.00 = own\ntransform.0 = own\n")
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as exc:
         parse_scenario("agents = 2\ncommodities = 1\nthis line has no equals\n")
