@@ -15,7 +15,8 @@ from . import __version__
 from .discovery import simulate_discovery
 from .engine import (
     DEFAULT_SCAN_CAP,
-    check_moves,
+    _improved,
+    _move_outcome,
     enumerate_frontier,
     is_pareto_efficient,
     scan_all_moves,
@@ -39,7 +40,7 @@ from .report import (
     render_move,
 )
 from .scenario import Scenario, load_scenario
-from .transforms import OwnBundle, swf_label, transform_label
+from .transforms import OwnBundle, _readings, swf_label, transform_label, transforms_for
 from .welfare import _ranked, _welfare_ints
 
 import argparse
@@ -70,41 +71,41 @@ def _header(scenario: Scenario, extra: tuple[tuple[str, str], ...] = ()) -> tupl
 
 
 def _run_check_move(scenario: Scenario) -> Report:
-    if not scenario.moves:
+    if not scenario.move_holdings:
         raise MissingField("moves")
+    polity = scenario.polity
     all_own = all(isinstance(t, OwnBundle) for t in scenario.transforms.values())
+    # every transform is checked before any move is read
+    readings = _readings(transforms_for(polity, scenario.transforms), polity)
+    quantity = RationalTexts(scenario.move_scale).__getitem__
     rows = []
     diagnostics = []
-    verdicts = check_moves(scenario.moves, scenario.transforms)
-    for idx, (move, (definitional, neoclassical, ratio)) in enumerate(
-        zip(scenario.moves, verdicts)
-    ):
+    for idx, holdings in enumerate(scenario.move_holdings):
+        tally, neoclassical_tally, ratio = _move_outcome(polity, readings, holdings)
+        definitional, neoclassical = _improved(tally), _improved(neoclassical_tally)
+        applicable = [definitional]
         if isinstance(ratio, HypothesisViolated):
             ratio_cell = "n/a"
-            applicable = [definitional.is_improvement]
             diagnostics.append(f"move {idx}: ratio form not applicable ({ratio})")
         else:
-            ratio_cell = render_bool(ratio.is_improvement)
-            applicable = [definitional.is_improvement, ratio.is_improvement]
+            ratio_cell = render_bool(ratio)
+            applicable.append(ratio)
         if all_own:
-            applicable.append(neoclassical.is_improvement)
+            applicable.append(neoclassical)
+        before, after = holdings
         rows.append(
             (
                 str(idx),
-                render_move(move),
-                render_bool(definitional.is_improvement),
-                render_bool(neoclassical.is_improvement),
+                f"{render_holdings(before, quantity)} -> {render_holdings(after, quantity)}",
+                render_bool(definitional),
+                render_bool(neoclassical),
                 ratio_cell,
                 render_bool(len(set(applicable)) == 1),
             )
         )
-        gainers = ",".join(str(a) for a in definitional.strict_gainers)
-        violators = ",".join(
-            f"{agent}:{kind.value}" for agent, kind in definitional.violators
-        )
-        diagnostics.append(
-            f"move {idx}: strict_gainers=[{gainers}] violators=[{violators}]"
-        )
+        gainers = ",".join(str(a) for a in tally[0])
+        violators = ",".join(f"{agent}:{kind.value}" for agent, kind in tally[1])
+        diagnostics.append(f"move {idx}: strict_gainers=[{gainers}] violators=[{violators}]")
     return Report(
         command="check-move",
         header=_header(scenario),

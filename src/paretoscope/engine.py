@@ -18,10 +18,13 @@ state from int holdings as int components over a positive int, with no
 ``Fraction`` arithmetic.  All three checkers read one exact-int evaluation
 of the move built from it (``_move_information``): each agent's information
 at both ends as int component tuples that compare exactly as the
-information does.  ``check_moves`` resolves the readings once per polity
-shape and yields all three verdicts per move from that evaluation;
-``check_move`` is its one-move case, and the single checkers build the same
-evaluation from the same readings.  The checkers share one definition of
+information does.  One core (``_move_outcome``) decides a move by all three
+checkers from its ``(before, after)`` int holdings on one scale:
+``check_moves`` gives it each move's ``_scaled_holdings``, resolving the
+readings once per polity shape, and wraps it in ``MoveVerdicts``; the
+``check-move`` command gives it the scenario's parsed ints and renders its
+rows from them, with no ``Allocation`` made.  The single checkers build the
+same evaluation.  The checkers share one definition of
 improvement with reasons (``_tally``); ``_improves`` is its yes/no form for
 the loops that need no reasons.  Frontiers and scans read one
 ``SignatureTable``, built by the same reading once per state from the
@@ -159,26 +162,31 @@ def _improves(after: tuple[tuple, ...], before: tuple[tuple, ...]) -> bool:
     return gained
 
 
+_Tally = tuple[list[int], list[tuple[int, ViolationKind]]]
+
+
+def _improved(tally: _Tally) -> bool:
+    """The ``_tally`` verdict: no violator and some strict gainer."""
+    return not tally[1] and bool(tally[0])
+
+
 def _verdict(
-    tally: tuple[list[int], list[tuple[int, ViolationKind]]], method: Method
+    tally: _Tally, method: Method, is_improvement: bool | None = None
 ) -> ImprovementVerdict:
-    gainers, violators = tally
-    return ImprovementVerdict(
-        is_improvement=not violators and bool(gainers),
-        strict_gainers=tuple(gainers),
-        violators=tuple(violators),
-        method=method,
-    )
+    """``method``'s verdict with ``tally``'s reasons, by default its yes/no."""
+    if is_improvement is None:
+        is_improvement = _improved(tally)
+    return ImprovementVerdict(is_improvement, tuple(tally[0]), tuple(tally[1]), method)
 
 
 def _scaled_holdings(move: Move) -> tuple[_Holdings, _Holdings]:
-    """Both ends' holdings as ints on one scale: ``(after, before)``.
+    """Both ends' holdings as ints on one scale: ``(before, after)``.
 
     Every quantity is multiplied by one positive factor, the least common
     multiple of the denominators at both ends, so every comparison of
     holdings, or of positive-weighted sums of them, is unchanged.
     """
-    ends = (move.after, move.before)
+    ends = (move.before, move.after)
     scale = math.lcm(
         *[q.denominator for end in ends for b in end.bundles for q in b.quantities]
     )
@@ -190,17 +198,17 @@ def _move_information(
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Every agent's information at both ends of a move, as exact ints.
 
-    ``readings`` is ``_readings`` for the move's polity and ``holdings`` is
-    ``_scaled_holdings(move)``.  Returns one component tuple per agent and
-    end, ``(after, before)``, that compare agent by agent exactly as the
-    information does: each end is read by ``_read`` in the units of the one
-    holding scale both ends share, and the two readings are made comparable
-    by ``_comparable``.
+    ``readings`` is ``_readings`` for the move's polity and ``holdings`` the
+    move's ``(before, after)`` ints on one scale.  Returns one component
+    tuple per agent and end, ``(after, before)``, that compare agent by
+    agent exactly as the information does: each end is read by ``_read`` in
+    the units of the one holding scale both ends share, and the two readings
+    are made comparable by ``_comparable``.
 
     Raises ``ZeroReferencePoint`` at the from end agent by agent, then at
     the to end, tagged with the end where the reference is zero.
     """
-    after_holdings, before_holdings = holdings
+    before_holdings, after_holdings = holdings
     try:
         before = _read_state(readings, before_holdings, 1)
     except ZeroReferencePoint as exc:
@@ -244,7 +252,7 @@ def check_improvement(move: Move, transforms: Transforms) -> ImprovementVerdict:
 
 def check_improvement_neoclassical(move: Move) -> ImprovementVerdict:
     """Classical check: every agent's information is their own bundle."""
-    after, before = _scaled_holdings(move)
+    before, after = _scaled_holdings(move)
     return _verdict(_tally(move.polity.agents, after, before), Method.NEOCLASSICAL)
 
 
@@ -269,7 +277,7 @@ def _ratio_movers(
             "ratio-form check requires a single commodity, "
             f"got {polity.commodity_dim}"
         )
-    after, before = holdings
+    before, after = holdings
     x_signs = (_direction(a[0], b[0]) for a, b in zip(after, before))
     movers = [x_sign for x_sign in x_signs if x_sign]
     if 1 not in movers:
@@ -277,12 +285,10 @@ def _ratio_movers(
     return movers
 
 
-def _ratio_verdict(
-    movers: list[int],
-    after: list[tuple[int, ...]],
-    before: list[tuple[int, ...]],
-    tally: tuple[list[int], list[tuple[int, ViolationKind]]],
-) -> ImprovementVerdict:
+def _ratio_improves(
+    movers: list[int], after: list[tuple[int, ...]], before: list[tuple[int, ...]]
+) -> bool:
+    """The ratio form's verdict, from ``_ratio_movers`` and the information."""
     ok = True
     strict = False
     for a, b in zip(after, before):
@@ -295,13 +301,7 @@ def _ratio_verdict(
                 ok = False
             elif ratio_sign == x_sign:
                 strict = True
-    gainers, violators = tally
-    return ImprovementVerdict(
-        is_improvement=ok and strict,
-        strict_gainers=tuple(gainers),
-        violators=tuple(violators),
-        method=Method.RATIO_FORM,
-    )
+    return ok and strict
 
 
 def check_improvement_ratio_form(move: Move, transforms: Transforms) -> ImprovementVerdict:
@@ -325,7 +325,8 @@ def check_improvement_ratio_form(move: Move, transforms: Transforms) -> Improvem
         raise movers
     readings = _readings(transforms_for(polity, transforms), polity)
     after, before = _move_information(readings, holdings)
-    return _ratio_verdict(movers, after, before, _tally(polity.agents, after, before))
+    tally = _tally(polity.agents, after, before)
+    return _verdict(tally, Method.RATIO_FORM, _ratio_improves(movers, after, before))
 
 
 class MoveVerdicts(NamedTuple):
@@ -340,23 +341,21 @@ class MoveVerdicts(NamedTuple):
     ratio_form: ImprovementVerdict | HypothesisViolated
 
 
-def _move_verdicts(
-    move: Move, polity: Polity, readings: list[tuple[int, _Reading | None]]
-) -> MoveVerdicts:
-    holdings = _scaled_holdings(move)
+def _move_outcome(
+    polity: Polity,
+    readings: list[tuple[int, _Reading | None]],
+    holdings: tuple[_Holdings, _Holdings],
+) -> tuple[_Tally, _Tally, bool | HypothesisViolated]:
+    """One move's decision by all three checkers, from ``(before, after)``
+    ints on one scale: the definitional tally, the neoclassical tally (of the
+    holdings) and the ratio form's yes/no or its ``HypothesisViolated``.
+    ``check_moves`` and the ``check-move`` command both decide by it.
+    """
     after, before = _move_information(readings, holdings)
-    tally = _tally(polity.agents, after, before)
-    neoclassical = _tally(polity.agents, *holdings)
     movers = _ratio_movers(polity, holdings)
-    if isinstance(movers, HypothesisViolated):
-        ratio: ImprovementVerdict | HypothesisViolated = movers
-    else:
-        ratio = _ratio_verdict(movers, after, before, tally)
-    return MoveVerdicts(
-        _verdict(tally, Method.DEFINITIONAL),
-        _verdict(neoclassical, Method.NEOCLASSICAL),
-        ratio,
-    )
+    if not isinstance(movers, HypothesisViolated):
+        movers = _ratio_improves(movers, after, before)
+    return _tally(polity.agents, after, before), _tally(polity.agents, *holdings[::-1]), movers
 
 
 def check_moves(moves: Iterable[Move], transforms: Transforms) -> Iterator[MoveVerdicts]:
@@ -373,7 +372,11 @@ def check_moves(moves: Iterable[Move], transforms: Transforms) -> Iterator[MoveV
         readings = shapes.get(polity)
         if readings is None:
             readings = shapes[polity] = _readings(transforms_for(polity, transforms), polity)
-        yield _move_verdicts(move, polity, readings)
+        tally, neoclassical, ratio = _move_outcome(polity, readings, _scaled_holdings(move))
+        if not isinstance(ratio, HypothesisViolated):
+            ratio = _verdict(tally, Method.RATIO_FORM, ratio)
+        definitional = _verdict(tally, Method.DEFINITIONAL)
+        yield MoveVerdicts(definitional, _verdict(neoclassical, Method.NEOCLASSICAL), ratio)
 
 
 def check_move(move: Move, transforms: Transforms) -> MoveVerdicts:

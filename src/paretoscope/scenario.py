@@ -9,13 +9,15 @@ Allocation literals are ``(1,2)`` for one commodity (one number per agent) or
 allowed around every parenthesis, comma and number.  Moves are written
 ``FROM -> TO`` and separated by semicolons.  Each literal is read by one
 pattern (``_Literals``); ``_Cursor`` parses only the literals that pattern
-rejects, to report the fault at its column.
+rejects, to report the fault at its column.  Moves are kept as int holdings
+on one scale, the least common multiple of every move quantity's denominator.
 """
 
 from __future__ import annotations
 
 import codecs
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +33,8 @@ from .polity import (
     FixedTotalLattice,
     Move,
     Polity,
+    _allocations,
+    _Holdings,
     _unchecked_state,
     as_quantity,
 )
@@ -68,14 +72,16 @@ _BASE_KEYS = {
 @dataclass(frozen=True)
 class Scenario:
     """A parsed scenario: the polity, its feasible set, and optional inputs
-    for the individual commands."""
+    for the individual commands.  Each move is kept as ``(before, after)``
+    int holdings in ``move_holdings``: every quantity times ``move_scale``."""
 
     n_agents: int
     commodities: int
     feasible: FeasibleSet
     transforms: dict[int, TransformSpec]
     swf: SwfSpec | None = None
-    moves: tuple[Move, ...] = ()
+    move_scale: int = 1
+    move_holdings: tuple[tuple[_Holdings, _Holdings], ...] = ()
     discover_beneficiary: int | None = None
     discover_steps: int | None = None
     discover_increment: Fraction = Fraction(1)
@@ -87,6 +93,12 @@ class Scenario:
     @property
     def polity(self) -> Polity:
         return Polity(self.n_agents, self.commodities)
+
+    @cached_property
+    def moves(self) -> tuple[Move, ...]:
+        """The moves as ``Move``s, made from ``move_holdings`` on first use."""
+        states = _allocations(self.move_scale, (e for p in self.move_holdings for e in p))
+        return tuple([Move(*pair) for pair in zip(states, states)])  # two states a move
 
 
 class _Entry(NamedTuple):
@@ -229,9 +241,9 @@ class _Literals:
     fullmatches exactly the literals that ``_Cursor`` and ``_shape_allocation``
     accept, short of converting their number tokens.  A literal it matches
     is read with one ``findall``, and each distinct token becomes a
-    ``Fraction`` once.  A literal it rejects, or whose token is no quantity,
-    is parsed again by ``_Cursor``, which raises the ``ParseError`` or
-    ``ValidationError`` with its message and column.
+    ``Fraction`` once, in ``quantities``.  A literal it rejects, or whose
+    token is no quantity, is parsed again by ``_Cursor``, which raises the
+    ``ParseError`` or ``ValidationError`` with its message and column.
     """
 
     def __init__(self, agents: int, commodities: int):
@@ -249,21 +261,37 @@ class _Literals:
             shape = f"(?:{_listed(number, self.agents)}|{shape})"
         return re.compile(f"{_BLANKS}{shape}{_BLANKS}")
 
-    def _quantity(self, token: str) -> Fraction:
-        q = self.quantities.get(token)
-        if q is None:
-            q = self.quantities[token] = Fraction(token)
-        return q
-
-    def parse(self, text: str, line: int, base_col: int, key: str) -> Allocation:
+    def tokens(self, text: str, line: int, base_col: int, key: str) -> list[str]:
+        """The literal's quantities, agent-major, as keys of ``quantities``."""
         if self.pattern.fullmatch(text):
+            tokens = _NUMBER.findall(text)
             try:
-                flat = tuple(map(self._quantity, _NUMBER.findall(text)))
+                for token in set(tokens).difference(self.quantities):
+                    self.quantities[token] = Fraction(token)
             except (ValueError, ZeroDivisionError):
                 pass  # a token that is no quantity: the cursor says where
             else:
-                return _unchecked_state(flat, self.commodities)
-        return _parse_allocation(text, line, base_col, self.agents, self.commodities, key)
+                return tokens
+        state = _parse_allocation(text, line, base_col, self.agents, self.commodities, key)
+        # a literal the cursor accepts is keyed by its quantities' own texts
+        self.quantities.update((str(q), q) for q in state.flat())
+        return [str(q) for q in state.flat()]
+
+    def parse(self, text: str, line: int, base_col: int, key: str) -> Allocation:
+        flat = map(self.quantities.__getitem__, self.tokens(text, line, base_col, key))
+        return _unchecked_state(tuple(flat), self.commodities)
+
+    def holdings(self, literals: list[list[str]]) -> tuple[int, list[_Holdings]]:
+        """Each of ``literals`` (from ``tokens``) as int holdings on one scale,
+        the least common multiple of the denominators of all their quantities."""
+        quantities = [(t, self.quantities[t]) for t in set().union(*literals)]
+        scale = math.lcm(*[q.denominator for _, q in quantities])
+        ints = {t: q.numerator * (scale // q.denominator) for t, q in quantities}
+        # commodities references to one iterator: zip takes each agent's in turn
+        return scale, [
+            tuple(zip(*[map(ints.__getitem__, tokens)] * self.commodities))
+            for tokens in literals
+        ]
 
 
 def _collect(text: str) -> dict[str, _Entry]:
@@ -462,7 +490,7 @@ def parse_scenario(text: str, digest: str = "") -> Scenario:
                 f"{len(swf.combiner.weights)} weights for {agents} agents", key="swf"
             )
 
-    moves: list[Move] = []
+    ends: list[list[str]] = []  # every move's two literals in turn
     if "moves" in entries:
         entry = entries["moves"]
         for part, offset in _split_segments(entry.value):
@@ -475,12 +503,10 @@ def parse_scenario(text: str, digest: str = "") -> Scenario:
                     line=entry.line,
                     column=entry.column + offset,
                 )
-            lhs, rhs = part[:arrow], part[arrow + 2 :]
-            before = literals.parse(lhs, entry.line, entry.column + offset, "moves")
-            after = literals.parse(
-                rhs, entry.line, entry.column + offset + arrow + 2, "moves"
-            )
-            moves.append(Move(before=before, after=after))
+            column = entry.column + offset
+            for end, at in ((part[:arrow], column), (part[arrow + 2 :], column + arrow + 2)):
+                ends.append(literals.tokens(end, entry.line, at, "moves"))
+    move_scale, holdings = literals.holdings(ends)
 
     beneficiary = None
     if "discover.beneficiary" in entries:
@@ -537,7 +563,8 @@ def parse_scenario(text: str, digest: str = "") -> Scenario:
         feasible=feasible,
         transforms=transforms,
         swf=swf,
-        moves=tuple(moves),
+        move_scale=move_scale,
+        move_holdings=tuple(zip(holdings[::2], holdings[1::2])),
         discover_beneficiary=beneficiary,
         discover_steps=steps,
         discover_increment=increment,

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from paretoscope import polity as polity_module
+from paretoscope import scenario as scenario_module
 from paretoscope.cli import main
+from paretoscope.polity import Allocation
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -259,6 +262,57 @@ def test_engine_error_exits_2(tmp_path, capsys):
     # state 0 is (0,0): the reference mean is zero there
     assert main(["efficient", "--scenario", str(scn), "--state", "0"]) == 2
     assert "reference" in capsys.readouterr().err
+
+
+_CHECK_MOVE_HEADER = (
+    "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1,2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "body,code,message",
+    [
+        # the third move takes agent 1, agent 2's whole reference group, to 0
+        (
+            "transform.2 = relative_nbhd(1)\n"
+            "moves = (1,1) -> (2,1); (1,1) -> (1,2); (1,1) -> (0,2); (2,2) -> (1,1)\n",
+            2,
+            "reference mean for agent 2 is zero at the to state of the move",
+        ),
+        # agent 2's weights are checked before the first move's zero reference
+        (
+            "transform.1 = relative_mean\ntransform.2 = weighted_own(1,2)\n"
+            "moves = (0,0) -> (1,0); (1,1) -> (2,1)\n",
+            2,
+            "2 weights for a 1-commodity bundle",
+        ),
+        ("transform = own\n", 1, "missing required field: moves"),
+    ],
+    ids=["zero-reference-at-third-move", "bad-transform-first", "no-moves"],
+)
+def test_check_move_errors_print_nothing_on_stdout(tmp_path, capsys, body, code, message):
+    scn = tmp_path / "moves.scn"
+    scn.write_text(_CHECK_MOVE_HEADER + body)
+    assert main(["check-move", "--scenario", str(scn)]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "scenario", ["check_move_literals", "check_move_mixed", "check_move_weighted", "own_box"]
+)
+def test_check_move_command_makes_no_allocation(monkeypatch, tmp_path, scenario):
+    # every move is parsed to int holdings, decided from them and rendered
+    # from them: neither the scenario nor the command makes an Allocation
+    def no_state(*args, **kwargs):
+        raise AssertionError("Allocation built")
+
+    for module in (polity_module, scenario_module):
+        monkeypatch.setattr(module, "_unchecked_state", no_state)
+    monkeypatch.setattr(Allocation, "__post_init__", no_state)
+    out = tmp_path / "out.csv"
+    assert _run("check-move", scenario, "csv", [], out) == 0
+    golden = "check_move_own_box.csv" if scenario == "own_box" else f"{scenario}.csv"
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_cap_exceeded_exits_3(capsys):

@@ -406,6 +406,148 @@ def test_int_move_evaluation_matches_fraction_reference(case):
         assert tuple(map(_identify, verdicts)) == (definitional, neoclassical, ratio)
 
 
+# --- The check-move command against the same reference ----------------------
+#
+# The command decides and renders every move from the scenario's int
+# holdings; the reference reads the moves as ``Fraction`` allocations.
+
+_MOVE_QUANTITIES = [0, 0, Fraction(1, 2), 1, Fraction(2, 3), Fraction(5, 7), Fraction(5, 4), 3]
+
+
+def _reference_state_text(state):
+    """``state`` written as the report writes allocations."""
+    groups = [",".join(str(q) for q in b.quantities) for b in state.bundles]
+    if state.dimension > 1:
+        groups = [f"({g})" for g in groups]
+    return f"({','.join(groups)})"
+
+
+def _reference_report(moves, specs):
+    """The rows and diagnostics ``check-move`` gives on ``moves``, or the
+    identified error it raises at the first move that fails."""
+    all_own = all(isinstance(spec, OwnBundle) for spec in specs.values())
+    rows, diagnostics = [], []
+    for idx, move in enumerate(moves):
+        definitional, neoclassical, ratio = _reference_outcomes(move, specs)
+        if isinstance(definitional[0], type):
+            return definitional
+        applicable = [definitional[0]]
+        if isinstance(ratio[0], type):
+            ratio_cell = "n/a"
+            diagnostics.append(f"move {idx}: ratio form not applicable ({ratio[1]})")
+        else:
+            ratio_cell = str(ratio[0]).lower()
+            applicable.append(ratio[0])
+        if all_own:
+            applicable.append(neoclassical[0])
+        rows.append(
+            (
+                str(idx),
+                f"{_reference_state_text(move.before)} -> {_reference_state_text(move.after)}",
+                str(definitional[0]).lower(),
+                str(neoclassical[0]).lower(),
+                ratio_cell,
+                str(len(set(applicable)) == 1).lower(),
+            )
+        )
+        gainers = ",".join(str(a) for a in definitional[1])
+        violators = ",".join(f"{a}:{kind.value}" for a, kind in definitional[2])
+        diagnostics.append(f"move {idx}: strict_gainers=[{gainers}] violators=[{violators}]")
+    return tuple(rows), tuple(diagnostics)
+
+
+@st.composite
+def _move_scenarios(draw):
+    """A scenario text with 1-4 moves of 1-3 agents over 1-2 commodities, and
+    its moves as ``Fraction`` allocations.
+
+    Every transform family appears, with weights now and then of the wrong
+    length; each quantity is written as a ratio (now and then unreduced), a
+    decimal or an integer, with leading zeros now and then.
+    """
+    n_agents = draw(st.integers(1, 3))
+    dim = draw(st.sampled_from([1, 1, 2]))
+
+    def weights():
+        length = dim if draw(st.integers(0, 9)) else 3 - dim
+        return ",".join(str(w) for w in draw(st.tuples(*[st.sampled_from(_WEIGHTS)] * length)))
+
+    lines = [
+        f"agents = {n_agents}",
+        f"commodities = {dim}",
+        "feasible.kind = box_grid",
+        "feasible.levels = 0,1",
+    ]
+    for agent in range(1, n_agents + 1):
+        kind = draw(st.sampled_from(["own", "weighted_own", "relative_mean", "relative_nbhd"]))
+        if kind == "weighted_own":
+            kind = f"weighted_own({weights()})"
+        elif kind == "relative_mean" and draw(st.booleans()):
+            kind = f"relative_mean({weights()})"
+        elif kind == "relative_nbhd":
+            members = draw(st.frozensets(st.integers(1, n_agents), min_size=1))
+            kind = f"relative_nbhd({','.join(map(str, sorted(members)))}"
+            kind += f";{weights()})" if draw(st.booleans()) else ")"
+        lines.append(f"transform.{agent} = {kind}")
+
+    def number(q):
+        q = Fraction(q)
+        k = draw(st.integers(1, 3))
+        zeros = "0" * draw(st.integers(0, 2))
+        forms = [f"{zeros}{q.numerator * k}/{q.denominator * k}"]
+        if q.denominator == 1:
+            forms.append(f"{zeros}{q.numerator}")
+        for digits in (1, 2):
+            whole, frac = divmod(q * 10**digits, 10**digits)
+            if frac.denominator == 1:
+                forms.append(f"{zeros}{whole}.{frac.numerator:0{digits}d}")
+        return draw(st.sampled_from(forms))
+
+    def literal(bundles):
+        if dim == 1 and draw(st.booleans()):
+            return "(" + ", ".join(number(b[0]) for b in bundles) + ")"
+        return "(" + ",".join("(" + ",".join(map(number, b)) + ")" for b in bundles) + ")"
+
+    bundle = st.tuples(*[st.sampled_from(_MOVE_QUANTITIES)] * dim)
+    moves, texts = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        before = [draw(bundle) for _ in range(n_agents)]
+        after = [b if draw(st.booleans()) else draw(bundle) for b in before]
+        moves.append(Move(alloc(*before), alloc(*after)))
+        texts.append(f"{literal(before)} -> {literal(after)}")
+    lines.append("moves = " + "; ".join(texts))
+    return "\n".join(lines) + "\n", moves
+
+
+# Each move's own denominators are 2, 3 and 7: only the scenario scale, 42,
+# holds all three.
+_SCALE_CASE = (
+    "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+    "transform.2 = relative_mean\n"
+    "moves = (1/2,1) -> (1,1); (2/3,1) -> (1,2/3); (5/7,1) -> (5/7,2)\n",
+    [
+        Move(alloc(Fraction(1, 2), 1), alloc(1, 1)),
+        Move(alloc(Fraction(2, 3), 1), alloc(1, Fraction(2, 3))),
+        Move(alloc(Fraction(5, 7), 1), alloc(Fraction(5, 7), 2)),
+    ],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_move_scenarios())
+@example(_SCALE_CASE)
+def test_check_move_report_matches_the_fraction_reference(case):
+    text, moves = case
+    scenario = parse_scenario(text)
+    expected = _reference_report(moves, scenario.transforms)
+    try:
+        report = run_command(scenario, "check-move")
+    except ParetoscopeError as exc:
+        assert _identify(exc) == expected
+        return
+    assert (report.rows, report.diagnostics) == expected
+
+
 def test_check_move_zero_reference_at_either_end():
     specs = {1: OwnBundle(), 2: RelativeToNeighborhood(frozenset({1}), (Fraction(1, 2),))}
     for move, endpoint in (

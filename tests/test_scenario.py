@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from paretoscope import (
     ExplicitList,
     FixedTotalLattice,
     Maximin,
+    Move,
     OwnBundle,
     ParseError,
     Polity,
@@ -22,6 +24,7 @@ from paretoscope import (
     RelativeToNeighborhood,
     ValidationError,
     WeightedSum,
+    alloc,
     count_feasible,
     load_scenario,
     parse_scenario,
@@ -133,6 +136,88 @@ def test_moves_parse():
     assert len(scenario.moves) == 2
     assert scenario.moves[0].before.flat() == (Fraction(0), Fraction(0))
     assert scenario.moves[1].after.flat() == (Fraction(2), Fraction(1))
+
+
+# Every move of four data scenarios, as the moves were parsed into
+# ``Allocation``s before they were kept as int holdings: one blank-separated
+# group per agent, its quantities separated by commas.
+_PARSED_MOVES = {
+    "check_move_literals": [
+        "1/2 1 3/2 -> 1 2 3",
+        "1 1 1 -> 1 1/2 1",
+        "1 1 1 -> 2 2 2",
+        "1 1 1 -> 2 1 1",
+        "1 3/2 1/2 -> 1 3/2 1/2",
+        "1 0 1 -> 1 2 1",
+        "3/2 3/2 3/2 -> 3 3 3",
+        "1 1 1 -> 1 1 3/2",
+    ],
+    "check_move_mixed": [
+        "1/2 1 3/2 -> 1 2 3",
+        "1 1 1 -> 1 1/2 1",
+        "1/2 1 3/2 -> 1/2 1 3/2",
+        "2 2 2 -> 3/2 2 1",
+        "1 1 1 -> 2 1 1",
+        "1 1 1 -> 1 1 3/2",
+        "1/2 0 1/2 -> 1/2 1/2 1/2",
+        "3/2 1 1/2 -> 3/2 3/2 1/2",
+        "1 1 1 -> 2 2 2",
+    ],
+    "check_move_weighted": [
+        "1,1 1,1 -> 2,0 1,1",
+        "1,1 2,0 -> 1,1 1,1",
+        "1/2,3/2 1,1 -> 1,3/2 3,1/2",
+        "1,1 1,1 -> 2,1 3,0",
+        "1,1 1,1 -> 1,1 1,1",
+        "1,1 1,1 -> 3/2,1 1,3/2",
+        "2,2 2,2 -> 3,1 3,1",
+    ],
+    "own_box": ["1 1 -> 2 1", "1 1 -> 2 0", "1 1 -> 1 1"],
+}
+
+
+def _pinned_move(text):
+    before, after = (
+        alloc(*[tuple(map(Fraction, group.split(","))) for group in end.split()])
+        for end in text.split("->")
+    )
+    return Move(before, after)
+
+
+@pytest.mark.parametrize("name", sorted(_PARSED_MOVES))
+def test_moves_view_equals_the_parsed_moves(name):
+    scenario = load_scenario(DATA / f"{name}.scn")
+    assert scenario.moves == tuple(map(_pinned_move, _PARSED_MOVES[name]))
+    assert scenario.moves is scenario.moves  # made once, on first use
+
+
+def test_moves_are_int_holdings_on_one_scenario_scale():
+    scenario = load_scenario(DATA / "check_move_literals.scn")
+    assert scenario.move_scale == 2
+    assert scenario.move_holdings[0] == (((1,), (2,), (3,)), ((2,), (4,), (6,)))
+    # no single move's denominators make the scale: 1/2, 2/3 and 5/7 do
+    scenario = parse_scenario(
+        MINIMAL + "moves = (1/2,1) -> (1,1); (2/3,1) -> (1,2/3); (05/7,1.0) -> (5/7,2)\n"
+    )
+    assert scenario.move_scale == 42
+    assert scenario.move_holdings == (
+        (((21,), (42,)), ((42,), (42,))),
+        (((28,), (42,)), ((42,), (28,))),
+        (((30,), (42,)), ((30,), (84,))),
+    )
+    assert parse_scenario(MINIMAL).move_holdings == ()
+
+
+def test_cursor_parsed_literals_land_in_the_same_int_table(monkeypatch):
+    path = DATA / "check_move_literals.scn"
+    expected = load_scenario(path)
+    # a pattern that matches nothing sends every literal to the cursor
+    never = re.compile(r"(?!)")
+    monkeypatch.setattr(scenario_module._Literals, "pattern", property(lambda self: never))
+    scenario = load_scenario(path)
+    assert scenario.move_scale == expected.move_scale == 2
+    assert scenario.move_holdings == expected.move_holdings
+    assert scenario.moves == tuple(map(_pinned_move, _PARSED_MOVES[path.stem]))
 
 
 def test_multi_commodity_moves_and_levels():
