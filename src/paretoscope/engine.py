@@ -20,36 +20,39 @@ of the move built from it (``_move_information``): each agent's information
 at both ends as int component tuples that compare exactly as the
 information does.  One core (``_move_outcome``) decides a move by all three
 checkers from its ``(before, after)`` int holdings on one scale:
-``check_moves`` gives it each move's ``_scaled_holdings``, resolving the
-readings once per polity shape, and wraps it in ``MoveVerdicts``; the
-``check-move`` command gives it the scenario's parsed ints and renders its
-rows from them, with no ``Allocation`` made.  The single checkers build the
+``check_moves`` gives it each move's ends on one int scale
+(``_common_holdings``), resolving the readings once per polity shape, and
+wraps it in ``MoveVerdicts``; the ``check-move`` command gives it the
+scenario's parsed ints and renders its rows from them, with no
+``Allocation`` made.  The single checkers build the
 same evaluation.  The checkers share one definition of
-improvement with reasons (``_tally``); ``_improves`` is its yes/no form for
-the loops that need no reasons.  Frontiers and scans read one
-``SignatureTable``, built by the same reading once per state from the
-feasible set's int state stream (``feasible_holdings``, with no
-``Allocation`` made) and scaled to exact ints by one common factor, and one
-dominance layer over it (``_dominator_masks``) that gives each state the
-bitset of the states that dominate it.  A scan counts its improving moves
-from those bitsets and keeps them, so the moves are listed only on demand.
+improvement with reasons (``_tally``); ``_dominates`` is its yes/no form on
+flat int signatures, for the loops that need no reasons.  Frontiers and
+scans read one ``SignatureTable``: each state's flat signature, read and
+scaled to exact ints by one common factor (``transforms._signatures``, the
+core that welfare ranks by too) from the feasible set's int state stream
+(``feasible_holdings``, with no ``Allocation`` made), and one dominance
+layer over it (``_dominator_masks``) that gives each state the bitset of
+the states that dominate it.  A scan counts its improving moves from those
+bitsets and keeps them, so the moves are listed only on demand.
 ``is_pareto_efficient`` reads the state and each target of that int
-stream, or of its upper cone (``_upper_cone``), by the same readings and
-compares them as a move's ends (``_comparable``).  The tests
-hold every int route against a separate evaluation of the transforms on
-``Fraction``s.  ``enumerate_frontier`` certifies those bitsets on every
-call: each dominated state is checked by definition against one dominator,
-and no efficient state may dominate another.
+stream, or of its upper cone (``_upper_cone``), by the same readings,
+makes the two ends comparable as a move's (``_comparable``) and decides by
+``_dominates``.  The tests hold every int route against a separate
+evaluation of the transforms on ``Fraction``s.  ``enumerate_frontier``
+certifies those bitsets on every call: each dominated state is checked by
+``_dominates`` against one dominator, and no efficient state may dominate
+another.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded, HypothesisViolated, InternalInvariant, ZeroReferencePoint
 from .polity import (
@@ -59,8 +62,7 @@ from .polity import (
     Polity,
     _Holdings,
     _allocations,
-    _own_holdings,
-    _state_holdings,
+    _common_holdings,
     _upper_cone,
     count_feasible,
     feasible_contains,
@@ -74,6 +76,7 @@ from .transforms import (
     _Reading,
     _read_state,
     _readings,
+    _signatures,
     transforms_for,
 )
 
@@ -141,27 +144,6 @@ def _tally(
     return gainers, violators
 
 
-def _improves(after: tuple[tuple, ...], before: tuple[tuple, ...]) -> bool:
-    """Whether moving between two states is an improvement, yes or no.
-
-    ``after`` and ``before`` hold each agent's information components in
-    agent order as ints that compare as the information does: two readings
-    made comparable by ``_comparable``, or the scaled ints of a
-    ``SignatureTable``.  Agents left equal are skipped, any agent
-    with a lower component blocks, and some agent must differ.  This is the
-    ``_tally`` verdict without its reasons.
-    """
-    gained = False
-    for a, b in zip(after, before):
-        if a == b:
-            continue
-        for x, y in zip(a, b):
-            if x < y:
-                return False
-        gained = True
-    return gained
-
-
 _Tally = tuple[list[int], list[tuple[int, ViolationKind]]]
 
 
@@ -179,22 +161,8 @@ def _verdict(
     return ImprovementVerdict(is_improvement, tuple(tally[0]), tuple(tally[1]), method)
 
 
-def _scaled_holdings(move: Move) -> tuple[_Holdings, _Holdings]:
-    """Both ends' holdings as ints on one scale: ``(before, after)``.
-
-    Every quantity is multiplied by one positive factor, the least common
-    multiple of the denominators at both ends, so every comparison of
-    holdings, or of positive-weighted sums of them, is unchanged.
-    """
-    ends = (move.before, move.after)
-    scale = math.lcm(
-        *[q.denominator for end in ends for b in end.bundles for q in b.quantities]
-    )
-    return tuple([_state_holdings(end, scale) for end in ends])
-
-
 def _move_information(
-    readings: list[tuple[int, _Reading | None]], holdings: tuple[_Holdings, _Holdings]
+    readings: list[tuple[int, _Reading | None]], holdings: Sequence[_Holdings]
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Every agent's information at both ends of a move, as exact ints.
 
@@ -246,13 +214,14 @@ def check_improvement(move: Move, transforms: Transforms) -> ImprovementVerdict:
     """
     polity = move.polity
     readings = _readings(transforms_for(polity, transforms), polity)
-    after, before = _move_information(readings, _scaled_holdings(move))
+    _, holdings = _common_holdings((move.before, move.after))
+    after, before = _move_information(readings, holdings)
     return _verdict(_tally(polity.agents, after, before), Method.DEFINITIONAL)
 
 
 def check_improvement_neoclassical(move: Move) -> ImprovementVerdict:
     """Classical check: every agent's information is their own bundle."""
-    before, after = _scaled_holdings(move)
+    _, (before, after) = _common_holdings((move.before, move.after))
     return _verdict(_tally(move.polity.agents, after, before), Method.NEOCLASSICAL)
 
 
@@ -262,7 +231,7 @@ def _direction(after: int, before: int) -> int:
 
 
 def _ratio_movers(
-    polity: Polity, holdings: tuple[_Holdings, _Holdings]
+    polity: Polity, holdings: Sequence[_Holdings]
 ) -> list[int] | HypothesisViolated:
     """The sign of each holding change that is not zero, in agent order.
 
@@ -319,7 +288,7 @@ def check_improvement_ratio_form(move: Move, transforms: Transforms) -> Improvem
     transform is evaluated.
     """
     polity = move.polity
-    holdings = _scaled_holdings(move)
+    _, holdings = _common_holdings((move.before, move.after))
     movers = _ratio_movers(polity, holdings)
     if isinstance(movers, HypothesisViolated):
         raise movers
@@ -344,7 +313,7 @@ class MoveVerdicts(NamedTuple):
 def _move_outcome(
     polity: Polity,
     readings: list[tuple[int, _Reading | None]],
-    holdings: tuple[_Holdings, _Holdings],
+    holdings: Sequence[_Holdings],
 ) -> tuple[_Tally, _Tally, bool | HypothesisViolated]:
     """One move's decision by all three checkers, from ``(before, after)``
     ints on one scale: the definitional tally, the neoclassical tally (of the
@@ -372,7 +341,8 @@ def check_moves(moves: Iterable[Move], transforms: Transforms) -> Iterator[MoveV
         readings = shapes.get(polity)
         if readings is None:
             readings = shapes[polity] = _readings(transforms_for(polity, transforms), polity)
-        tally, neoclassical, ratio = _move_outcome(polity, readings, _scaled_holdings(move))
+        _, holdings = _common_holdings((move.before, move.after))
+        tally, neoclassical, ratio = _move_outcome(polity, readings, holdings)
         if not isinstance(ratio, HypothesisViolated):
             ratio = _verdict(tally, Method.RATIO_FORM, ratio)
         definitional = _verdict(tally, Method.DEFINITIONAL)
@@ -405,19 +375,18 @@ class EfficiencyVerdict:
     skipped_targets: int = 0
 
 
-@dataclass(frozen=True)
-class SignatureTable:
+class SignatureTable(NamedTuple):
     """Every feasible state's information as exact scaled integers.
 
-    Row ``i`` is the state with enumeration index ``i``.  Each agent's
-    information is read once per state from the state's int holdings
-    (``feasible_holdings``), by the reading ``check_move`` uses (``_read``),
-    and every information component ``c`` is stored as the int
-    ``c * scale``, where ``scale`` is the least common multiple of the
-    reduced denominators of all live components.
-    ``components`` holds one int tuple per agent in agent order (a 1-tuple
-    for scalar information) and ``signatures`` flattens it to one tuple.
-    Both are ``None`` for a degenerate state.
+    Row ``i`` is the state with enumeration index ``i``: its signature, the
+    information components of every agent in agent order (one for scalar
+    information) flattened to one int tuple, or ``None`` for a degenerate
+    state.  Each agent's information is read once per state from the
+    state's int holdings (``feasible_holdings``), by the reading
+    ``check_move`` uses (``_read``), and every information component ``c``
+    is stored as the int ``c * scale``, where ``scale`` is the least common
+    multiple of the reduced denominators of all live components
+    (``_signatures``).
 
     One common positive scale keeps every comparison exact: ``x < y`` exactly
     when ``x * scale < y * scale``, and equal rational sums stay equal.
@@ -425,17 +394,16 @@ class SignatureTable:
     what ``evaluate_transform`` gives there.
 
     Improvement between two states is equivalent to strict componentwise
-    dominance between their signatures: per-agent weak rises concatenate to a
-    componentwise weak rise, and any strict component makes exactly one agent
-    strictly better off.  ``_dominator_masks`` reads the signatures
-    dimension by dimension; strict dominance also implies a strictly larger
-    signature sum, which is what lets the frontier's antichain check skip
-    most pairs.
+    dominance between their signatures (``_dominates``): per-agent weak
+    rises concatenate to a componentwise weak rise, and any strict
+    component makes exactly one agent strictly better off.
+    ``_dominator_masks`` reads the signatures dimension by dimension; strict
+    dominance also implies a strictly larger signature sum, which is what
+    lets the frontier's antichain check skip most pairs.
     """
 
     scale: int
-    components: tuple[tuple[tuple[int, ...], ...] | None, ...]
-    signatures: tuple[tuple[int, ...] | None, ...]
+    signatures: list[tuple[int, ...] | None]
 
     @property
     def live(self) -> list[int]:
@@ -455,47 +423,30 @@ def build_signature_table(
     first.  Each agent's reading is then resolved once, so ``InvalidAgent``
     and ``DimensionMismatch`` are raised in agent order before any state is
     read.  Every state's holdings come on one scale, fixed before the first
-    state (``feasible_holdings``), and each agent's information is taken
-    from them by ``_read``, as int components over a positive int, with no
-    ``Fraction`` and no ``Allocation`` made.  When ``warning`` is given, each
-    degenerate state is logged as "state <index> <warning>: <reason>".
+    state (``feasible_holdings``), and are read and scaled by
+    ``_signatures``, with no ``Fraction`` and no ``Allocation`` made.  When
+    ``warning`` is given, each degenerate state is logged as
+    "state <index> <warning>: <reason>".
     """
     specs = transforms_for(polity, transforms)
     unit, feasible = feasible_holdings(fs, polity)
     readings = _readings(specs, polity)
-    rows = []
-    denominators: set[int] = set()
-    for idx, holdings in enumerate(feasible):
-        try:
-            row = _read_state(readings, holdings, unit)
-        except ZeroReferencePoint as exc:
-            if warning is not None:
-                logger.warning("state %d %s: %s", idx, warning, exc)
-            rows.append(None)
-            continue
-        # the denominator of item / den in lowest terms; the scale is their
-        # least common multiple, so c * scale // den below is exact
-        denominators.update([den // math.gcd(den, *item) for item, den in row])
-        rows.append(row)
-    scale = math.lcm(*denominators)
-    components, signatures = [], []
-    for row in rows:
-        if row is None:
-            components.append(None)
-            signatures.append(None)
-            continue
-        # an item whose denominator is the scale (every own bundle on integer
-        # holdings) is kept as it is, so no second tuple per agent is held
-        scaled = [
-            item if den == scale else tuple([c * scale // den for c in item])
-            for item, den in row
-        ]
-        components.append(tuple(scaled))
-        signatures.append(tuple([c for item in scaled for c in item]))
-    return SignatureTable(scale, tuple(components), tuple(signatures))
+
+    def degenerate(index: int, exc: ZeroReferencePoint) -> None:
+        if warning is not None:
+            logger.warning("state %d %s: %s", index, warning, exc)
+
+    return SignatureTable(*_signatures(readings, unit, feasible, degenerate))
 
 
 def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether the move from ``b`` to ``a`` improves, yes or no.
+
+    ``a`` and ``b`` hold every agent's information components in agent
+    order, flattened, as ints that compare as the information does: two
+    signatures of one ``SignatureTable``, or two readings made comparable
+    by ``_comparable``.  This is the ``_tally`` verdict without its reasons.
+    """
     return all(map(operator.ge, a, b)) and a != b
 
 
@@ -550,7 +501,7 @@ def is_pareto_efficient(
     readings = _readings(specs, polity)
     if not feasible_contains(fs, state):
         logger.warning("state %s is not in the declared feasible set", state.flat())
-    scale, holdings = _own_holdings(state)
+    scale, (holdings,) = _common_holdings((state,))
     try:
         before = _read_state(readings, holdings, scale)
     except ZeroReferencePoint as exc:
@@ -569,7 +520,8 @@ def is_pareto_efficient(
         except ZeroReferencePoint:
             skipped += 1
             continue
-        if _improves(*_comparable(after, before)):
+        gained, kept = _comparable(after, before)
+        if _dominates(tuple(chain(*gained)), tuple(chain(*kept))):
             witness = next(_allocations(unit, (holdings,)))
             return EfficiencyVerdict(False, Move(before=state, after=witness), skipped)
     return EfficiencyVerdict(True, None, skipped)
@@ -644,7 +596,7 @@ def enumerate_frontier(
     algorithms", Computer Science Review 5(2), 2011), in two parts:
 
     * (a) witnesses: each state with a non-empty bitset is checked by
-      definition, agent by agent on the scaled components, against one
+      ``_dominates`` on the signatures, not by the bitsets, against one
       dominator, the bitset's lowest set bit;
     * (b) antichain: no kept state dominates another.  Strict dominance
       implies a strictly larger signature sum, so each kept state is tested
@@ -661,14 +613,14 @@ def enumerate_frontier(
     the states reads them from ``feasible_holdings``, in the table's order.
     """
     table = build_signature_table(fs, polity, transforms, "excluded from frontier")
-    components, signatures = table.components, table.signatures
+    signatures = table.signatures
     efficient = []  # in enumeration order, as the masks come
     for i, mask in _dominator_masks(table):
         if not mask:
             efficient.append(i)
             continue
         witness = (mask & -mask).bit_length() - 1
-        if not _improves(components[witness], components[i]):
+        if not _dominates(signatures[witness], signatures[i]):
             raise InternalInvariant(
                 f"state {witness} is marked as dominating state {i} "
                 "but does not improve on it"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DimensionMismatch, InfeasibleConfig, InvalidAgent, ValidationError
 
@@ -322,17 +322,15 @@ def _scaled(quantities: Iterable[Fraction], scale: int) -> tuple[int, ...]:
     return tuple([q.numerator * (scale // q.denominator) for q in quantities])
 
 
-def _state_holdings(state: Allocation, scale: int) -> _Holdings:
-    """``state``'s bundles as ints: every quantity times ``scale``, a common
-    multiple of their denominators."""
-    return tuple([_scaled(b.quantities, scale) for b in state.bundles])
+def _common_holdings(states: Sequence[Allocation]) -> tuple[int, list[_Holdings]]:
+    """``states``' bundles as ints on one scale: ``(scale, holdings)``.
 
-
-def _own_holdings(state: Allocation) -> tuple[int, _Holdings]:
-    """``state``'s holdings on its own int scale: ``(scale, holdings)``, where
-    the scale is the least common multiple of the state's denominators."""
-    scale = math.lcm(*[q.denominator for q in state.flat()])
-    return scale, _state_holdings(state, scale)
+    The scale is the least common multiple of every quantity's denominator
+    in every state, and each holding is a quantity times it.  This is the
+    one place the int scale of a set of allocations is chosen.
+    """
+    scale = math.lcm(*[q.denominator for s in states for b in s.bundles for q in b.quantities])
+    return scale, [tuple([_scaled(b.quantities, scale) for b in s.bundles]) for s in states]
 
 
 def _allocations(scale: int, stream: Iterable[_Holdings]) -> Iterator[Allocation]:
@@ -373,8 +371,8 @@ def feasible_holdings(fs: FeasibleSet, polity: Polity) -> tuple[int, Iterator[_H
         slots = polity.n_agents * polity.commodity_dim
         units = tuple(_lattice_units(fs))
         return fs.step.denominator, _lattice_holdings(fs, polity, (0,) * slots, units)
-    scale = math.lcm(*[q.denominator for state in fs.states for q in state.flat()])
-    return scale, (_state_holdings(state, scale) for state in fs.states)
+    scale, holdings = _common_holdings(fs.states)
+    return scale, iter(holdings)
 
 
 def _lattice_holdings(
@@ -523,7 +521,7 @@ def feasible_contains(fs: FeasibleSet, state: Allocation) -> bool:
         # On the state's own int scale s, a quantity h / s is a whole number
         # of steps p / d when h·d is a multiple of p·s, and a sum of
         # holdings H is the total n / m when H·m = n·s.
-        scale, holdings = _own_holdings(state)
+        scale, (holdings,) = _common_holdings((state,))
         d, cell = fs.step.denominator, fs.step.numerator * scale
         if any(h * d % cell for bundle in holdings for h in bundle):
             return False

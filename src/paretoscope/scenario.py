@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import InfeasibleConfig, ParseError, ValidationError
+from .errors import InfeasibleConfig, InternalInvariant, ParseError, ValidationError
 from .polity import (
     Allocation,
     BoxGrid,
@@ -184,9 +184,8 @@ def _shape_allocation(
     agents: int,
     commodities: int,
     key: str,
-) -> Allocation:
-    # Every quantity came through ``_Cursor.number`` as an exact non-negative
-    # Fraction, so the allocation is built without coercing it again.
+) -> None:
+    """Raise ``ValidationError`` unless ``items`` has the scenario's shape."""
     scalars = [i for i in items if isinstance(i, Fraction)]
     groups = [i for i in items if isinstance(i, list)]
     if scalars and groups:
@@ -196,31 +195,30 @@ def _shape_allocation(
             f"allocation lists {len(items)} agents, scenario declares {agents}",
             key=key,
         )
-    if scalars:
-        if commodities != 1:
-            raise ValidationError(
-                f"scalar entries imply 1 commodity, scenario declares {commodities}",
-                key=key,
-            )
-        return _unchecked_state(tuple(scalars), 1)
+    if scalars and commodities != 1:
+        raise ValidationError(
+            f"scalar entries imply 1 commodity, scenario declares {commodities}",
+            key=key,
+        )
     for g in groups:
         if len(g) != commodities:
             raise ValidationError(
                 f"bundle lists {len(g)} commodities, scenario declares {commodities}",
                 key=key,
             )
-    return _unchecked_state(tuple(q for g in groups for q in g), commodities)
 
 
 def _parse_allocation(
     text: str, line: int, base_col: int, agents: int, commodities: int, key: str
-) -> Allocation:
+) -> None:
+    """Raise the ``ParseError`` or ``ValidationError`` of the first fault in
+    the literal ``text``, at its column; return when it has none."""
     cur = _Cursor(text, line, base_col)
     items = _parse_allocation_at(cur)
     cur.skip_ws()
     if cur.pos != len(cur.text):
         cur.fail(f"unexpected trailing text {cur.text[cur.pos:]!r}")
-    return _shape_allocation(items, agents, commodities, key)
+    _shape_allocation(items, agents, commodities, key)
 
 
 _BLANKS = "[ \t]*"
@@ -243,7 +241,9 @@ class _Literals:
     is read with one ``findall``, and each distinct token becomes a
     ``Fraction`` once, in ``quantities``.  A literal it rejects, or whose
     token is no quantity, is parsed again by ``_Cursor``, which raises the
-    ``ParseError`` or ``ValidationError`` with its message and column.
+    ``ParseError`` or ``ValidationError`` with its message and column; a
+    rejected literal in which the cursor finds no fault is an
+    ``InternalInvariant``.
     """
 
     def __init__(self, agents: int, commodities: int):
@@ -272,10 +272,10 @@ class _Literals:
                 pass  # a token that is no quantity: the cursor says where
             else:
                 return tokens
-        state = _parse_allocation(text, line, base_col, self.agents, self.commodities, key)
-        # a literal the cursor accepts is keyed by its quantities' own texts
-        self.quantities.update((str(q), q) for q in state.flat())
-        return [str(q) for q in state.flat()]
+        _parse_allocation(text, line, base_col, self.agents, self.commodities, key)
+        raise InternalInvariant(
+            f"the literal pattern rejects {text!r} but the cursor finds no fault"
+        )
 
     def parse(self, text: str, line: int, base_col: int, key: str) -> Allocation:
         flat = map(self.quantities.__getitem__, self.tokens(text, line, base_col, key))

@@ -15,7 +15,11 @@ Each transform is defined once, on ints.  ``_reading`` resolves an agent's
 transform to int weights and a reference group, and ``_read`` takes the
 agent's information at one state from int holdings as int components over
 a positive int; ``_readings`` and ``_read_state`` do so for every agent.
-Every command reads through them.  ``evaluate_transform`` is the public
+Every command reads through them.  ``_signatures`` reads a whole stream of
+states and scales every component to one int scale, the least common
+multiple of their reduced denominators, as one flat int tuple per state;
+the frontier, the scan and welfare all rank by it, and each decides what a
+state with a zero reference means.  ``evaluate_transform`` is the public
 one-state form: it reads one allocation on its own int scale and returns
 the information as an exact ``Fraction`` or the agent's bundle.
 
@@ -33,10 +37,10 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .errors import DimensionMismatch, InvalidAgent, ValidationError, ZeroReferencePoint
-from .polity import Allocation, Bundle, Polity, _Holdings, _own_holdings, as_quantity
+from .polity import Allocation, Bundle, Polity, _common_holdings, _Holdings, as_quantity
 
 PreferenceInfo = Union[Fraction, Bundle]
 
@@ -245,6 +249,42 @@ def _read_state(
     return [_read(reading, holdings, agent, unit) for agent, reading in readings]
 
 
+def _signatures(
+    readings: list[tuple[int, _Reading | None]],
+    unit: int,
+    stream: Iterable[_Holdings],
+    degenerate: Callable[[int, ZeroReferencePoint], None],
+) -> tuple[int, list[tuple[int, ...] | None]]:
+    """Every state of ``stream``, int holdings times ``unit``, read by
+    ``_read_state`` and scaled to ``(scale, signatures)``.
+
+    Each live component ``c / den`` becomes the int ``c * scale // den``,
+    where ``scale`` is the least common multiple of the reduced denominators
+    of all live components: one flat tuple per state, in agent order.  A
+    state with a zero reference is passed to ``degenerate`` as its index and
+    the ``ZeroReferencePoint`` before the next state is read, and is kept as
+    ``None``.
+    """
+    rows = []
+    denominators: set[int] = set()
+    for index, holdings in enumerate(stream):
+        try:
+            row = _read_state(readings, holdings, unit)
+        except ZeroReferencePoint as exc:
+            degenerate(index, exc)
+            rows.append(None)
+            continue
+        # the denominator of item / den in lowest terms; the scale is their
+        # least common multiple, so c * scale // den below is exact
+        denominators.update([den // math.gcd(den, *item) for item, den in row])
+        rows.append(row)
+    scale = math.lcm(*denominators)
+    return scale, [
+        None if row is None else tuple([c * scale // den for item, den in row for c in item])
+        for row in rows
+    ]
+
+
 def evaluate_transform(
     spec: TransformSpec, allocation: Allocation, agent: int
 ) -> PreferenceInfo:
@@ -260,7 +300,7 @@ def evaluate_transform(
     if reading is None:
         own = allocation.bundles[agent - 1]
         return own.quantities[0] if own.dimension == 1 else own
-    unit, holdings = _own_holdings(allocation)
+    unit, (holdings,) = _common_holdings((allocation,))
     (value,), den = _read(reading, holdings, agent, unit)
     return Fraction(value, den)
 

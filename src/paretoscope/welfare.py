@@ -14,15 +14,17 @@ this module or the engine.
 
 Welfare is ranked on exact ints, by the one reading layer in ``transforms``
 that also serves moves, frontiers and efficiency: every agent's transform
-is resolved once (``_readings``), each state is read from its int holdings
-(``_read_state``), every agent value is scaled to one common positive
-denominator, and the combiner works on those ints (``_welfare_ints``).
-That is the one core.  The ``welfare`` command feeds it the feasible set's
-int state stream (``feasible_holdings``) and renders its rows from the
-holdings; ``welfare_rank`` feeds it its allocations' holdings and makes a
-``Fraction`` only for each entry it returns; ``welfare_value`` is the
-one-state case.  The tests hold it against a ranking computed on
-``Fraction``s from a separate evaluation of the transforms.
+is resolved once (``_readings``), and each state is read from its int
+holdings and its agent values scaled to one common positive denominator by
+``_signatures``, the core that builds the frontier's and the scan's
+signature table.  The combiner works on those ints (``_welfare_ints``).
+The ``welfare`` command feeds it the feasible set's int state stream
+(``feasible_holdings``) and renders its rows from the holdings;
+``welfare_rank`` feeds it its allocations' holdings on one scale
+(``_common_holdings``) and makes a ``Fraction`` only for each entry it
+returns; ``welfare_value`` is the one-state case.  The tests hold it
+against a ranking computed on ``Fraction``s from a separate evaluation of
+the transforms.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import DimensionMismatch, ValidationError, VectorValuedAgentInfo
-from .polity import Allocation, Polity, _Holdings, _state_holdings
+from .errors import DimensionMismatch, ValidationError, VectorValuedAgentInfo, ZeroReferencePoint
+from .polity import Allocation, Polity, _common_holdings, _Holdings
 from .transforms import (
     Combiner,
     Maximin,
@@ -47,6 +49,7 @@ from .transforms import (
     _int_weights,
     _read_state,
     _readings,
+    _signatures,
     transforms_for,
 )
 
@@ -64,19 +67,22 @@ def _int_combiner(combiner: Combiner, n_agents: int) -> tuple[tuple[int, ...] | 
     raise ValidationError(f"unknown combiner {combiner!r}")
 
 
+def _reraise(index: int, exc: ZeroReferencePoint) -> None:
+    raise exc
+
+
 def _welfare_ints(
-    spec: SwfSpec, polity: Polity, unit: int, holdings: Iterable[_Holdings]
+    spec: SwfSpec, polity: Polity, unit: int, holdings: Sequence[_Holdings]
 ) -> tuple[list[int], int]:
     """Every state's welfare under ``spec`` as an int over one positive int.
 
     ``holdings`` gives each state of ``polity`` as int holdings, every
     quantity times ``unit``.  Returns ``(values, scale)``: the welfare of
-    state ``i`` is exactly ``values[i] / scale``.  Each agent's value is read
-    by ``_read`` as an int over a positive int and multiplied up to the least
-    common multiple of all those denominators in lowest terms, as
-    ``build_signature_table`` scales its components; ``Maximin`` takes the
-    least of those ints, ``Sum`` adds them and ``WeightedSum`` adds them
-    times its weights scaled to ints, whose factor joins the scale.
+    state ``i`` is exactly ``values[i] / scale``.  The agent values are read
+    and scaled to one int scale by ``_signatures``, the reading that
+    frontiers and scans use; ``Maximin`` takes the least of each state's
+    ints, ``Sum`` adds them and ``WeightedSum`` adds them times its weights
+    scaled to ints, whose factor joins the scale.
 
     Raises, before any state is read: what ``transforms_for`` raises, then
     ``InvalidAgent`` and ``DimensionMismatch`` for a bad transform in agent
@@ -91,28 +97,19 @@ def _welfare_ints(
     weights, weight_scale = _int_combiner(spec.combiner, polity.n_agents)
     # the first agent whose information is its bundle, when that is a vector
     vector = polity.commodity_dim > 1 and next((a for a, r in readings if r is None), None)
-    rows = []
-    denominators: set[int] = set()
-    for state in holdings:
-        if vector:
-            # the agents before it are read at the first state
-            _read_state(readings[: vector - 1], state, unit)
-            raise VectorValuedAgentInfo(
-                f"agent {vector} yields vector information; welfare needs scalars"
-            )
-        row = _read_state(readings, state, unit)
-        # the denominator of value / den in lowest terms
-        denominators.update([den // math.gcd(den, value) for (value,), den in row])
-        rows.append(row)
-    scale = math.lcm(*denominators)
-    # den need not divide the scale, but it divides value * scale
-    scaled = ([value * scale // den for (value,), den in row] for row in rows)
+    if vector and holdings:
+        # the agents before it are read at the first state
+        _read_state(readings[: vector - 1], holdings[0], unit)
+        raise VectorValuedAgentInfo(
+            f"agent {vector} yields vector information; welfare needs scalars"
+        )
+    scale, rows = _signatures(readings, unit, holdings, _reraise)
     if isinstance(spec.combiner, Maximin):
-        values = [min(row) for row in scaled]
+        values = [min(row) for row in rows]
     elif weights is None:
-        values = [sum(row) for row in scaled]
+        values = [sum(row) for row in rows]
     else:
-        values = [sum(map(operator.mul, weights, row)) for row in scaled]
+        values = [sum(map(operator.mul, weights, row)) for row in rows]
     return values, scale * weight_scale
 
 
@@ -144,16 +141,14 @@ def welfare_rank(spec: SwfSpec, states: Sequence[Allocation]) -> Ranking:
     The sort is stable: states of equal value keep their input order and are
     flagged as tied.  State ids are input positions.  Each run of
     consecutive states of one shape is read by ``_welfare_ints`` from its
-    holdings on the least common multiple of its denominators, so the value
+    holdings on one int scale (``_common_holdings``), so the value
     transforms are resolved once per run, when it starts, and raise what
     ``_welfare_ints`` raises.  The runs' values are brought to one scale and
     ranked together.
     """
     runs = []
     for (n_agents, dimension), run in groupby(states, lambda s: (s.n_agents, s.dimension)):
-        run = list(run)
-        unit = math.lcm(*[q.denominator for s in run for b in s.bundles for q in b.quantities])
-        holdings = [_state_holdings(s, unit) for s in run]
+        unit, holdings = _common_holdings(list(run))
         runs.append(_welfare_ints(spec, Polity(n_agents, dimension), unit, holdings))
     scale = math.lcm(*[run_scale for _, run_scale in runs])
     values = [v * (scale // run_scale) for run_values, run_scale in runs for v in run_values]

@@ -221,11 +221,12 @@ def _component_pairs(draw):
 
 
 @given(_component_pairs())
-def test_improves_is_the_tally_verdict(pair):
+def test_dominates_is_the_tally_verdict(pair):
     after, before = pair
     agents = range(1, len(after) + 1)
     gainers, violators = engine._tally(agents, after, before)
-    assert engine._improves(after, before) == (not violators and bool(gainers))
+    flat_after, flat_before = (tuple(c for item in end for c in item) for end in pair)
+    assert engine._dominates(flat_after, flat_before) == (not violators and bool(gainers))
     # each agent's class matches the componentwise order on bundles
     kinds = dict(violators)
     for agent, a, b in zip(agents, after, before):
@@ -991,7 +992,7 @@ def test_frontier_all_dominated_raises(monkeypatch):
     monkeypatch.setattr(
         engine, "_dominator_masks", lambda table: ((i, 1) for i in table.live)
     )
-    monkeypatch.setattr(engine, "_improves", lambda after, before: True)
+    monkeypatch.setattr(engine, "_dominates", lambda a, b: True)
     with pytest.raises(InternalInvariant, match="empty frontier"):
         enumerate_frontier(BoxGrid.shared([0, 1]), Polity(2, 1), OwnBundle())
 
@@ -1040,15 +1041,17 @@ def test_signature_table_scales_every_component_exactly(case):
     denominators = []
     for i in table.live:
         state = states[i]
-        for components, (agent, agent_spec) in zip(table.components[i], specs.items()):
-            expected = info_components(reference_transform(agent_spec, state, agent))
-            denominators += [c.denominator for c in expected]
-            assert all(type(c) is int for c in components)
-            assert tuple(Fraction(c, table.scale) for c in components) == expected
-        assert table.signatures[i] == tuple(c for item in table.components[i] for c in item)
+        expected = tuple(
+            c
+            for agent, agent_spec in specs.items()
+            for c in info_components(reference_transform(agent_spec, state, agent))
+        )
+        denominators += [c.denominator for c in expected]
+        assert all(type(c) is int for c in table.signatures[i])
+        assert tuple(Fraction(c, table.scale) for c in table.signatures[i]) == expected
     assert len(table.signatures) == len(states)
     for i in set(range(len(states))) - set(table.live):
-        assert table.components[i] is None and table.signatures[i] is None
+        assert table.signatures[i] is None
     # the scale is the smallest that makes every live component an int
     assert table.scale == math.lcm(*denominators)
 

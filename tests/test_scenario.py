@@ -6,6 +6,7 @@ import hashlib
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from paretoscope import (
     BoxGrid,
     ExplicitList,
     FixedTotalLattice,
+    InternalInvariant,
     Maximin,
     Move,
     OwnBundle,
@@ -208,16 +210,14 @@ def test_moves_are_int_holdings_on_one_scenario_scale():
     assert parse_scenario(MINIMAL).move_holdings == ()
 
 
-def test_cursor_parsed_literals_land_in_the_same_int_table(monkeypatch):
-    path = DATA / "check_move_literals.scn"
-    expected = load_scenario(path)
-    # a pattern that matches nothing sends every literal to the cursor
+def test_a_rejected_literal_the_cursor_accepts_is_an_internal_fault(monkeypatch):
+    # the cursor only reports faults: a pattern that matches nothing sends a
+    # well-formed literal to it, and finding no fault there is a bug
     never = re.compile(r"(?!)")
     monkeypatch.setattr(scenario_module._Literals, "pattern", property(lambda self: never))
-    scenario = load_scenario(path)
-    assert scenario.move_scale == expected.move_scale == 2
-    assert scenario.move_holdings == expected.move_holdings
-    assert scenario.moves == tuple(map(_pinned_move, _PARSED_MOVES[path.stem]))
+    message = r"rejects '\(0,1\) *' but the cursor finds no fault"
+    with pytest.raises(InternalInvariant, match=message):
+        parse_scenario(MINIMAL + "moves = (0,1) -> (1,1)\n")
 
 
 def test_multi_commodity_moves_and_levels():
@@ -609,27 +609,56 @@ def test_literals_round_trip(case):
 
 
 def _literal_outcome(parse):
+    """``None`` when ``parse`` accepts the literal, else the error it raises."""
     try:
-        return parse().flat()
+        parse()
     except ParseError as exc:
         return ParseError, str(exc), exc.line, exc.column
     except ValidationError as exc:
         return ValidationError, str(exc)
+    return None
 
 
-@given(_literals(), st.data())
-def test_mutated_literals_raise_only_scenario_errors(case, data):
-    # each mutation deletes, inserts or replaces one character; the literal
-    # parser must give what the character cursor gives, verdict or error
-    agents, commodities, _, text = case
-    for _ in range(data.draw(st.integers(1, 3))):
-        at = data.draw(st.integers(0, len(text)))
-        ch = data.draw(st.sampled_from("(),./0123456789 \tx-;"))
-        kind = data.draw(st.sampled_from(["delete", "insert", "replace"]))
+@st.composite
+def _mutated_literals(draw):
+    """A ``_literals`` text with one to three characters deleted, inserted
+    or replaced: ``(agents, commodities, text)``."""
+    agents, commodities, _, text = draw(_literals())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from("(),./0123456789 \tx-;"))
+        kind = draw(st.sampled_from(["delete", "insert", "replace"]))
         if kind == "insert":
             text = text[:at] + ch + text[at:]
         else:
             text = text[:at] + (ch if kind == "replace" else "") + text[at + 1 :]
+    return agents, commodities, text
+
+
+@given(_mutated_literals())
+def test_cursor_raises_exactly_when_the_pattern_rejects(case):
+    # the pattern route hands a literal to the cursor only when it rejects
+    # it, and the cursor finds a fault in exactly those literals
+    agents, commodities, text = case
+    literals = _Literals(agents, commodities)
+    with mock.patch.object(scenario_module, "_parse_allocation") as cursor:
+        try:
+            literals.tokens(text, 5, 9, "moves")
+        except InternalInvariant:
+            pass
+    try:
+        _parse_allocation(text, 5, 9, agents, commodities, "moves")
+    except (ParseError, ValidationError):
+        assert cursor.called
+    else:
+        assert not cursor.called
+
+
+@given(_mutated_literals())
+def test_mutated_literals_raise_only_scenario_errors(case):
+    # the literal parser must give what the character cursor gives: no
+    # error, or the same error at the same column
+    agents, commodities, text = case
     literals = _Literals(agents, commodities)
     assert _literal_outcome(lambda: literals.parse(text, 5, 9, "moves")) == _literal_outcome(
         lambda: _parse_allocation(text, 5, 9, agents, commodities, "moves")
