@@ -97,7 +97,6 @@ _EXPORTS = {
         "TransformSpec",
         "WeightedOwn",
         "WeightedSum",
-        "aggregate",
         "evaluate_transform",
         "parse_swf",
         "parse_transform",

@@ -12,7 +12,7 @@ from __future__ import annotations
 # loads gettext and locale, and compiling after them raises the peak RSS of
 # every command.
 from . import __version__
-from .discovery import simulate_discovery
+from .discovery import _windfall
 from .engine import (
     DEFAULT_SCAN_CAP,
     _improved,
@@ -224,41 +224,33 @@ def _run_scan(scenario: Scenario, cap: int | None) -> Report:
 
 
 def _run_discover(scenario: Scenario) -> Report:
-    if scenario.discover_initial is None:
-        raise MissingField("discover.initial")
-    if scenario.discover_beneficiary is None:
-        raise MissingField("discover.beneficiary")
-    if scenario.discover_steps is None:
-        raise MissingField("discover.steps")
-    run = simulate_discovery(
-        scenario.discover_initial,
-        scenario.discover_beneficiary,
-        scenario.discover_steps,
-        scenario.discover_increment,
-        scenario.discover_lattice_step,
+    for key in ("initial", "beneficiary", "steps"):
+        if getattr(scenario, f"discover_{key}") is None:
+            raise MissingField(f"discover.{key}")
+    # The rows are rendered from the run's int holdings: no Allocation.
+    run = _windfall(
+        scenario.discover_initial, scenario.discover_beneficiary, scenario.discover_steps,
+        scenario.discover_increment, scenario.discover_lattice_step,
     )
-    rows = []
-    for t, state in enumerate(run.trajectory):
-        rows.append(
-            (
-                str(t),
-                render_allocation(state),
-                "n/a" if t == 0 else render_bool(run.step_verdicts[t - 1].is_improvement),
-                render_bool(run.efficiency_verdicts[t].is_efficient),
-                str(run.gap_series[t]),
-            )
+    quantity = RationalTexts(run.scale).__getitem__
+    rows = tuple(
+        (
+            str(t),
+            render_holdings(state, quantity),
+            "n/a" if t == 0 else render_bool(_improved(run.tallies[t - 1])),
+            render_bool(True),  # the run checked that no state's cone holds another
+            quantity(run.gaps[t]),
         )
+        for t, state in enumerate(run.trajectory)
+    )
     return Report(
         command="discover",
-        header=_header(
-            scenario,
-            (
-                ("beneficiary", str(run.beneficiary)),
-                ("increment", str(run.increment)),
-            ),
-        ),
+        header=_header(scenario, (
+            ("beneficiary", str(scenario.discover_beneficiary)),
+            ("increment", str(scenario.discover_increment)),
+        )),
         columns=("step", "allocation", "step_improvement", "efficient", "gap"),
-        rows=tuple(rows),
+        rows=rows,
     )
 
 

@@ -8,22 +8,25 @@ alternatives are redistributions of that state's own totals.  It also tracks
 the gap between the beneficiary's aggregate holdings and the best-off other
 agent's, which grows linearly without ever breaking improvement or
 efficiency.
+
+``_windfall`` computes the run on int holdings and checks its two facts,
+raising ``InternalInvariant`` if either fails: each state is alone in its
+upper cone on its own-total lattice, and the gap grows by the increment
+times the commodity count a step.  ``discover`` renders from that run, and
+``simulate_discovery`` is a view of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .engine import (
-    EfficiencyVerdict,
-    ImprovementVerdict,
-    check_improvement_neoclassical,
-    is_pareto_efficient,
-)
-from .errors import InfeasibleLattice, InvalidAgent, ValidationError
-from .polity import Allocation, FixedTotalLattice, Move, as_quantity
-from .transforms import OwnBundle, aggregate
+from .engine import EfficiencyVerdict, ImprovementVerdict, Method, _tally, _Tally, _verdict
+from .errors import InfeasibleLattice, InternalInvariant, InvalidAgent, ValidationError
+from .polity import Allocation, FixedTotalLattice, Polity, _allocations, _Holdings, _scaled
+from .polity import _upper_cone, as_quantity
 
 
 @dataclass(frozen=True)
@@ -44,15 +47,68 @@ class DiscoveryRun:
     gap_series: tuple[Fraction, ...]
 
 
-def _gap(state: Allocation, beneficiary: int) -> Fraction:
-    own = aggregate(state.bundle_for(beneficiary), None)
-    others = [
-        aggregate(state.bundle_for(a), None)
-        for a in state.polity.agents
-        if a != beneficiary
-    ]
-    best_other = max(others) if others else Fraction(0)
-    return own - best_other
+class _Windfall(NamedTuple):
+    """A checked run: each state's int holdings, step tally and gap, over ``scale``."""
+
+    scale: int
+    trajectory: list[_Holdings]
+    tallies: list[_Tally]
+    gaps: list[int]
+
+
+def _windfall(
+    initial: Allocation, beneficiary: int, steps: int, increment, lattice_step
+) -> _Windfall:
+    """``simulate_discovery``'s run on ints over one scale: the least common
+    multiple of the denominators of the quantities, increment and step."""
+    if not 1 <= beneficiary <= initial.n_agents:
+        raise InvalidAgent(f"beneficiary {beneficiary} not in 1..{initial.n_agents}")
+    if steps < 1:
+        raise ValidationError("steps must be a positive integer")
+    inc = as_quantity(increment)
+    if inc <= 0:
+        raise ValidationError("increment must be strictly positive")
+    grid = as_quantity(lattice_step)
+    if grid <= 0:
+        raise ValidationError("lattice step must be strictly positive")
+    if (inc / grid).denominator != 1:
+        raise InfeasibleLattice(f"increment {inc} is not a multiple of step {grid}")
+    for q in initial.flat():
+        if (q / grid).denominator != 1:
+            raise InfeasibleLattice(f"initial quantity {q} is not a multiple of step {grid}")
+
+    scale = math.lcm(inc.denominator, grid.denominator, *[q.denominator for q in initial.flat()])
+    units = inc.numerator * (scale // inc.denominator)
+    state = tuple([_scaled(bundle.quantities, scale) for bundle in initial.bundles])
+    trajectory = [state]
+    for _ in range(steps):
+        gained = tuple([h + units for h in state[beneficiary - 1]])
+        state = state[: beneficiary - 1] + (gained,) + state[beneficiary:]
+        trajectory.append(state)
+    return _checked(initial.polity, beneficiary, grid, scale, units, trajectory)
+
+
+def _checked(
+    polity: Polity, beneficiary: int, grid: Fraction, scale: int, units: int, trajectory: list
+) -> _Windfall:
+    """Decide and measure ``trajectory``, int holdings on ``scale`` in which
+    the beneficiary gains ``units`` of every commodity a step, and check that
+    each state is alone in its upper cone on its own-total lattice of
+    ``grid`` steps and that the gap series is gap₀ + t·units·dim."""
+    for t, state in enumerate(trajectory):
+        totals = tuple([Fraction(sum(column), scale) for column in zip(*state)])
+        unit, cone = _upper_cone(FixedTotalLattice(totals, grid), polity, scale, state)
+        # every quantity is whole steps, so the scale is the lattice's own
+        if unit != scale or list(cone) != [state]:
+            raise InternalInvariant(f"windfall state {t} is not alone in its upper cone")
+    others = [agent - 1 for agent in polity.agents if agent != beneficiary]
+    best_other = [max([sum(state[i]) for i in others], default=0) for state in trajectory]
+    gaps = [sum(state[beneficiary - 1]) - best for state, best in zip(trajectory, best_other)]
+    rise = units * polity.commodity_dim
+    if gaps != [gaps[0] + t * rise for t in range(len(gaps))]:
+        raise InternalInvariant("the windfall gap does not grow by the windfall at every step")
+    tallies = [_tally(polity.agents, *move[::-1]) for move in zip(trajectory, trajectory[1:])]
+    return _Windfall(scale, trajectory, tallies, gaps)
 
 
 def simulate_discovery(
@@ -68,56 +124,17 @@ def simulate_discovery(
     bundle.  Efficiency of each state is judged against the lattice of
     redistributions of that state's totals on a grid of ``lattice_step``
     multiples; the initial quantities and the increment must sit on that
-    grid.
+    grid.  This is a view of ``_windfall``'s run.
     """
-    if not 1 <= beneficiary <= initial.n_agents:
-        raise InvalidAgent(f"beneficiary {beneficiary} not in 1..{initial.n_agents}")
-    if steps < 1:
-        raise ValidationError("steps must be a positive integer")
-    inc = as_quantity(increment)
-    if inc <= 0:
-        raise ValidationError("increment must be strictly positive")
-    grid = as_quantity(lattice_step)
-    if grid <= 0:
-        raise ValidationError("lattice step must be strictly positive")
-    if (inc / grid).denominator != 1:
-        raise InfeasibleLattice(f"increment {inc} is not a multiple of step {grid}")
-    for bundle in initial.bundles:
-        for q in bundle.quantities:
-            if (q / grid).denominator != 1:
-                raise InfeasibleLattice(
-                    f"initial quantity {q} is not a multiple of step {grid}"
-                )
-
-    trajectory = [initial]
-    for _ in range(steps):
-        last = trajectory[-1]
-        trajectory.append(
-            last.with_bundle(
-                beneficiary, last.bundle_for(beneficiary).plus_uniform(inc)
-            )
-        )
-
-    step_verdicts = tuple(
-        check_improvement_neoclassical(Move(before=a, after=b))
-        for a, b in zip(trajectory, trajectory[1:])
-    )
-    efficiency_verdicts = tuple(
-        is_pareto_efficient(
-            state,
-            FixedTotalLattice(totals=state.totals(), step=grid),
-            OwnBundle(),
-        )
-        for state in trajectory
-    )
-    gap_series = tuple(_gap(state, beneficiary) for state in trajectory)
+    run = _windfall(initial, beneficiary, steps, increment, lattice_step)
     return DiscoveryRun(
         initial=initial,
         beneficiary=beneficiary,
         steps=steps,
-        increment=inc,
-        trajectory=tuple(trajectory),
-        step_verdicts=step_verdicts,
-        efficiency_verdicts=efficiency_verdicts,
-        gap_series=gap_series,
+        increment=as_quantity(increment),
+        trajectory=tuple(_allocations(run.scale, run.trajectory)),
+        step_verdicts=tuple([_verdict(tally, Method.NEOCLASSICAL) for tally in run.tallies]),
+        # each state's cone held only the state: no feasible target improves
+        efficiency_verdicts=(EfficiencyVerdict(True, None),) * len(run.trajectory),
+        gap_series=tuple([Fraction(gap, run.scale) for gap in run.gaps]),
     )

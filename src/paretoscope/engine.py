@@ -507,7 +507,7 @@ def is_pareto_efficient(
     except ZeroReferencePoint as exc:
         raise _tagged_zero_reference(exc, "from") from exc
     if _own_type(specs, polity.commodity_dim):
-        unit, targets = _upper_cone(fs, state)
+        unit, targets = _upper_cone(fs, polity, scale, holdings)
     else:
         unit, targets = feasible_holdings(fs, polity)
     skipped = 0

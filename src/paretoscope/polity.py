@@ -9,9 +9,10 @@ is deterministic: states are produced in lexicographic order of the flattened
 quantity tuple (agent-major, commodity-minor), so witnesses are reproducible
 bit-for-bit across runs and platforms.  Each feasible set is enumerated once,
 by ``feasible_holdings``, as int holdings on one common scale;
-``_upper_cone`` is a subsequence of that stream on the same scale.
-``enumerate_feasible`` and ``enumerate_upper_cone`` are views of the two
-that make each state an ``Allocation``.
+``_upper_cone`` is a subsequence of that stream on the same scale, above
+a floor given as int holdings on any scale.  ``enumerate_feasible`` and
+``enumerate_upper_cone`` are views of the two that make each state an
+``Allocation``.
 """
 
 from __future__ import annotations
@@ -407,13 +408,16 @@ def enumerate_feasible(fs: FeasibleSet, polity: Polity) -> Iterator[Allocation]:
     yield from _allocations(*feasible_holdings(fs, polity))
 
 
-def _upper_cone(fs: FeasibleSet, floor: Allocation) -> tuple[int, Iterator[_Holdings]]:
-    """The states of ``feasible_holdings(fs, floor.polity)`` that hold at
-    least ``floor`` in every slot, on its scale and in its order.
+def _upper_cone(
+    fs: FeasibleSet, polity: Polity, unit: int, floor: _Holdings
+) -> tuple[int, Iterator[_Holdings]]:
+    """The states of ``feasible_holdings(fs, polity)`` that hold at least
+    ``floor`` in every slot, on its scale and in its order.
 
-    A holding h on that scale is at least a quantity q exactly when h is at
-    least ceil(q · scale), so ``floor`` need not be in the set, nor on its
-    grid.
+    ``floor`` is int holdings on the positive scale ``unit``.  A holding h
+    on the set's scale is at least the quantity f / unit exactly when h is
+    at least ceil(f · scale / unit), so ``floor`` need not be in the set,
+    nor on its grid.
 
     * Box grid: the product of each slot's levels at or above the floor.
     * Fixed-total lattice: the floor rounded up onto the step grid, plus
@@ -421,10 +425,9 @@ def _upper_cone(fs: FeasibleSet, floor: Allocation) -> tuple[int, Iterator[_Hold
       rounded floor already exceeds its total.
     * Explicit list: the listed states that pass the test.
     """
-    polity = floor.polity
     dim = polity.commodity_dim
     scale, feasible = feasible_holdings(fs, polity)
-    low = [-(-q.numerator * scale // q.denominator) for q in floor.flat()]
+    low = [-(-f * scale // unit) for bundle in floor for f in bundle]
     if isinstance(fs, BoxGrid):
         slots = [_scaled(levels, scale) for levels in fs.levels] * polity.n_agents
         options = [levels[bisect_left(levels, q) :] for levels, q in zip(slots, low)]
@@ -455,7 +458,8 @@ def enumerate_upper_cone(fs: FeasibleSet, floor: Allocation) -> Iterator[Allocat
     set, nor on its grid.  Each state is made from the cone's int holdings
     on ``feasible_holdings``'s scale.
     """
-    yield from _allocations(*_upper_cone(fs, floor))
+    unit, (holdings,) = _common_holdings((floor,))
+    yield from _allocations(*_upper_cone(fs, floor.polity, unit, holdings))
 
 
 def unrank_feasible(fs: FeasibleSet, polity: Polity, index: int) -> Allocation:

@@ -129,16 +129,6 @@ def check_weight_count(weights: tuple[Fraction, ...], dimension: int) -> None:
         raise DimensionMismatch(f"{len(weights)} weights for a {dimension}-commodity bundle")
 
 
-def aggregate(bundle: Bundle, weights: tuple[Fraction, ...] | None) -> Fraction:
-    """Weighted sum of a bundle's quantities (unit weights when ``None``)."""
-    terms = bundle.quantities
-    if weights is not None:
-        check_weight_count(weights, bundle.dimension)
-        terms = tuple(w * q for w, q in zip(weights, terms))
-    # A bundle is never empty; starting from the first term saves adding 0.
-    return sum(terms[1:], terms[0])
-
-
 def neighborhood_members(
     spec: RelativeToNeighborhood, agent: int, n_agents: int
 ) -> list[int]:

@@ -1,19 +1,31 @@
-"""The ``Fraction`` evaluation of a transform, kept as the tests' reference.
+"""The ``Fraction`` evaluations of transforms and windfall runs, kept as the
+tests' reference.
 
 The package reads every transform on ints (``transforms._reading`` and
 ``transforms._read``), and its public ``evaluate_transform`` is a wrapper
 over that reading.  A reference built on the wrapper would compare the int
 reading with itself, so the tests compare the package with this copy of the
 direct definition instead: each transform computed on exact ``Fraction``s
-from the allocation's bundles.
+from the allocation's bundles.  ``simulate_discovery`` is likewise the
+direct definition of a windfall run: every state an ``Allocation``, every
+step decided by the neoclassical checker, every state's efficiency by
+``is_pareto_efficient`` on its own-total lattice, and every gap a
+``Fraction``.  The package computes the run on ints instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from paretoscope.errors import InvalidAgent, ValidationError, ZeroReferencePoint
-from paretoscope.polity import Allocation, Bundle
+from paretoscope.discovery import DiscoveryRun
+from paretoscope.engine import check_improvement_neoclassical, is_pareto_efficient
+from paretoscope.errors import (
+    InfeasibleLattice,
+    InvalidAgent,
+    ValidationError,
+    ZeroReferencePoint,
+)
+from paretoscope.polity import Allocation, Bundle, FixedTotalLattice, Move, as_quantity
 from paretoscope.transforms import (
     OwnBundle,
     PreferenceInfo,
@@ -21,9 +33,19 @@ from paretoscope.transforms import (
     RelativeToNeighborhood,
     TransformSpec,
     WeightedOwn,
-    aggregate,
+    check_weight_count,
     neighborhood_members,
 )
+
+
+def aggregate(bundle: Bundle, weights: tuple[Fraction, ...] | None) -> Fraction:
+    """Weighted sum of a bundle's quantities (unit weights when ``None``)."""
+    terms = bundle.quantities
+    if weights is not None:
+        check_weight_count(weights, bundle.dimension)
+        terms = tuple(w * q for w, q in zip(weights, terms))
+    # A bundle is never empty; starting from the first term saves adding 0.
+    return sum(terms[1:], terms[0])
 
 
 def _mean_aggregate(
@@ -66,3 +88,82 @@ def evaluate_transform(
             f"reference mean for agent {agent} is zero", agent=agent
         )
     return aggregate(own, spec.weights) / reference
+
+
+def _gap(state: Allocation, beneficiary: int) -> Fraction:
+    own = aggregate(state.bundle_for(beneficiary), None)
+    others = [
+        aggregate(state.bundle_for(a), None)
+        for a in state.polity.agents
+        if a != beneficiary
+    ]
+    best_other = max(others) if others else Fraction(0)
+    return own - best_other
+
+
+def simulate_discovery(
+    initial: Allocation,
+    beneficiary: int,
+    steps: int,
+    increment: Fraction | int | str = 1,
+    lattice_step: Fraction | int | str = 1,
+) -> DiscoveryRun:
+    """Run ``steps`` rounds of windfall accumulation from ``initial``.
+
+    Each round adds ``increment`` of every commodity to the beneficiary's
+    bundle.  Efficiency of each state is judged against the lattice of
+    redistributions of that state's totals on a grid of ``lattice_step``
+    multiples; the initial quantities and the increment must sit on that
+    grid.
+    """
+    if not 1 <= beneficiary <= initial.n_agents:
+        raise InvalidAgent(f"beneficiary {beneficiary} not in 1..{initial.n_agents}")
+    if steps < 1:
+        raise ValidationError("steps must be a positive integer")
+    inc = as_quantity(increment)
+    if inc <= 0:
+        raise ValidationError("increment must be strictly positive")
+    grid = as_quantity(lattice_step)
+    if grid <= 0:
+        raise ValidationError("lattice step must be strictly positive")
+    if (inc / grid).denominator != 1:
+        raise InfeasibleLattice(f"increment {inc} is not a multiple of step {grid}")
+    for bundle in initial.bundles:
+        for q in bundle.quantities:
+            if (q / grid).denominator != 1:
+                raise InfeasibleLattice(
+                    f"initial quantity {q} is not a multiple of step {grid}"
+                )
+
+    trajectory = [initial]
+    for _ in range(steps):
+        last = trajectory[-1]
+        trajectory.append(
+            last.with_bundle(
+                beneficiary, last.bundle_for(beneficiary).plus_uniform(inc)
+            )
+        )
+
+    step_verdicts = tuple(
+        check_improvement_neoclassical(Move(before=a, after=b))
+        for a, b in zip(trajectory, trajectory[1:])
+    )
+    efficiency_verdicts = tuple(
+        is_pareto_efficient(
+            state,
+            FixedTotalLattice(totals=state.totals(), step=grid),
+            OwnBundle(),
+        )
+        for state in trajectory
+    )
+    gap_series = tuple(_gap(state, beneficiary) for state in trajectory)
+    return DiscoveryRun(
+        initial=initial,
+        beneficiary=beneficiary,
+        steps=steps,
+        increment=inc,
+        trajectory=tuple(trajectory),
+        step_verdicts=step_verdicts,
+        efficiency_verdicts=efficiency_verdicts,
+        gap_series=gap_series,
+    )

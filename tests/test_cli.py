@@ -61,6 +61,9 @@ GOLDEN_RUNS = [
     ("scan", "scan_own_relmean", "table", [], "scan_own_relmean.table.txt"),
     ("discover", "discover", "csv", [], "discover.csv"),
     ("discover", "discover", "table", [], "discover.table.txt"),
+    # fractional quantities, increment and lattice step over two commodities
+    ("discover", "discover_fractional", "csv", [], "discover_fractional.csv"),
+    ("discover", "discover_fractional", "table", [], "discover_fractional.table.txt"),
     ("welfare", "maximin_lattice", "csv", [], "welfare_maximin.csv"),
     ("welfare", "maximin_lattice", "table", [], "welfare_maximin.table.txt"),
     # fractional holdings and values, and a weighted sum with ties
@@ -313,6 +316,22 @@ def test_check_move_command_makes_no_allocation(monkeypatch, tmp_path, scenario)
     assert _run("check-move", scenario, "csv", [], out) == 0
     golden = "check_move_own_box.csv" if scenario == "own_box" else f"{scenario}.csv"
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("scenario", ["discover", "discover_fractional"])
+@pytest.mark.parametrize("fmt,suffix", [("csv", "csv"), ("table", "table.txt")])
+def test_discover_command_makes_no_allocation(monkeypatch, tmp_path, scenario, fmt, suffix):
+    # the run is computed, checked and rendered on int holdings; the
+    # scenario parses its one initial state at load, by its own reference
+    # to ``_unchecked_state``, and the command makes no Allocation from it
+    def no_state(*args, **kwargs):
+        raise AssertionError("Allocation built")
+
+    monkeypatch.setattr(polity_module, "_unchecked_state", no_state)
+    monkeypatch.setattr(Allocation, "__post_init__", no_state)
+    out = tmp_path / "out.bin"
+    assert _run("discover", scenario, fmt, [], out) == 0
+    assert out.read_bytes() == (GOLDEN / f"{scenario}.{suffix}").read_bytes()
 
 
 def test_cap_exceeded_exits_3(capsys):

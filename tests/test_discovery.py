@@ -5,20 +5,27 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paretoscope import (
     FixedTotalLattice,
     InfeasibleLattice,
+    InternalInvariant,
     InvalidAgent,
     OwnBundle,
+    ParetoscopeError,
     Polity,
     RelativeToMean,
     ValidationError,
     alloc,
     check_improvement,
+    discovery,
     scan_all_moves,
     simulate_discovery,
 )
+
+import fraction_reference
 
 
 def test_basic_run_trajectory_and_gaps():
@@ -114,3 +121,71 @@ def test_lattice_divisibility_enforced():
         simulate_discovery(alloc("1/2", 1), 1, 1)
     with pytest.raises(InfeasibleLattice):
         simulate_discovery(alloc(1, 1), 1, 1, increment="1/2")
+
+
+@st.composite
+def _windfall_cases(draw):
+    """A run's arguments, valid or with one drawn fault, so that every
+    error of a run is drawn too."""
+    fault = draw(
+        st.sampled_from([None] * 4 + ["beneficiary", "steps", "increment", "step", "stray"])
+    )
+    agents, dim = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    grid = Fraction(0 if fault == "step" else draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    units = draw(st.lists(st.integers(0, 4), min_size=agents * dim, max_size=agents * dim))
+    flat = [k * grid for k in units]
+    # a zero step keeps a positive increment, so its own error is raised
+    increment = 0 if fault == "increment" else draw(st.integers(1, 3)) * (grid or 1)
+    if fault == "stray":  # a quantity or the increment, likely off the grid
+        stray = draw(st.builds(Fraction, st.integers(0, 5), st.integers(1, 6)))
+        where = draw(st.integers(0, len(flat)))
+        if where == len(flat):
+            increment = stray
+        else:
+            flat[where] = stray
+    beneficiary = draw(
+        st.sampled_from([0, agents + 1]) if fault == "beneficiary" else st.integers(1, agents)
+    )
+    steps = 0 if fault == "steps" else draw(st.integers(1, 4))
+    bundles = [tuple(flat[start : start + dim]) for start in range(0, len(flat), dim)]
+    return alloc(*bundles), beneficiary, steps, increment, grid
+
+
+def _outcome(simulate, case):
+    try:
+        return simulate(*case)
+    except ParetoscopeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_windfall_cases())
+def test_simulate_discovery_matches_the_fraction_reference(case):
+    # the whole record: trajectory, verdicts with their gainers, violators
+    # and method, efficiency and gaps; or the same error with the same text
+    assert _outcome(simulate_discovery, case) == _outcome(
+        fraction_reference.simulate_discovery, case
+    )
+
+
+def test_a_cone_holding_a_second_state_breaks_the_run(monkeypatch):
+    real = discovery._upper_cone
+
+    def wider(fs, polity, unit, floor):
+        scale, cone = real(fs, polity, unit, floor)
+        return scale, iter([*cone, ((0,), (0,))])
+
+    monkeypatch.setattr(discovery, "_upper_cone", wider)
+    with pytest.raises(InternalInvariant, match="not alone in its upper cone"):
+        simulate_discovery(alloc(1, 1), 1, 2)
+
+
+def test_a_step_that_moves_another_agent_breaks_the_gap():
+    # agent 2 gains with agent 1, so the gap stays 0; every state is still
+    # alone in its cone and every step still improves
+    trajectory = [((1,), (1,)), ((2,), (1,)), ((3,), (2,))]
+    with pytest.raises(InternalInvariant, match="gap"):
+        discovery._checked(Polity(2, 1), 1, Fraction(1), 1, 1, trajectory)
+    # the same trajectory without agent 2's gain passes
+    trajectory[2] = ((3,), (1,))
+    assert discovery._checked(Polity(2, 1), 1, Fraction(1), 1, 1, trajectory).gaps == [0, 1, 2]

@@ -1400,7 +1400,7 @@ def test_cone_search_is_not_taken_for_other_transforms(monkeypatch):
     # weighted_own over two commodities can rise while a holding falls,
     # and relative transforms react to others' holdings: both need every
     # feasible state, so the cone must not be consulted
-    def refuse(fs, floor):
+    def refuse(fs, polity, unit, floor):
         raise AssertionError("upper cone used")
 
     monkeypatch.setattr(engine, "_upper_cone", refuse)

@@ -23,7 +23,6 @@ from paretoscope import (
     ValidationError,
     WeightedOwn,
     ZeroReferencePoint,
-    aggregate,
     alloc,
     compare_info,
     cross_effect_sign,
@@ -62,14 +61,6 @@ def test_weights_must_be_strictly_positive():
 def test_weight_dimension_checked_at_evaluation():
     with pytest.raises(DimensionMismatch):
         evaluate_transform(WeightedOwn((Fraction(1),)), alloc((1, 1), (1, 1)), 1)
-
-
-def test_aggregate_unit_weights():
-    assert aggregate(Bundle((1, 2, 3)), None) == Fraction(6)
-    # a one-commodity sum is its only term, still an exact Fraction
-    for weights in (None, (Fraction(1, 3),)):
-        total = aggregate(Bundle((6,)), weights)
-        assert type(total) is Fraction and total == (6 if weights is None else 2)
 
 
 def test_relative_mean_values():
