@@ -44,11 +44,10 @@ from .transforms import OwnBundle, _readings, swf_label, transform_label, transf
 from .welfare import _ranked, _welfare_ints
 
 import argparse
+import gc
 import logging
 import sys
 from itertools import islice
-
-logger = logging.getLogger(__name__)
 
 _IMPROVING_MOVES_SHOWN = 100
 
@@ -369,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s"
     )
+    # the imports' objects live until exit: freeze them once, so no collection walks them
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,9 +13,9 @@ of its names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, ValidationError
 from .polity import Allocation, Bundle, Move, as_quantity
@@ -64,8 +64,7 @@ def compare_bundles(a: Bundle, b: Bundle) -> PartialOrderResult:
     return PartialOrderResult.EQUAL
 
 
-@dataclass(frozen=True)
-class MoveClassification:
+class MoveClassification(NamedTuple):
     """Partition of the polity by how a move changed each agent's bundle."""
 
     gainers: frozenset[int]
@@ -112,8 +111,7 @@ class Sign(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class SignReport:
+class SignReport(NamedTuple):
     """Sign of an information change, with the exact endpoint values."""
 
     sign: Sign

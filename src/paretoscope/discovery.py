@@ -19,7 +19,6 @@ times the commodity count a step.  ``discover`` renders from that run, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,8 +28,7 @@ from .polity import Allocation, FixedTotalLattice, Polity, _allocations, _Holdin
 from .polity import _upper_cone, as_quantity
 
 
-@dataclass(frozen=True)
-class DiscoveryRun:
+class DiscoveryRun(NamedTuple):
     """Full record of an accumulation run.
 
     ``trajectory`` has ``steps + 1`` states; ``step_verdicts`` has one entry

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import logging
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -68,6 +67,7 @@ from .polity import (
     feasible_contains,
     feasible_holdings,
 )
+from .report import render_allocation
 from .transforms import (
     OwnBundle,
     TransformSpec,
@@ -95,8 +95,7 @@ class ViolationKind(Enum):
     INCOMPARABLE_INFO = "incomparable_info"
 
 
-@dataclass(frozen=True)
-class ImprovementVerdict:
+class ImprovementVerdict(NamedTuple):
     """Outcome of an improvement check.
 
     ``strict_gainers`` lists agents whose information strictly rose;
@@ -361,8 +360,7 @@ def check_move(move: Move, transforms: Transforms) -> MoveVerdicts:
     return next(check_moves((move,), transforms))
 
 
-@dataclass(frozen=True)
-class EfficiencyVerdict:
+class EfficiencyVerdict(NamedTuple):
     """Whether a state admits no feasible improvement.
 
     ``witness`` is the first improving move in enumeration order when one
@@ -500,7 +498,7 @@ def is_pareto_efficient(
     # order, before any agent's information is read at the state.
     readings = _readings(specs, polity)
     if not feasible_contains(fs, state):
-        logger.warning("state %s is not in the declared feasible set", state.flat())
+        logger.warning("state %s is not in the declared feasible set", render_allocation(state))
     scale, (holdings,) = _common_holdings((state,))
     try:
         before = _read_state(readings, holdings, scale)
@@ -527,8 +525,7 @@ def is_pareto_efficient(
     return EfficiencyVerdict(True, None, skipped)
 
 
-@dataclass(frozen=True)
-class FrontierReport:
+class FrontierReport(NamedTuple):
     """Per-state efficiency over a whole feasible set.
 
     ``states`` counts the feasible states, whose ids are their enumeration
@@ -650,8 +647,7 @@ def enumerate_frontier(
     )
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Exhaustive ordered-move scan over a feasible set.
 
     ``moves_examined`` counts every ordered pair of live states, each decided
@@ -672,7 +668,12 @@ class ScanReport:
     efficient_state_count: int
     skipped_moves: int = 0
     degenerate_states: int = 0
-    dominators: tuple[tuple[int, int], ...] = field(default=(), repr=False)
+    dominators: tuple[tuple[int, int], ...] = ()
+
+    def __repr__(self):
+        # the bitsets are left out: each has one bit per state
+        fields = ", ".join([f"{n}={v!r}" for n, v in zip(self._fields[:-1], self)])
+        return f"ScanReport({fields})"
 
     def iter_improving_moves(self) -> Iterator[tuple[int, int]]:
         """Every improving move ``(from, to)`` by from-state, then to-state.

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -49,16 +48,61 @@ def as_quantity(value: int | str | Fraction) -> Fraction:
     return q
 
 
-@dataclass(frozen=True)
-class Bundle:
+class _Value:
+    """A frozen value whose fields are its ``__slots__``.
+
+    A type's ``__init__`` validates its arguments and sets each field once
+    with ``_set``.  A value equals only values of its own type with equal
+    fields; pickling and copying rebuild it through its constructor."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # equality and hashing read the one field, a tuple of several, or for none the type
+        cls._key = operator.attrgetter(*cls.__slots__) if cls.__slots__ else type
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _raw(cls, *values):
+        """The value holding ``values`` as given, with no validation."""
+        value = object.__new__(cls)
+        value._set(*values)
+        return value
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+class Bundle(_Value):
     """An agent's commodity holdings: a fixed-length vector of quantities."""
 
-    quantities: tuple[Fraction, ...]
+    __slots__ = ("quantities",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "quantities", tuple(as_quantity(q) for q in self.quantities))
-        if not self.quantities:
+    def __init__(self, quantities: tuple[Fraction, ...]):
+        quantities = tuple(as_quantity(q) for q in quantities)
+        if not quantities:
             raise ValidationError("bundle must hold at least one commodity")
+        self._set(quantities)
 
     @property
     def dimension(self) -> int:
@@ -69,18 +113,17 @@ class Bundle:
         return Bundle(tuple(q + delta for q in self.quantities))
 
 
-@dataclass(frozen=True)
-class Polity:
+class Polity(_Value):
     """The shape of a society: how many agents, how many commodities."""
 
-    n_agents: int
-    commodity_dim: int
+    __slots__ = ("n_agents", "commodity_dim")
 
-    def __post_init__(self):
-        if self.n_agents < 1:
+    def __init__(self, n_agents: int, commodity_dim: int):
+        if n_agents < 1:
             raise ValidationError("polity needs at least one agent")
-        if self.commodity_dim < 1:
+        if commodity_dim < 1:
             raise ValidationError("polity needs at least one commodity")
+        self._set(n_agents, commodity_dim)
 
     @property
     def agents(self) -> range:
@@ -88,20 +131,19 @@ class Polity:
         return range(1, self.n_agents + 1)
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(_Value):
     """One bundle per agent; all bundles share the same commodity dimension."""
 
-    bundles: tuple[Bundle, ...]
+    __slots__ = ("bundles",)
 
-    def __post_init__(self):
-        coerced = tuple(b if isinstance(b, Bundle) else Bundle(tuple(b)) for b in self.bundles)
-        object.__setattr__(self, "bundles", coerced)
-        if not self.bundles:
+    def __init__(self, bundles: tuple[Bundle, ...]):
+        bundles = tuple(b if isinstance(b, Bundle) else Bundle(b) for b in bundles)
+        if not bundles:
             raise ValidationError("allocation must cover at least one agent")
-        dim = self.bundles[0].dimension
-        if any(b.dimension != dim for b in self.bundles):
+        dim = bundles[0].dimension
+        if any(b.dimension != dim for b in bundles):
             raise DimensionMismatch("all bundles in an allocation must share one dimension")
+        self._set(bundles)
 
     @property
     def n_agents(self) -> int:
@@ -151,51 +193,42 @@ def alloc(*per_agent: int | str | Fraction | Iterable[int | str | Fraction]) -> 
     ``alloc(1, 2)`` is a two-agent, one-commodity allocation; ``alloc((1, 0),
     (2, 1))`` is two agents with two commodities each.
     """
-    bundles = []
-    for entry in per_agent:
-        if isinstance(entry, (int, str, Fraction)):
-            bundles.append(Bundle((entry,)))
-        else:
-            bundles.append(Bundle(tuple(entry)))
-    return Allocation(tuple(bundles))
+    scalar = (int, str, Fraction)
+    return Allocation(tuple([(e,) if isinstance(e, scalar) else e for e in per_agent]))
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(_Value):
     """An ordered movement between two allocations of the same shape."""
 
-    before: Allocation
-    after: Allocation
+    __slots__ = ("before", "after")
 
-    def __post_init__(self):
-        if self.before.n_agents != self.after.n_agents:
+    def __init__(self, before: Allocation, after: Allocation):
+        if before.n_agents != after.n_agents:
             raise DimensionMismatch("move endpoints disagree on agent count")
-        if self.before.dimension != self.after.dimension:
+        if before.dimension != after.dimension:
             raise DimensionMismatch("move endpoints disagree on commodity dimension")
+        self._set(before, after)
 
     @property
     def polity(self) -> Polity:
         return self.before.polity
 
 
-@dataclass(frozen=True)
-class BoxGrid:
+class BoxGrid(_Value):
     """Every agent independently holds any of the per-commodity levels."""
 
-    levels: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("levels",)
 
-    def __post_init__(self):
-        coerced = tuple(
-            tuple(as_quantity(q) for q in commodity_levels) for commodity_levels in self.levels
-        )
-        object.__setattr__(self, "levels", coerced)
-        if not self.levels:
+    def __init__(self, levels: tuple[tuple[Fraction, ...], ...]):
+        levels = tuple(tuple(as_quantity(q) for q in commodity) for commodity in levels)
+        if not levels:
             raise InfeasibleConfig("box grid needs levels for at least one commodity")
-        for commodity_levels in self.levels:
+        for commodity_levels in levels:
             if not commodity_levels:
                 raise InfeasibleConfig("each commodity needs at least one level")
             if any(b <= a for a, b in zip(commodity_levels, commodity_levels[1:])):
                 raise InfeasibleConfig("levels must be strictly increasing")
+        self._set(levels)
 
     @classmethod
     def shared(cls, levels: Iterable[int | str | Fraction], commodities: int = 1) -> BoxGrid:
@@ -204,24 +237,23 @@ class BoxGrid:
         return cls(tuple(ordered for _ in range(commodities)))
 
 
-@dataclass(frozen=True)
-class FixedTotalLattice:
+class FixedTotalLattice(_Value):
     """All allocations whose per-commodity totals equal the configured totals,
     on a grid of multiples of ``step`` (the redistribution-only state space)."""
 
-    totals: tuple[Fraction, ...]
-    step: Fraction
+    __slots__ = ("totals", "step")
 
-    def __post_init__(self):
-        object.__setattr__(self, "totals", tuple(as_quantity(t) for t in self.totals))
-        object.__setattr__(self, "step", as_quantity(self.step))
-        if not self.totals:
+    def __init__(self, totals: tuple[Fraction, ...], step: Fraction):
+        totals = tuple(as_quantity(t) for t in totals)
+        step = as_quantity(step)
+        if not totals:
             raise InfeasibleConfig("lattice needs a total for at least one commodity")
-        if self.step <= 0:
+        if step <= 0:
             raise InfeasibleConfig("lattice step must be strictly positive")
-        for total in self.totals:
-            if (total / self.step).denominator != 1:
-                raise InfeasibleConfig(f"step {self.step} does not divide total {total}")
+        for total in totals:
+            if (total / step).denominator != 1:
+                raise InfeasibleConfig(f"step {step} does not divide total {total}")
+        self._set(totals, step)
 
     @classmethod
     def shared(
@@ -234,21 +266,19 @@ class FixedTotalLattice:
         return cls(tuple(t for _ in range(commodities)), as_quantity(step))
 
 
-@dataclass(frozen=True)
-class ExplicitList:
+class ExplicitList(_Value):
     """A user-declared candidate set, canonicalized to sorted unique states."""
 
-    states: tuple[Allocation, ...]
+    __slots__ = ("states",)
 
-    def __post_init__(self):
-        if not self.states:
+    def __init__(self, states: tuple[Allocation, ...]):
+        if not states:
             raise InfeasibleConfig("explicit state list must be non-empty")
-        shape = self.states[0].polity
-        if any(s.polity != shape for s in self.states):
+        shape = states[0].polity
+        if any(s.polity != shape for s in states):
             raise DimensionMismatch("explicit states disagree on agent count or dimension")
-        unique = {s.flat(): s for s in self.states}
-        canonical = tuple(unique[key] for key in sorted(unique))
-        object.__setattr__(self, "states", canonical)
+        unique = {s.flat(): s for s in states}
+        self._set(tuple(unique[key] for key in sorted(unique)))
 
 
 FeasibleSet = Union[BoxGrid, FixedTotalLattice, ExplicitList]
@@ -266,20 +296,14 @@ def feasible_dimension(fs: FeasibleSet) -> int:
 def _unchecked_state(flat: tuple[Fraction, ...], dim: int) -> Allocation:
     """The allocation with quantities ``flat`` (agent-major), built unchecked.
 
-    The enumerators take every quantity from an already validated feasible
-    set, so each is an exact non-negative ``Fraction`` and the bundles share
-    one dimension.  Skipping ``Bundle.__post_init__`` saves re-coercing every
+    Its callers take every quantity from a validated feasible set or
+    literal, so each is an exact non-negative ``Fraction`` and the bundles
+    share one dimension.  Building through ``_raw`` skips re-coercing every
     quantity, which cost more than evaluating the transforms when a lattice
     was listed.
     """
-    bundles = []
-    for start in range(0, len(flat), dim):
-        bundle = object.__new__(Bundle)
-        object.__setattr__(bundle, "quantities", flat[start : start + dim])
-        bundles.append(bundle)
-    state = object.__new__(Allocation)
-    object.__setattr__(state, "bundles", tuple(bundles))
-    return state
+    bundles = map(Bundle._raw, [flat[start : start + dim] for start in range(0, len(flat), dim)])
+    return Allocation._raw(tuple(bundles))
 
 
 def _check_shape(fs: FeasibleSet, polity: Polity) -> None:
@@ -337,12 +361,13 @@ def _common_holdings(states: Sequence[Allocation]) -> tuple[int, list[_Holdings]
 def _allocations(scale: int, stream: Iterable[_Holdings]) -> Iterator[Allocation]:
     """Each int state of ``stream``, on ``scale``, as an ``Allocation``.
 
-    Each distinct holding's ``Fraction`` is made once per call.
+    Each distinct holding's ``Fraction``, and each agent's distinct
+    ``Bundle``, is made once per call and shared by the states that hold it.
     """
     quantity = cache(lambda holding: Fraction(holding, scale))
+    bundle = cache(lambda holding: Bundle._raw(tuple(map(quantity, holding))))
     for holdings in stream:
-        flat = tuple([quantity(h) for bundle in holdings for h in bundle])
-        yield _unchecked_state(flat, len(holdings[0]))
+        yield Allocation._raw(tuple(map(bundle, holdings)))
 
 
 def feasible_holdings(fs: FeasibleSet, polity: Polity) -> tuple[int, Iterator[_Holdings]]:

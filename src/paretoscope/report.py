@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .polity import Allocation, Move
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """A rendered result, independent of output format.
 
     All cells are pre-rendered strings; rationals appear as ``p/q`` and

@@ -19,7 +19,6 @@ import codecs
 import hashlib
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -69,12 +68,7 @@ _BASE_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A parsed scenario: the polity, its feasible set, and optional inputs
-    for the individual commands.  Each move is kept as ``(before, after)``
-    int holdings in ``move_holdings``: every quantity times ``move_scale``."""
-
+class _ScenarioFields(NamedTuple):
     n_agents: int
     commodities: int
     feasible: FeasibleSet
@@ -90,7 +84,14 @@ class Scenario:
     scan_cap: int | None = None
     digest: str = ""
 
-    @property
+
+class Scenario(_ScenarioFields):
+    """A parsed scenario: the polity, its feasible set, and optional inputs
+    for the individual commands.  Each move is kept as ``(before, after)``
+    int holdings in ``move_holdings``: every quantity times ``move_scale``.
+    Its ``polity`` and ``moves`` are made once, kept in this subclass's ``__dict__``."""
+
+    @cached_property
     def polity(self) -> Polity:
         return Polity(self.n_agents, self.commodities)
 

@@ -35,12 +35,11 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .errors import DimensionMismatch, InvalidAgent, ValidationError, ZeroReferencePoint
-from .polity import Allocation, Bundle, Polity, _common_holdings, _Holdings, as_quantity
+from .polity import Allocation, Bundle, Polity, _common_holdings, _Holdings, _Value, as_quantity
 
 PreferenceInfo = Union[Fraction, Bundle]
 
@@ -56,46 +55,42 @@ def _validated_weights(weights: tuple[Fraction, ...] | None) -> tuple[Fraction, 
     return coerced
 
 
-@dataclass(frozen=True)
-class OwnBundle:
+class OwnBundle(_Value):
     """The agent's information is their own bundle, unaggregated."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class WeightedOwn:
+
+class WeightedOwn(_Value):
     """Weighted sum of the agent's own quantities; ``None`` = unit weights."""
 
-    weights: tuple[Fraction, ...] | None = None
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _validated_weights(self.weights))
+    def __init__(self, weights: tuple[Fraction, ...] | None = None):
+        self._set(_validated_weights(weights))
 
 
-@dataclass(frozen=True)
-class RelativeToMean:
+class RelativeToMean(_Value):
     """Agent's aggregate divided by the polity-wide mean aggregate."""
 
-    weights: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _validated_weights(self.weights))
+    __slots__ = ("weights",)
+    __init__ = WeightedOwn.__init__
 
 
-@dataclass(frozen=True)
-class RelativeToNeighborhood:
+class RelativeToNeighborhood(_Value):
     """Agent's aggregate divided by the mean aggregate of a declared set of
     agents.  The set is used verbatim; it may or may not include the agent."""
 
-    neighbors: frozenset[int]
-    weights: tuple[Fraction, ...] | None = None
+    __slots__ = ("neighbors", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "neighbors", frozenset(self.neighbors))
-        object.__setattr__(self, "weights", _validated_weights(self.weights))
-        if not self.neighbors:
+    def __init__(self, neighbors: frozenset[int], weights: tuple[Fraction, ...] | None = None):
+        neighbors = frozenset(neighbors)
+        weights = _validated_weights(weights)
+        if not neighbors:
             raise ValidationError("neighborhood must name at least one agent")
-        if any(not isinstance(a, int) or a < 1 for a in self.neighbors):
+        if any(not isinstance(a, int) or a < 1 for a in neighbors):
             raise ValidationError("neighborhood ids must be positive integers")
+        self._set(neighbors, weights)
 
 
 TransformSpec = Union[OwnBundle, WeightedOwn, RelativeToMean, RelativeToNeighborhood]
@@ -361,36 +356,36 @@ def transform_label(spec: TransformSpec) -> str:
     return f"relative_nbhd({ids};{','.join(str(w) for w in spec.weights)})"
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(_Value):
     """Unweighted total of agent values."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class WeightedSum:
+
+class WeightedSum(_Value):
     """Weighted total; weights are per-agent, non-negative, not all zero."""
 
-    weights: tuple[Fraction, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        coerced = tuple(as_quantity(w) for w in self.weights)
-        object.__setattr__(self, "weights", coerced)
-        if not coerced:
+    def __init__(self, weights: tuple[Fraction, ...]):
+        weights = tuple(as_quantity(w) for w in weights)
+        if not weights:
             raise ValidationError("weighted_sum needs at least one weight")
-        if all(w == 0 for w in coerced):
+        if all(w == 0 for w in weights):
             raise ValidationError("weighted_sum weights are all zero")
+        self._set(weights)
 
 
-@dataclass(frozen=True)
-class Maximin:
+class Maximin(_Value):
     """Value of the worst-off agent."""
+
+    __slots__ = ()
 
 
 Combiner = Union[Sum, WeightedSum, Maximin]
 
 
-@dataclass(frozen=True)
-class SwfSpec:
+class SwfSpec(NamedTuple):
     """A combiner plus the per-agent value transforms it combines.
 
     ``agent_values`` follows the same convention as the engine: a bare

@@ -32,10 +32,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, ValidationError, VectorValuedAgentInfo, ZeroReferencePoint
 from .polity import Allocation, Polity, _common_holdings, _Holdings
@@ -119,8 +118,7 @@ def _ranked(values: list[int]) -> tuple[list[int], Counter]:
     return sorted(range(len(values)), key=values.__getitem__, reverse=True), Counter(values)
 
 
-@dataclass(frozen=True)
-class RankEntry:
+class RankEntry(NamedTuple):
     """One ranked state.  ``tied`` marks a value shared with another entry."""
 
     rank: int
@@ -130,8 +128,7 @@ class RankEntry:
     tied: bool
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(NamedTuple):
     entries: tuple[RankEntry, ...]
 
 

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from paretoscope import polity as polity_module
-from paretoscope import scenario as scenario_module
-from paretoscope.cli import main
+from paretoscope.cli import main, run_command
 from paretoscope.polity import Allocation
+from paretoscope.report import emit_report
+from paretoscope.scenario import load_scenario
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -309,9 +309,8 @@ def test_check_move_command_makes_no_allocation(monkeypatch, tmp_path, scenario)
     def no_state(*args, **kwargs):
         raise AssertionError("Allocation built")
 
-    for module in (polity_module, scenario_module):
-        monkeypatch.setattr(module, "_unchecked_state", no_state)
-    monkeypatch.setattr(Allocation, "__post_init__", no_state)
+    monkeypatch.setattr(Allocation, "_raw", no_state)
+    monkeypatch.setattr(Allocation, "__init__", no_state)
     out = tmp_path / "out.csv"
     assert _run("check-move", scenario, "csv", [], out) == 0
     golden = "check_move_own_box.csv" if scenario == "own_box" else f"{scenario}.csv"
@@ -320,18 +319,19 @@ def test_check_move_command_makes_no_allocation(monkeypatch, tmp_path, scenario)
 
 @pytest.mark.parametrize("scenario", ["discover", "discover_fractional"])
 @pytest.mark.parametrize("fmt,suffix", [("csv", "csv"), ("table", "table.txt")])
-def test_discover_command_makes_no_allocation(monkeypatch, tmp_path, scenario, fmt, suffix):
+def test_discover_command_makes_no_allocation(monkeypatch, scenario, fmt, suffix):
     # the run is computed, checked and rendered on int holdings; the
-    # scenario parses its one initial state at load, by its own reference
-    # to ``_unchecked_state``, and the command makes no Allocation from it
+    # scenario parses its one initial state at load, and the command makes
+    # no Allocation from it
+    loaded = load_scenario(DATA / f"{scenario}.scn")
+
     def no_state(*args, **kwargs):
         raise AssertionError("Allocation built")
 
-    monkeypatch.setattr(polity_module, "_unchecked_state", no_state)
-    monkeypatch.setattr(Allocation, "__post_init__", no_state)
-    out = tmp_path / "out.bin"
-    assert _run("discover", scenario, fmt, [], out) == 0
-    assert out.read_bytes() == (GOLDEN / f"{scenario}.{suffix}").read_bytes()
+    monkeypatch.setattr(Allocation, "_raw", no_state)
+    monkeypatch.setattr(Allocation, "__init__", no_state)
+    report = run_command(loaded, "discover")
+    assert emit_report(report, fmt) == (GOLDEN / f"{scenario}.{suffix}").read_bytes()
 
 
 def test_cap_exceeded_exits_3(capsys):

@@ -668,9 +668,14 @@ def test_efficient_under_relative_mean_small_box():
 
 
 def test_efficient_warns_on_state_outside_feasible_set(caplog):
+    # the state is written as report rows write it
     with caplog.at_level(logging.WARNING):
-        is_pareto_efficient(alloc(5, 5), BoxGrid.shared([0, 1]), OwnBundle())
-    assert any("not in the declared feasible set" in r.message for r in caplog.records)
+        is_pareto_efficient(alloc("1/2", 1), BoxGrid.shared([0, 1]), OwnBundle())
+        is_pareto_efficient(alloc((5, 0), (1, 1)), BoxGrid.shared([0, 1], 2), OwnBundle())
+    assert [r.getMessage() for r in caplog.records] == [
+        "state (1/2,1) is not in the declared feasible set",
+        "state ((5,0),(1,1)) is not in the declared feasible set",
+    ]
 
 
 def test_efficient_raises_on_degenerate_state():
@@ -1127,17 +1132,17 @@ def test_signature_table_reads_no_fraction_information(monkeypatch):
     # stream, and the command makes only the states of the moves it shows.
     scenario = load_scenario(DATA / "scan_own_relmean.scn")
     made = []
+    raw = Allocation._raw
 
-    def unchecked_state(flat, dim):
-        made.append(unchecked(flat, dim))
+    def counted_state(*values):
+        made.append(raw(*values))
         return made[-1]
 
-    unchecked = polity_module._unchecked_state
-    monkeypatch.setattr(polity_module, "_unchecked_state", unchecked_state)
-    def checked_allocation(self):
+    def checked_allocation(*args):
         raise AssertionError("Allocation built")
 
-    monkeypatch.setattr(Allocation, "__post_init__", checked_allocation)
+    monkeypatch.setattr(Allocation, "_raw", counted_state)
+    monkeypatch.setattr(Allocation, "__init__", checked_allocation)
     report = scan_all_moves(scenario.feasible, scenario.polity, scenario.transforms)
     assert report.improvements_found > 100 and report.degenerate_states == 1
     assert made == []
@@ -1173,8 +1178,8 @@ def test_frontier_command_makes_no_allocation(monkeypatch):
     def no_state(*args, **kwargs):
         raise AssertionError("Allocation built")
 
-    monkeypatch.setattr(polity_module, "_unchecked_state", no_state)
-    monkeypatch.setattr(Allocation, "__post_init__", no_state)
+    monkeypatch.setattr(Allocation, "_raw", no_state)
+    monkeypatch.setattr(Allocation, "__init__", no_state)
     for scenario in scenarios:
         report = run_command(scenario, "frontier")
         assert [row[0] for row in report.rows] == [
@@ -1193,17 +1198,17 @@ def test_full_efficiency_search_makes_only_the_state_and_its_witness(monkeypatch
     # state, and the search makes the one witness from its holdings
     mixed = load_scenario(DATA / "check_move_mixed.scn")
     made = []
-    unchecked = polity_module._unchecked_state
+    raw = Allocation._raw
 
-    def unchecked_state(flat, dim):
-        made.append(unchecked(flat, dim))
+    def counted_state(*values):
+        made.append(raw(*values))
         return made[-1]
 
     def no_state(*args, **kwargs):
         raise AssertionError("Allocation built")
 
-    monkeypatch.setattr(polity_module, "_unchecked_state", unchecked_state)
-    monkeypatch.setattr(Allocation, "__post_init__", no_state)
+    monkeypatch.setattr(Allocation, "_raw", counted_state)
+    monkeypatch.setattr(Allocation, "__init__", no_state)
     row = run_command(mixed, "efficient", state_id=40).rows[0]
     state, witness = made
     assert state.flat() == (Fraction(1, 2), 0, 2)

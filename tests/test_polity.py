@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import inspect
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -18,11 +21,17 @@ from paretoscope import (
     FixedTotalLattice,
     InfeasibleConfig,
     InvalidAgent,
+    Maximin,
     Move,
     OwnBundle,
     PartialOrderResult,
     Polity,
+    RelativeToMean,
+    RelativeToNeighborhood,
+    Sum,
     ValidationError,
+    WeightedOwn,
+    WeightedSum,
     alloc,
     as_quantity,
     classify_move_agents,
@@ -31,6 +40,7 @@ from paretoscope import (
     describe_feasible,
     enumerate_feasible,
     enumerate_upper_cone,
+    evaluate_transform,
     feasible_contains,
     scan_all_moves,
     unrank_feasible,
@@ -497,3 +507,200 @@ def test_upper_cone_checks_the_shape():
         list(enumerate_upper_cone(BoxGrid.shared([0, 1]), alloc((0, 0), (1, 1))))
     with pytest.raises(InfeasibleConfig):
         list(enumerate_upper_cone(ExplicitList((alloc(1, 2),)), alloc(0, 0, 0)))
+
+
+# Every value type of the package, each with a factory that builds a fresh
+# instance and the instance's pinned repr.  Reprs reach error messages, such
+# as ``unknown transform spec {spec!r}``.
+_VALUES = {
+    "Bundle": (
+        lambda: Bundle(quantities=(1, "1/2")),
+        "Bundle(quantities=(Fraction(1, 1), Fraction(1, 2)))",
+    ),
+    "Polity": (lambda: Polity(n_agents=2, commodity_dim=1), "Polity(n_agents=2, commodity_dim=1)"),
+    "Allocation": (
+        lambda: Allocation(bundles=((1,), Bundle((2,)))),
+        "Allocation(bundles=(Bundle(quantities=(Fraction(1, 1),)), "
+        "Bundle(quantities=(Fraction(2, 1),))))",
+    ),
+    "Move": (
+        lambda: Move(before=alloc(0), after=alloc(1)),
+        "Move(before=Allocation(bundles=(Bundle(quantities=(Fraction(0, 1),)),)), "
+        "after=Allocation(bundles=(Bundle(quantities=(Fraction(1, 1),)),)))",
+    ),
+    "BoxGrid": (
+        lambda: BoxGrid(levels=((0, "1/2"),)),
+        "BoxGrid(levels=((Fraction(0, 1), Fraction(1, 2)),))",
+    ),
+    "FixedTotalLattice": (
+        lambda: FixedTotalLattice(totals=(2,), step="1/2"),
+        "FixedTotalLattice(totals=(Fraction(2, 1),), step=Fraction(1, 2))",
+    ),
+    "ExplicitList": (
+        lambda: ExplicitList(states=(alloc(1), alloc(0), alloc(1))),
+        "ExplicitList(states=(Allocation(bundles=(Bundle(quantities=(Fraction(0, 1),)),)), "
+        "Allocation(bundles=(Bundle(quantities=(Fraction(1, 1),)),))))",
+    ),
+    "OwnBundle": (OwnBundle, "OwnBundle()"),
+    "WeightedOwn": (lambda: WeightedOwn(), "WeightedOwn(weights=None)"),
+    "RelativeToMean": (
+        lambda: RelativeToMean(weights=(1, "2/3")),
+        "RelativeToMean(weights=(Fraction(1, 1), Fraction(2, 3)))",
+    ),
+    "RelativeToNeighborhood": (
+        lambda: RelativeToNeighborhood(neighbors=[2, 1], weights=(3,)),
+        "RelativeToNeighborhood(neighbors=frozenset({1, 2}), weights=(Fraction(3, 1),))",
+    ),
+    "Sum": (Sum, "Sum()"),
+    "WeightedSum": (
+        lambda: WeightedSum(weights=(0, "1.5")),
+        "WeightedSum(weights=(Fraction(0, 1), Fraction(3, 2)))",
+    ),
+    "Maximin": (Maximin, "Maximin()"),
+}
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_types_keep_their_repr_equality_and_hash(name):
+    make, text = _VALUES[name]
+    value, twin = make(), make()
+    assert type(value).__name__ == name
+    assert repr(value) == text
+    assert value == twin and not value != twin
+    assert hash(value) == hash(twin)
+    assert {value: 1}[twin] == 1
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_types_refuse_assignment_and_deletion(name):
+    value = _VALUES[name][0]()
+    before = repr(value)
+    # the constructor's parameters are the fields
+    for attr in [*inspect.signature(type(value)).parameters, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, attr, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
+    assert repr(value) == before
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_types_round_trip_through_pickle_and_copy(name):
+    value = _VALUES[name][0]()
+    for twin in (
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+    ):
+        assert type(twin) is type(value)
+        assert twin == value and repr(twin) == repr(value)
+
+
+def test_value_types_equal_only_within_one_type():
+    assert OwnBundle() != Maximin()
+    assert Sum() != Maximin() and Sum() != OwnBundle()
+    assert RelativeToMean() != WeightedOwn()
+    assert RelativeToMean((1, 2)) != WeightedOwn((1, 2))
+    assert WeightedSum((1, 2)) != WeightedOwn((1, 2))
+    assert Polity(2, 1) != (2, 1)
+    assert Bundle((1,)) != (Fraction(1),)
+    assert len({OwnBundle(), Sum(), Maximin(), WeightedOwn(), RelativeToMean()}) == 5
+
+
+def test_value_types_keep_their_keyword_constructors():
+    assert Polity(n_agents=2, commodity_dim=1) == Polity(2, 1)
+    assert Polity(2, 1).n_agents == 2 and Polity(2, 1).commodity_dim == 1
+    assert Bundle(quantities=(1,)).quantities == (Fraction(1),)
+    assert Allocation(bundles=((1,),)) == alloc(1)
+    assert Move(before=alloc(0), after=alloc(1)).after == alloc(1)
+    assert FixedTotalLattice(totals=(1,), step=1) == FixedTotalLattice.shared(1)
+    assert BoxGrid(levels=((0, 1),)) == BoxGrid.shared([1, 0])
+    assert ExplicitList(states=(alloc(1),)).states == (alloc(1),)
+    assert WeightedOwn().weights is None and RelativeToMean().weights is None
+    assert RelativeToNeighborhood(neighbors={2}).weights is None
+    assert RelativeToNeighborhood(neighbors={2}, weights=(1,)).neighbors == frozenset({2})
+    assert WeightedSum(weights=(1,)).weights == (Fraction(1),)
+
+
+_INVALID_VALUES = [
+    (lambda: Bundle(()), ValidationError, "bundle must hold at least one commodity"),
+    (
+        lambda: Bundle((1, 0.5)),
+        ValidationError,
+        "float literal 0.5 not accepted; quantities are exact",
+    ),
+    (lambda: Bundle(("-1/2",)), ValidationError, "quantity must be non-negative, got -1/2"),
+    (lambda: Polity(0, 1), ValidationError, "polity needs at least one agent"),
+    (lambda: Polity(1, 0), ValidationError, "polity needs at least one commodity"),
+    (lambda: Allocation(()), ValidationError, "allocation must cover at least one agent"),
+    (
+        lambda: Allocation(((1,), (1, 2))),
+        DimensionMismatch,
+        "all bundles in an allocation must share one dimension",
+    ),
+    (
+        lambda: Move(alloc(1), alloc(1, 2)),
+        DimensionMismatch,
+        "move endpoints disagree on agent count",
+    ),
+    (
+        lambda: Move(alloc((1, 2)), alloc(1)),
+        DimensionMismatch,
+        "move endpoints disagree on commodity dimension",
+    ),
+    (lambda: BoxGrid(()), InfeasibleConfig, "box grid needs levels for at least one commodity"),
+    (lambda: BoxGrid(((),)), InfeasibleConfig, "each commodity needs at least one level"),
+    (lambda: BoxGrid(((1, 1),)), InfeasibleConfig, "levels must be strictly increasing"),
+    (
+        lambda: FixedTotalLattice((), 1),
+        InfeasibleConfig,
+        "lattice needs a total for at least one commodity",
+    ),
+    (
+        lambda: FixedTotalLattice((1,), 0),
+        InfeasibleConfig,
+        "lattice step must be strictly positive",
+    ),
+    (lambda: FixedTotalLattice((1,), "2/3"), InfeasibleConfig, "step 2/3 does not divide total 1"),
+    (lambda: ExplicitList(()), InfeasibleConfig, "explicit state list must be non-empty"),
+    (
+        lambda: ExplicitList((alloc(1), alloc(1, 2))),
+        DimensionMismatch,
+        "explicit states disagree on agent count or dimension",
+    ),
+    (lambda: WeightedOwn(()), ValidationError, "weight list must be non-empty"),
+    (
+        lambda: RelativeToMean((1, 0)),
+        ValidationError,
+        "aggregation weights must be strictly positive",
+    ),
+    (
+        lambda: RelativeToNeighborhood(frozenset()),
+        ValidationError,
+        "neighborhood must name at least one agent",
+    ),
+    (
+        lambda: RelativeToNeighborhood({0}),
+        ValidationError,
+        "neighborhood ids must be positive integers",
+    ),
+    (lambda: WeightedSum(()), ValidationError, "weighted_sum needs at least one weight"),
+    (lambda: WeightedSum((0, 0)), ValidationError, "weighted_sum weights are all zero"),
+    (
+        lambda: evaluate_transform(RelativeToMean, alloc(1), 1),
+        ValidationError,
+        "unknown transform spec <class 'paretoscope.transforms.RelativeToMean'>",
+    ),
+    (
+        lambda: evaluate_transform(WeightedSum((1, "2/3")), alloc(1), 1),
+        ValidationError,
+        "unknown transform spec WeightedSum(weights=(Fraction(1, 1), Fraction(2, 3)))",
+    ),
+]
+
+
+@pytest.mark.parametrize("make,error,message", _INVALID_VALUES)
+def test_value_types_keep_their_validation_messages(make, error, message):
+    with pytest.raises(error) as caught:
+        make()
+    assert str(caught.value) == message

@@ -95,6 +95,24 @@ def test_load_scenario_compiles_only_its_four_modules(tmp_path):
     assert swf == "weighted_sum(1,1/2)"
 
 
+# Standard-library modules that cost start-up time and that no command needs.
+_UNUSED_AT_START = ("dataclasses", "inspect")
+
+
+def test_command_path_loads_no_dataclasses_or_inspect(tmp_path):
+    path = tmp_path / "startup.scn"
+    path.write_text(SCENARIO)
+    after_load, after_cli = _fresh(
+        "import paretoscope\n"
+        f"paretoscope.load_scenario({str(path)!r})\n"
+        "first = loaded()\n"
+        "import paretoscope.cli\n"
+        "print(json.dumps([first, loaded()]))"
+    )
+    assert [m for m in _UNUSED_AT_START if m in after_load] == []
+    assert [m for m in _UNUSED_AT_START if m in after_cli] == []
+
+
 def test_submodule_resolves_after_bare_import():
     found, loaded = _fresh(
         "import paretoscope\n"

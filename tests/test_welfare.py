@@ -43,7 +43,6 @@ from paretoscope import (
     welfare_rank,
     welfare_value,
 )
-from paretoscope import polity as polity_module
 from paretoscope import transforms as transforms_module
 from paretoscope import welfare as welfare_module
 from paretoscope.cli import run_command
@@ -391,8 +390,8 @@ def test_welfare_command_makes_no_allocation_and_no_fraction_evaluation(monkeypa
         raise AssertionError("Allocation built")
 
     monkeypatch.setattr(transforms_module, "evaluate_transform", refuse)
-    monkeypatch.setattr(polity_module, "_unchecked_state", no_state)
-    monkeypatch.setattr(Allocation, "__post_init__", no_state)
+    monkeypatch.setattr(Allocation, "_raw", no_state)
+    monkeypatch.setattr(Allocation, "__init__", no_state)
     for scenario in scenarios:
         report = run_command(scenario, "welfare")
         assert len(report.rows) == len(set(row[1] for row in report.rows)) > 1
