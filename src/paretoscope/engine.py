@@ -11,10 +11,10 @@ rises and at least one agent's strictly rises.  Three checkers implement this:
   bundle changes.  It is a genuinely separate evaluation route: the tests
   confirm it agrees with the definitional checker rather than assuming it.
 
-Every transform is read on ints by the one reading layer in
-``transforms``: ``_readings`` resolves every agent's transform before any
-state is read, and ``_read_state`` takes every agent's information at one
-state from int holdings as int components over a positive int, with no
+Every transform is read on ints by the one reading layer in ``transforms``:
+``_readings`` resolves every agent's transform to a function of int
+holdings before any state is read, and ``_read_state`` reads every agent's
+information at one state as int components over a positive int, with no
 ``Fraction`` arithmetic.  All three checkers read one exact-int evaluation
 of the move built from it (``_move_information``): each agent's information
 at both ends as int component tuples that compare exactly as the
@@ -24,20 +24,21 @@ checkers from its ``(before, after)`` int holdings on one scale:
 (``_common_holdings``), resolving the readings once per polity shape, and
 wraps it in ``MoveVerdicts``; the ``check-move`` command gives it the
 scenario's parsed ints and renders its rows from them, with no
-``Allocation`` made.  The single checkers build the
-same evaluation.  The checkers share one definition of
-improvement with reasons (``_tally``); ``_dominates`` is its yes/no form on
-flat int signatures, for the loops that need no reasons.  Frontiers and
-scans read one ``SignatureTable``: each state's flat signature, read and
-scaled to exact ints by one common factor (``transforms._signatures``, the
-core that welfare ranks by too) from the feasible set's int state stream
-(``feasible_holdings``, with no ``Allocation`` made), and one dominance
-layer over it (``_dominator_masks``) that gives each state the bitset of
-the states that dominate it.  A scan counts its improving moves from those
-bitsets and keeps them, so the moves are listed only on demand.
-``is_pareto_efficient`` reads the state and each target of that int
-stream, or of its upper cone (``_upper_cone``), by the same readings,
-makes the two ends comparable as a move's (``_comparable``) and decides by
+``Allocation`` made; ``check_improvement`` and
+``check_improvement_ratio_form`` are views of ``check_move``.  The checkers
+share one definition of improvement with reasons (``_tally``);
+``_dominates`` is its yes/no form on flat int signatures, for the loops
+that need no reasons.  Frontiers and scans read one ``SignatureTable``:
+each state's flat signature, read and scaled to exact ints by one common
+factor (``transforms._signatures``, the core that welfare ranks by too)
+from the feasible set's int state stream (``feasible_holdings``, with no
+``Allocation`` made), and one dominance layer over it
+(``_dominator_masks``) that gives each state the bitset of the states that
+dominate it.  A scan counts its improving moves from those bitsets and
+keeps them, so the moves are listed only on demand.
+``is_pareto_efficient`` reads the state and each target of that int stream,
+or of its upper cone (``_upper_cone``), by the same readings, makes the two
+ends comparable as a move's (``_comparable``) and decides by
 ``_dominates``.  The tests hold every int route against a separate
 evaluation of the transforms on ``Fraction``s.  ``enumerate_frontier``
 certifies those bitsets on every call: each dominated state is checked by
@@ -73,7 +74,7 @@ from .transforms import (
     TransformSpec,
     Transforms,
     WeightedOwn,
-    _Reading,
+    _Reader,
     _read_state,
     _readings,
     _signatures,
@@ -161,16 +162,16 @@ def _verdict(
 
 
 def _move_information(
-    readings: list[tuple[int, _Reading | None]], holdings: Sequence[_Holdings]
+    readings: list[tuple[int, _Reader | None]], holdings: Sequence[_Holdings]
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Every agent's information at both ends of a move, as exact ints.
 
     ``readings`` is ``_readings`` for the move's polity and ``holdings`` the
     move's ``(before, after)`` ints on one scale.  Returns one component
     tuple per agent and end, ``(after, before)``, that compare agent by
-    agent exactly as the information does: each end is read by ``_read`` in
-    the units of the one holding scale both ends share, and the two readings
-    are made comparable by ``_comparable``.
+    agent exactly as the information does: each end is read by
+    ``_read_state`` in the units of the one holding scale both ends share,
+    and the two ends are made comparable by ``_comparable``.
 
     Raises ``ZeroReferencePoint`` at the from end agent by agent, then at
     the to end, tagged with the end where the reference is zero.
@@ -190,7 +191,7 @@ def _move_information(
 def _comparable(
     after: list[tuple[tuple[int, ...], int]], before: list[tuple[tuple[int, ...], int]]
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Every agent's ``_read`` at two ends as int component tuples that compare exactly.
+    """Every agent's ``_read_state`` at two ends as int tuples that compare exactly.
 
     The ends may be read on different holding scales.  Where an agent's
     denominators differ, each end's components are multiplied by the other
@@ -211,11 +212,7 @@ def check_improvement(move: Move, transforms: Transforms) -> ImprovementVerdict:
 
     Raises what ``check_move`` raises.
     """
-    polity = move.polity
-    readings = _readings(transforms_for(polity, transforms), polity)
-    _, holdings = _common_holdings((move.before, move.after))
-    after, before = _move_information(readings, holdings)
-    return _verdict(_tally(polity.agents, after, before), Method.DEFINITIONAL)
+    return check_move(move, transforms).definitional
 
 
 def check_improvement_neoclassical(move: Move) -> ImprovementVerdict:
@@ -284,17 +281,13 @@ def check_improvement_ratio_form(move: Move, transforms: Transforms) -> Improvem
     unchanged holding are vacuously satisfied.  Only the sign of each ratio
     is read, so it is taken as the product of the signs of its two changes
     and nothing is divided.  Both hypotheses are checked before any
-    transform is evaluated.
+    transform is resolved; the verdict is then ``check_move``'s.
     """
-    polity = move.polity
     _, holdings = _common_holdings((move.before, move.after))
-    movers = _ratio_movers(polity, holdings)
+    movers = _ratio_movers(move.polity, holdings)
     if isinstance(movers, HypothesisViolated):
         raise movers
-    readings = _readings(transforms_for(polity, transforms), polity)
-    after, before = _move_information(readings, holdings)
-    tally = _tally(polity.agents, after, before)
-    return _verdict(tally, Method.RATIO_FORM, _ratio_improves(movers, after, before))
+    return check_move(move, transforms).ratio_form
 
 
 class MoveVerdicts(NamedTuple):
@@ -311,7 +304,7 @@ class MoveVerdicts(NamedTuple):
 
 def _move_outcome(
     polity: Polity,
-    readings: list[tuple[int, _Reading | None]],
+    readings: list[tuple[int, _Reader | None]],
     holdings: Sequence[_Holdings],
 ) -> tuple[_Tally, _Tally, bool | HypothesisViolated]:
     """One move's decision by all three checkers, from ``(before, after)``
@@ -334,7 +327,7 @@ def check_moves(moves: Iterable[Move], transforms: Transforms) -> Iterator[MoveV
     before either end of that move is read.  Each move then raises what
     ``check_move`` raises on it.
     """
-    shapes: dict[Polity, list[tuple[int, _Reading | None]]] = {}
+    shapes: dict[Polity, list[tuple[int, _Reader | None]]] = {}
     for move in moves:
         polity = move.polity
         readings = shapes.get(polity)
@@ -380,8 +373,8 @@ class SignatureTable(NamedTuple):
     information components of every agent in agent order (one for scalar
     information) flattened to one int tuple, or ``None`` for a degenerate
     state.  Each agent's information is read once per state from the
-    state's int holdings (``feasible_holdings``), by the reading
-    ``check_move`` uses (``_read``), and every information component ``c``
+    state's int holdings (``feasible_holdings``), by the readings
+    ``check_move`` uses (``_read_state``), and every information component ``c``
     is stored as the int ``c * scale``, where ``scale`` is the least common
     multiple of the reduced denominators of all live components
     (``_signatures``).

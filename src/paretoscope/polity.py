@@ -69,7 +69,8 @@ class _Value:
     def _raw(cls, *values):
         """The value holding ``values`` as given, with no validation."""
         value = object.__new__(cls)
-        value._set(*values)
+        for name, item in zip(cls.__slots__, values):
+            object.__setattr__(value, name, item)
         return value
 
     def __eq__(self, other):

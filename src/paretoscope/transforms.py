@@ -11,10 +11,10 @@ Scalar transforms aggregate a bundle as the weighted sum of its commodity
 quantities.  Weights must be strictly positive so that aggregation preserves
 strict componentwise dominance; ``None`` means unit weights.
 
-Each transform is defined once, on ints.  ``_reading`` resolves an agent's
-transform to int weights and a reference group, and ``_read`` takes the
-agent's information at one state from int holdings as int components over
-a positive int; ``_readings`` and ``_read_state`` do so for every agent.
+Each transform is defined once, on ints: ``_reading`` resolves an agent's
+transform to a function that reads the information at one state from int
+holdings as int components over a positive int; ``_readings`` resolves
+every agent's, and ``_read_state`` reads every agent at one state.
 Every command reads through them.  ``_signatures`` reads a whole stream of
 states and scales every component to one int scale, the least common
 multiple of their reduced denominators, as one flat int tuple per state;
@@ -151,29 +151,23 @@ def _int_weights(weights: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
     return tuple([w.numerator * (scale // w.denominator) for w in weights]), scale
 
 
-def _int_aggregate(holding: tuple[int, ...], weights: tuple[int, ...] | None) -> int:
-    if weights is None:
-        return sum(holding)
-    return sum(map(operator.mul, weights, holding))
+_Reader = Callable[[_Holdings, int], tuple[tuple[int, ...], int]]
 
 
-class _Reading(NamedTuple):
-    """How a scalar transform reads an agent's information from int holdings."""
+def _reading(spec: TransformSpec, agent: int, n_agents: int, dimension: int) -> _Reader | None:
+    """``agent``'s reading under ``spec``: a function of a state's int holdings.
 
-    weights: tuple[int, ...] | None  # int aggregation weights; None for unit weights
-    weight_scale: int  # the factor the weights were scaled by
-    group: list[int] | range | None  # 0-based reference group; None when absolute
+    ``None`` means the information is the bundle itself.  Otherwise the
+    reading takes ``(holdings, unit)``, every quantity times ``unit``, and
+    returns the information as int components over a positive int: over
+    ``unit`` times the weight scale for a weighted sum, and for a relative
+    transform, whose value aggₖ / (Σ_G agg / |G|) does not depend on either
+    scale, |G|·aggₖ over Σ_G agg.  It raises ``ZeroReferencePoint`` when Σ_G
+    agg is zero.
 
-
-def _reading(
-    spec: TransformSpec, agent: int, n_agents: int, dimension: int
-) -> _Reading | None:
-    """How ``agent``'s information under ``spec`` is read from int holdings.
-
-    ``None`` means the information is the bundle itself.  Raises, before
-    any holding is read: ``InvalidAgent`` for a neighbourhood member outside
-    the polity, then ``DimensionMismatch`` for a weight count that does not
-    match the commodities.
+    Raises, before any holding is read: ``InvalidAgent`` for a neighbourhood
+    member outside the polity, then ``DimensionMismatch`` for a weight count
+    that does not match the commodities.
     """
     if isinstance(spec, OwnBundle):
         return None
@@ -186,40 +180,30 @@ def _reading(
     else:
         raise ValidationError(f"unknown transform spec {spec!r}")
     if spec.weights is None:
-        return _Reading(None, 1, group)
-    check_weight_count(spec.weights, dimension)
-    return _Reading(*_int_weights(spec.weights), group)
+        aggregate, weight_scale = sum, 1
+    else:
+        check_weight_count(spec.weights, dimension)
+        weights, weight_scale = _int_weights(spec.weights)
 
+        def aggregate(holding: tuple[int, ...]) -> int:
+            return sum(map(operator.mul, weights, holding))
 
-def _read(
-    reading: _Reading | None, holdings: _Holdings, agent: int, unit: int
-) -> tuple[tuple[int, ...], int]:
-    """``agent``'s information at one state as int components over a positive int.
-
-    ``holdings`` holds every quantity times ``unit``.  The components
-    divided by the returned denominator are exactly the information:
-    ``unit`` for the bundle itself, ``unit`` times the weight scale for a
-    weighted sum, and for a relative transform, whose value aggₖ / (Σ_G agg
-    / |G|) does not depend on either scale, |G|·aggₖ over Σ_G agg.
-
-    Raises ``ZeroReferencePoint`` when the reference Σ_G agg is zero.
-    """
-    own = holdings[agent - 1]
-    if reading is None:
-        return own, unit
-    weights, weight_scale, group = reading
-    value = _int_aggregate(own, weights)
+    own = agent - 1
     if group is None:
-        return (value,), unit * weight_scale
-    reference = sum(_int_aggregate(holdings[m], weights) for m in group)
-    if reference == 0:
-        raise ZeroReferencePoint(f"reference mean for agent {agent} is zero", agent=agent)
-    return (len(group) * value,), reference
+        return lambda holdings, unit: ((aggregate(holdings[own]),), unit * weight_scale)
+
+    def relative(holdings: _Holdings, unit: int) -> tuple[tuple[int, ...], int]:
+        reference = sum(map(aggregate, map(holdings.__getitem__, group)))
+        if reference == 0:
+            raise ZeroReferencePoint(f"reference mean for agent {agent} is zero", agent=agent)
+        return (len(group) * aggregate(holdings[own]),), reference
+
+    return relative
 
 
 def _readings(
     specs: dict[int, TransformSpec], polity: Polity
-) -> list[tuple[int, _Reading | None]]:
+) -> list[tuple[int, _Reader | None]]:
     """Every agent with its reading under ``specs``, resolved in agent order."""
     return [
         (agent, _reading(spec, agent, polity.n_agents, polity.commodity_dim))
@@ -228,14 +212,17 @@ def _readings(
 
 
 def _read_state(
-    readings: list[tuple[int, _Reading | None]], holdings: _Holdings, unit: int
+    readings: list[tuple[int, _Reader | None]], holdings: _Holdings, unit: int
 ) -> list[tuple[tuple[int, ...], int]]:
-    """``_read`` of every agent in ``readings`` at one state, in their order."""
-    return [_read(reading, holdings, agent, unit) for agent, reading in readings]
+    """Every agent's information in ``readings`` at one state, in their order."""
+    return [
+        (holdings[agent - 1], unit) if read is None else read(holdings, unit)
+        for agent, read in readings
+    ]
 
 
 def _signatures(
-    readings: list[tuple[int, _Reading | None]],
+    readings: list[tuple[int, _Reader | None]],
     unit: int,
     stream: Iterable[_Holdings],
     degenerate: Callable[[int, ZeroReferencePoint], None],
@@ -276,17 +263,18 @@ def evaluate_transform(
     """The information ``agent`` receives at ``allocation`` under ``spec``.
 
     Returns a ``Bundle`` for ``OwnBundle`` over multiple commodities and an
-    exact scalar, read by ``_read``, otherwise.  Raises ``InvalidAgent`` for
-    an agent outside the polity, then what ``_reading`` and ``_read`` raise.
+    exact scalar, read by the agent's reading (``_reading``), otherwise.
+    Raises ``InvalidAgent`` for an agent outside the polity, then what
+    ``_reading`` and the reading raise.
     """
     if not 1 <= agent <= allocation.n_agents:
         raise InvalidAgent(f"agent {agent} not in 1..{allocation.n_agents}")
-    reading = _reading(spec, agent, allocation.n_agents, allocation.dimension)
-    if reading is None:
+    read = _reading(spec, agent, allocation.n_agents, allocation.dimension)
+    if read is None:
         own = allocation.bundles[agent - 1]
         return own.quantities[0] if own.dimension == 1 else own
     unit, (holdings,) = _common_holdings((allocation,))
-    (value,), den = _read(reading, holdings, agent, unit)
+    (value,), den = read(holdings, unit)
     return Fraction(value, den)
 
 

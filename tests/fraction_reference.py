@@ -1,16 +1,17 @@
 """The ``Fraction`` evaluations of transforms and windfall runs, kept as the
 tests' reference.
 
-The package reads every transform on ints (``transforms._reading`` and
-``transforms._read``), and its public ``evaluate_transform`` is a wrapper
-over that reading.  A reference built on the wrapper would compare the int
-reading with itself, so the tests compare the package with this copy of the
-direct definition instead: each transform computed on exact ``Fraction``s
-from the allocation's bundles.  ``simulate_discovery`` is likewise the
-direct definition of a windfall run: every state an ``Allocation``, every
-step decided by the neoclassical checker, every state's efficiency by
-``is_pareto_efficient`` on its own-total lattice, and every gap a
-``Fraction``.  The package computes the run on ints instead.
+The package reads every transform on ints (``transforms._reading`` resolves
+each agent's transform to a function of int holdings), and its public
+``evaluate_transform`` is a wrapper over that reading.  A reference built
+on the wrapper would compare the int reading with itself, so the tests
+compare the package with this copy of the direct definition instead: each
+transform computed on exact ``Fraction``s from the allocation's bundles.
+``simulate_discovery`` is likewise the direct definition of a windfall run:
+every state an ``Allocation``, every step decided by the neoclassical
+checker, every state's efficiency by ``is_pareto_efficient`` on its
+own-total lattice, and every gap a ``Fraction``.  The package computes the
+run on ints instead.
 """
 
 from __future__ import annotations

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from paretoscope import transforms as transforms_module
 from paretoscope.cli import main, run_command
 from paretoscope.polity import Allocation
 from paretoscope.report import emit_report
 from paretoscope.scenario import load_scenario
+from paretoscope.transforms import WeightedOwn
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,6 +99,41 @@ def test_golden_outputs(tmp_path, command, scenario, fmt, extra, golden):
     out = tmp_path / "out.bin"
     assert _run(command, scenario, fmt, extra, out) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command,scenario,extra",
+    [
+        ("check-move", "check_move_mixed", []),
+        ("efficient", "check_move_mixed", ["--state", "7"]),
+        ("frontier", "check_move_mixed", []),
+        ("scan", "check_move_mixed", []),
+        ("welfare", "welfare_weighted_lattice", []),
+    ],
+)
+def test_each_command_resolves_every_transform_once(
+    monkeypatch, tmp_path, command, scenario, extra
+):
+    resolved, reads = [], []
+    reading = transforms_module._reading
+
+    def counted(spec, agent, n_agents, dimension):
+        resolved.append((spec, agent, n_agents, dimension))
+        read = reading(spec, agent, n_agents, dimension)
+        if read is None:
+            return None
+        return lambda holdings, unit: reads.append(agent) or read(holdings, unit)
+
+    monkeypatch.setattr(transforms_module, "_reading", counted)
+    assert _run(command, scenario, "csv", extra, tmp_path / "out") == 0
+    loaded = load_scenario(DATA / f"{scenario}.scn")
+    polity = loaded.polity
+    # welfare values default to unit-weighted own aggregates
+    specs = {a: WeightedOwn() for a in polity.agents} if command == "welfare" else loaded.transforms
+    expected = [(specs[a], a, polity.n_agents, polity.commodity_dim) for a in polity.agents]
+    # once per agent, in agent order, however many states the readings read
+    assert resolved == expected
+    assert len(reads) > len(resolved)
 
 
 def test_csv_uses_crlf_line_endings(tmp_path):
