@@ -2,8 +2,8 @@
 
 ``paretoscope <command> --scenario <path>`` with commands ``check-move``,
 ``efficient``, ``frontier``, ``scan``, ``discover``, and ``welfare``.
-Exit codes: 0 success, 1 scenario or argument problem, 2 engine error,
-3 scan cap exceeded.
+Exit codes: 0 success, 1 scenario, argument or file problem, 2 engine error,
+3 scan cap exceeded; a package error's code is its class's ``exit_code``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from .engine import (
     scan_all_moves,
 )
 from .errors import (
-    CapExceeded,
     HypothesisViolated,
     MissingField,
     ParetoscopeError,
-    ScenarioError,
     ValidationError,
 )
 from .polity import describe_feasible, feasible_holdings, unrank_feasible
@@ -45,7 +43,6 @@ from .welfare import _ranked, _welfare_ints
 
 import argparse
 import gc
-import logging
 import sys
 from itertools import islice
 
@@ -365,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s"
-    )
     # the imports' objects live until exit: freeze them once, so no collection walks them
     if not gc.get_freeze_count():
         gc.freeze()
@@ -391,18 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.output:
             with open(args.output, "wb") as fh:
                 fh.write(payload)
-    except OSError as exc:
+    except (OSError, ParetoscopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ParetoscopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code if isinstance(exc, ParetoscopeError) else 1
     if not args.output:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

@@ -48,8 +48,8 @@ another.
 
 from __future__ import annotations
 
-import logging
 import operator
+import sys
 from enum import Enum
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -80,8 +80,6 @@ from .transforms import (
     _signatures,
     transforms_for,
 )
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_SCAN_CAP = 200_000
 
@@ -416,8 +414,8 @@ def build_signature_table(
     read.  Every state's holdings come on one scale, fixed before the first
     state (``feasible_holdings``), and are read and scaled by
     ``_signatures``, with no ``Fraction`` and no ``Allocation`` made.  When
-    ``warning`` is given, each degenerate state is logged as
-    "state <index> <warning>: <reason>".
+    ``warning`` is given, each degenerate state is reported on stderr as
+    "WARNING: state <index> <warning>: <reason>".
     """
     specs = transforms_for(polity, transforms)
     unit, feasible = feasible_holdings(fs, polity)
@@ -425,7 +423,7 @@ def build_signature_table(
 
     def degenerate(index: int, exc: ZeroReferencePoint) -> None:
         if warning is not None:
-            logger.warning("state %d %s: %s", index, warning, exc)
+            print(f"WARNING: state {index} {warning}: {exc}", file=sys.stderr)
 
     return SignatureTable(*_signatures(readings, unit, feasible, degenerate))
 
@@ -491,7 +489,10 @@ def is_pareto_efficient(
     # order, before any agent's information is read at the state.
     readings = _readings(specs, polity)
     if not feasible_contains(fs, state):
-        logger.warning("state %s is not in the declared feasible set", render_allocation(state))
+        print(
+            f"WARNING: state {render_allocation(state)} is not in the declared feasible set",
+            file=sys.stderr,
+        )
     scale, (holdings,) = _common_holdings((state,))
     try:
         before = _read_state(readings, holdings, scale)

@@ -1,9 +1,10 @@
 """Exception hierarchy shared across paretoscope.
 
 Scenario-input problems (parse/validation/missing fields) derive from
-``ScenarioError``; everything else is an engine-side failure.  The CLI maps
-``ScenarioError`` to exit code 1, ``CapExceeded`` to 3, and any other
-``ParetoscopeError`` to 2.
+``ScenarioError``; everything else is an engine-side failure.  Each class
+carries the CLI's exit code for it as ``exit_code``: 1 for a
+``ScenarioError``, 3 for ``CapExceeded``, and 2 for any other
+``ParetoscopeError``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 class ParetoscopeError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class DimensionMismatch(ParetoscopeError):
@@ -46,6 +49,8 @@ class HypothesisViolated(ParetoscopeError):
 class CapExceeded(ParetoscopeError):
     """A scan would examine more moves than the configured cap allows."""
 
+    exit_code = 3
+
     def __init__(self, cap: int, required: int):
         super().__init__(f"scan requires {required} moves but cap is {cap}")
         self.cap = cap
@@ -66,6 +71,8 @@ class InternalInvariant(ParetoscopeError):
 
 class ScenarioError(ParetoscopeError):
     """Base class for scenario-file input problems."""
+
+    exit_code = 1
 
 
 class ParseError(ScenarioError):

@@ -74,6 +74,31 @@ GOLDEN_RUNS = [
     ("welfare", "own_box", "csv", [], "welfare_own_box.csv"),
 ]
 
+# The exact stderr of the golden runs that write any, keyed by golden file;
+# every other golden run writes nothing there.  Each degenerate state is
+# one warning line, in enumeration order.
+GOLDEN_STDERR = {
+    "frontier_check_move_mixed.table.txt": (
+        "WARNING: state 0 excluded from frontier: reference mean for agent 2 is zero\n"
+        "WARNING: state 6 excluded from frontier: reference mean for agent 2 is zero\n"
+        "WARNING: state 12 excluded from frontier: reference mean for agent 2 is zero\n"
+        "WARNING: state 18 excluded from frontier: reference mean for agent 2 is zero\n"
+        "WARNING: state 24 excluded from frontier: reference mean for agent 2 is zero\n"
+        "WARNING: state 30 excluded from frontier: reference mean for agent 2 is zero\n"
+    ),
+    "scan_check_move_mixed.csv": (
+        "WARNING: state 0 skipped in scan: reference mean for agent 2 is zero\n"
+        "WARNING: state 6 skipped in scan: reference mean for agent 2 is zero\n"
+        "WARNING: state 12 skipped in scan: reference mean for agent 2 is zero\n"
+        "WARNING: state 18 skipped in scan: reference mean for agent 2 is zero\n"
+        "WARNING: state 24 skipped in scan: reference mean for agent 2 is zero\n"
+        "WARNING: state 30 skipped in scan: reference mean for agent 2 is zero\n"
+    ),
+    "scan_own_relmean.table.txt": (
+        "WARNING: state 0 skipped in scan: reference mean for agent 3 is zero\n"
+    ),
+}
+
 
 def _run(command, scenario, fmt, extra, out_path):
     return main(
@@ -99,6 +124,20 @@ def test_golden_outputs(tmp_path, command, scenario, fmt, extra, golden):
     out = tmp_path / "out.bin"
     assert _run(command, scenario, fmt, extra, out) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command,scenario,fmt,extra,golden",
+    GOLDEN_RUNS,
+    ids=[g for *_, g in GOLDEN_RUNS],
+)
+def test_golden_runs_write_their_stderr(capsysbinary, command, scenario, fmt, extra, golden):
+    # in one process, each run writes its warnings to the stderr of its own call
+    args = [command, "--scenario", str(DATA / f"{scenario}.scn"), "--format", fmt, *extra]
+    assert main(args) == 0
+    out, err = capsysbinary.readouterr()
+    assert out == (GOLDEN / golden).read_bytes()
+    assert err == GOLDEN_STDERR.get(golden, "").encode()
 
 
 @pytest.mark.parametrize(
@@ -181,13 +220,13 @@ def test_stdout_receives_report_bytes(capsysbinary):
 
 
 @pytest.mark.parametrize(
-    "command,fmt,golden,warning",
+    "command,fmt,golden",
     [
-        ("frontier", "table", "frontier_check_move_mixed.table.txt", "excluded from frontier"),
-        ("scan", "csv", "scan_check_move_mixed.csv", "skipped in scan"),
+        ("frontier", "table", "frontier_check_move_mixed.table.txt"),
+        ("scan", "csv", "scan_check_move_mixed.csv"),
     ],
 )
-def test_degenerate_states_are_warned_in_order(command, fmt, golden, warning):
+def test_degenerate_states_are_warned_in_order(command, fmt, golden):
     # agent 2's reference group is agents 1 and 3, so every state where both
     # hold nothing is degenerate; the warnings follow enumeration order
     result = subprocess.run(
@@ -205,10 +244,7 @@ def test_degenerate_states_are_warned_in_order(command, fmt, golden, warning):
     )
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / golden).read_bytes()
-    assert result.stderr.decode().splitlines() == [
-        f"WARNING: state {i} {warning}: reference mean for agent 2 is zero"
-        for i in (0, 6, 12, 18, 24, 30)
-    ]
+    assert result.stderr.decode() == GOLDEN_STDERR[golden]
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):

@@ -96,10 +96,10 @@ def test_load_scenario_compiles_only_its_four_modules(tmp_path):
 
 
 # Standard-library modules that cost start-up time and that no command needs.
-_UNUSED_AT_START = ("dataclasses", "inspect")
+_UNUSED_AT_START = ("dataclasses", "inspect", "logging")
 
 
-def test_command_path_loads_no_dataclasses_or_inspect(tmp_path):
+def test_command_path_loads_no_unused_stdlib_module(tmp_path):
     path = tmp_path / "startup.scn"
     path.write_text(SCENARIO)
     after_load, after_cli = _fresh(
