@@ -39,7 +39,6 @@ _EXPORTS = {
         "Method",
         "MoveVerdicts",
         "ScanReport",
-        "ViolationKind",
         "check_improvement",
         "check_improvement_neoclassical",
         "check_improvement_ratio_form",
@@ -75,6 +74,7 @@ _EXPORTS = {
         "Move",
         "Polity",
         "Quantity",
+        "ViolationKind",
         "alloc",
         "as_quantity",
         "count_feasible",

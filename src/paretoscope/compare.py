@@ -3,7 +3,8 @@
 ``compare_bundles`` and ``compare_info`` place two bundles, or two pieces of
 preference information, in the componentwise partial order;
 ``classify_move_agents`` partitions a move's agents by how their bundles
-changed.  ``verify_own_monotonicity`` and ``cross_effect_sign`` probe how a
+changed.  All three read that order from its one definition, ``polity._tally``.
+``verify_own_monotonicity`` and ``cross_effect_sign`` probe how a
 transform's information responds when one bundle grows.
 
 No command calls these: the engine decides moves and states on its exact-int
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, ValidationError
-from .polity import Allocation, Bundle, Move, as_quantity
+from .polity import Allocation, Bundle, Move, ViolationKind, _tally, as_quantity
 from .transforms import PreferenceInfo, TransformSpec, evaluate_transform
 
 
@@ -38,6 +39,20 @@ class PartialOrderResult(Enum):
         return self in (PartialOrderResult.EQUAL, PartialOrderResult.STRICTLY_GREATER)
 
 
+# Each tally of one agent, labelled 0, as (gainers, violators), and its order.
+_ORDER = {
+    ((), ()): PartialOrderResult.EQUAL,
+    ((0,), ()): PartialOrderResult.STRICTLY_GREATER,
+    ((), ((0, ViolationKind.STRICTLY_WORSE),)): PartialOrderResult.STRICTLY_LESS,
+    ((), ((0, ViolationKind.INCOMPARABLE_INFO),)): PartialOrderResult.INCOMPARABLE,
+}
+
+
+def _order(a: tuple, b: tuple) -> PartialOrderResult:
+    """The components ``a`` against ``b``, as one agent's move from ``b`` to ``a``."""
+    return _ORDER[tuple(map(tuple, _tally((0,), (a,), (b,))))]
+
+
 def compare_bundles(a: Bundle, b: Bundle) -> PartialOrderResult:
     """Compare two bundles under the componentwise partial order.
 
@@ -47,21 +62,7 @@ def compare_bundles(a: Bundle, b: Bundle) -> PartialOrderResult:
     """
     if a.dimension != b.dimension:
         raise DimensionMismatch(f"bundle dimensions differ: {a.dimension} vs {b.dimension}")
-    some_up = some_down = False
-    for x, y in zip(a.quantities, b.quantities):
-        if x == y:
-            continue
-        if x > y:
-            some_up = True
-        else:
-            some_down = True
-        if some_up and some_down:
-            return PartialOrderResult.INCOMPARABLE
-    if some_up:
-        return PartialOrderResult.STRICTLY_GREATER
-    if some_down:
-        return PartialOrderResult.STRICTLY_LESS
-    return PartialOrderResult.EQUAL
+    return _order(a.quantities, b.quantities)
 
 
 class MoveClassification(NamedTuple):
@@ -79,16 +80,12 @@ def classify_move_agents(move: Move) -> MoveClassification:
     losers stayed equal or (weakly or strictly) decreased; mixed agents saw an
     incomparable change.  The three sets always partition the polity.
     """
-    gainers, weak_losers, mixed = set(), set(), set()
-    for agent in move.polity.agents:
-        result = compare_bundles(move.after.bundle_for(agent), move.before.bundle_for(agent))
-        if result is PartialOrderResult.STRICTLY_GREATER:
-            gainers.add(agent)
-        elif result is PartialOrderResult.INCOMPARABLE:
-            mixed.add(agent)
-        else:
-            weak_losers.add(agent)
-    return MoveClassification(frozenset(gainers), frozenset(weak_losers), frozenset(mixed))
+    agents = move.polity.agents
+    ends = [[bundle.quantities for bundle in end.bundles] for end in (move.after, move.before)]
+    gainers, violators = _tally(agents, *ends)
+    mixed = frozenset([agent for agent, kind in violators if kind is ViolationKind.INCOMPARABLE_INFO])
+    weak_losers = frozenset(agents).difference(gainers, mixed)
+    return MoveClassification(frozenset(gainers), weak_losers, mixed)
 
 
 def compare_info(a: PreferenceInfo, b: PreferenceInfo) -> PartialOrderResult:
@@ -97,11 +94,7 @@ def compare_info(a: PreferenceInfo, b: PreferenceInfo) -> PartialOrderResult:
         return compare_bundles(a, b)
     if isinstance(a, Bundle) or isinstance(b, Bundle):
         raise DimensionMismatch("cannot compare vector information with scalar")
-    if a > b:
-        return PartialOrderResult.STRICTLY_GREATER
-    if a < b:
-        return PartialOrderResult.STRICTLY_LESS
-    return PartialOrderResult.EQUAL
+    return _order((a,), (b,))
 
 
 class Sign(Enum):
@@ -119,15 +112,30 @@ class SignReport(NamedTuple):
     after: PreferenceInfo
 
 
-def _sign_of_change(before: PreferenceInfo, after: PreferenceInfo) -> Sign:
-    result = compare_info(after, before)
-    if result is PartialOrderResult.STRICTLY_GREATER:
-        return Sign.POSITIVE
-    if result is PartialOrderResult.STRICTLY_LESS:
-        return Sign.NEGATIVE
-    if result is PartialOrderResult.EQUAL:
-        return Sign.ZERO
-    return Sign.MIXED
+_SIGNS = {
+    PartialOrderResult.STRICTLY_GREATER: Sign.POSITIVE,
+    PartialOrderResult.STRICTLY_LESS: Sign.NEGATIVE,
+    PartialOrderResult.EQUAL: Sign.ZERO,
+    PartialOrderResult.INCOMPARABLE: Sign.MIXED,
+}
+
+
+def _probe(
+    spec: TransformSpec,
+    allocation: Allocation,
+    observer: int,
+    grower: int,
+    delta: Fraction | int | str,
+    name: str,
+) -> SignReport:
+    """Sign of ``observer``'s information change when ``grower``'s bundle grows."""
+    step = as_quantity(delta)
+    if step <= 0:
+        raise ValidationError(f"{name} probe delta must be strictly positive")
+    before = evaluate_transform(spec, allocation, observer)
+    bumped = allocation.with_bundle(grower, allocation.bundle_for(grower).plus_uniform(step))
+    after = evaluate_transform(spec, bumped, observer)
+    return SignReport(_SIGNS[compare_info(after, before)], before, after)
 
 
 def verify_own_monotonicity(
@@ -143,13 +151,7 @@ def verify_own_monotonicity(
     ``POSITIVE`` here; a transform whose reference group is exactly the agent
     itself reports ``ZERO`` (the ratio cancels).
     """
-    step = as_quantity(delta)
-    if step <= 0:
-        raise ValidationError("monotonicity probe delta must be strictly positive")
-    before = evaluate_transform(spec, allocation, agent)
-    bumped = allocation.with_bundle(agent, allocation.bundle_for(agent).plus_uniform(step))
-    after = evaluate_transform(spec, bumped, agent)
-    return SignReport(_sign_of_change(before, after), before, after)
+    return _probe(spec, allocation, agent, agent, delta, "monotonicity")
 
 
 def cross_effect_sign(
@@ -167,10 +169,4 @@ def cross_effect_sign(
     """
     if observer == gainer:
         raise ValidationError("cross effect requires distinct observer and gainer")
-    step = as_quantity(delta)
-    if step <= 0:
-        raise ValidationError("cross effect probe delta must be strictly positive")
-    before = evaluate_transform(spec, allocation, observer)
-    bumped = allocation.with_bundle(gainer, allocation.bundle_for(gainer).plus_uniform(step))
-    after = evaluate_transform(spec, bumped, observer)
-    return SignReport(_sign_of_change(before, after), before, after)
+    return _probe(spec, allocation, observer, gainer, delta, "cross effect")

@@ -22,10 +22,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .engine import EfficiencyVerdict, ImprovementVerdict, Method, _tally, _Tally, _verdict
+from .engine import EfficiencyVerdict, ImprovementVerdict, Method, _verdict
 from .errors import InfeasibleLattice, InternalInvariant, InvalidAgent, ValidationError
 from .polity import Allocation, FixedTotalLattice, Polity, _allocations, _Holdings, _scaled
-from .polity import _upper_cone, as_quantity
+from .polity import _tally, _Tally, _upper_cone, as_quantity
 
 
 class DiscoveryRun(NamedTuple):

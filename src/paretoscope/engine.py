@@ -26,9 +26,9 @@ wraps it in ``MoveVerdicts``; the ``check-move`` command gives it the
 scenario's parsed ints and renders its rows from them, with no
 ``Allocation`` made; ``check_improvement`` and
 ``check_improvement_ratio_form`` are views of ``check_move``.  The checkers
-share one definition of improvement with reasons (``_tally``);
-``_dominates`` is its yes/no form on flat int signatures, for the loops
-that need no reasons.  Frontiers and scans read one ``SignatureTable``:
+share one definition of improvement with reasons, ``polity._tally``;
+``polity._dominates`` is its yes/no form on flat int signatures, for the
+loops that need no reasons.  Frontiers and scans read one ``SignatureTable``:
 each state's flat signature, read and scaled to exact ints by one common
 factor (``transforms._signatures``, the core that welfare ranks by too)
 from the feasible set's int state stream (``feasible_holdings``, with no
@@ -48,7 +48,6 @@ another.
 
 from __future__ import annotations
 
-import operator
 import sys
 from enum import Enum
 from itertools import chain
@@ -60,9 +59,13 @@ from .polity import (
     FeasibleSet,
     Move,
     Polity,
+    ViolationKind,
     _Holdings,
+    _Tally,
     _allocations,
     _common_holdings,
+    _dominates,
+    _tally,
     _upper_cone,
     count_feasible,
     feasible_contains,
@@ -89,11 +92,6 @@ class Method(Enum):
     RATIO_FORM = "ratio_form"
 
 
-class ViolationKind(Enum):
-    STRICTLY_WORSE = "strictly_worse"
-    INCOMPARABLE_INFO = "incomparable_info"
-
-
 class ImprovementVerdict(NamedTuple):
     """Outcome of an improvement check.
 
@@ -114,35 +112,6 @@ def _tagged_zero_reference(exc: ZeroReferencePoint, endpoint: str) -> ZeroRefere
         agent=exc.agent,
         endpoint=endpoint,
     )
-
-
-def _tally(
-    agents: Iterable[int], after: Iterable[tuple], before: Iterable[tuple]
-) -> tuple[list[int], list[tuple[int, ViolationKind]]]:
-    """Strict gainers and violators of a move, agent by agent.
-
-    This is the one definition of improvement: a move improves when it has
-    no violator and at least one strict gainer.  ``after`` and ``before``
-    hold each agent's information components in ``agents`` order at the two
-    ends, comparable agent by agent (see ``_move_information``).  An agent
-    left equal is neither; an agent with some component lower is a violator,
-    incomparable when another component is higher; any other agent who
-    differs is a strict gainer.
-    """
-    gainers, violators = [], []
-    for agent, a, b in zip(agents, after, before):
-        if a == b:
-            continue
-        if not any(map(operator.lt, a, b)):
-            gainers.append(agent)
-        elif any(map(operator.gt, a, b)):
-            violators.append((agent, ViolationKind.INCOMPARABLE_INFO))
-        else:
-            violators.append((agent, ViolationKind.STRICTLY_WORSE))
-    return gainers, violators
-
-
-_Tally = tuple[list[int], list[tuple[int, ViolationKind]]]
 
 
 def _improved(tally: _Tally) -> bool:
@@ -426,17 +395,6 @@ def build_signature_table(
             print(f"WARNING: state {index} {warning}: {exc}", file=sys.stderr)
 
     return SignatureTable(*_signatures(readings, unit, feasible, degenerate))
-
-
-def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Whether the move from ``b`` to ``a`` improves, yes or no.
-
-    ``a`` and ``b`` hold every agent's information components in agent
-    order, flattened, as ints that compare as the information does: two
-    signatures of one ``SignatureTable``, or two readings made comparable
-    by ``_comparable``.  This is the ``_tally`` verdict without its reasons.
-    """
-    return all(map(operator.ge, a, b)) and a != b
 
 
 def _own_type(specs: dict[int, TransformSpec], commodity_dim: int) -> bool:

@@ -2,17 +2,18 @@
 
 All quantities are exact ``fractions.Fraction`` values; nothing in this package
 ever rounds.  Dominance decisions are order-theoretic over the componentwise
-partial order, so exactness removes epsilon tie-breaking entirely.
+partial order, so exactness removes epsilon tie-breaking entirely.  That order
+is defined here, once: ``_tally`` with reasons, ``_dominates`` as its yes/no
+form on flat ints.  ``engine``, ``discovery`` and ``compare`` decide by them.
 
 Agent ids are 1-based throughout the public API.  Enumeration of feasible sets
 is deterministic: states are produced in lexicographic order of the flattened
 quantity tuple (agent-major, commodity-minor), so witnesses are reproducible
 bit-for-bit across runs and platforms.  Each feasible set is enumerated once,
-by ``feasible_holdings``, as int holdings on one common scale;
-``_upper_cone`` is a subsequence of that stream on the same scale, above
-a floor given as int holdings on any scale.  ``enumerate_feasible`` and
-``enumerate_upper_cone`` are views of the two that make each state an
-``Allocation``.
+by ``_upper_cone``, as int holdings on one common scale, above a floor given
+as int holdings on any scale; ``feasible_holdings``, the whole set, is the
+cone of the zero floor.  ``enumerate_feasible`` and ``enumerate_upper_cone``
+are views of that stream that make each state an ``Allocation``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
+from enum import Enum
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -215,6 +217,52 @@ class Move(_Value):
         return self.before.polity
 
 
+class ViolationKind(Enum):
+    STRICTLY_WORSE = "strictly_worse"
+    INCOMPARABLE_INFO = "incomparable_info"
+
+
+def _tally(
+    agents: Iterable[int], after: Iterable[tuple], before: Iterable[tuple]
+) -> tuple[list[int], list[tuple[int, ViolationKind]]]:
+    """Strict gainers and violators of a move, agent by agent.
+
+    This is the one definition of improvement: a move improves when it has
+    no violator and at least one strict gainer.  ``after`` and ``before``
+    hold each agent's information components in ``agents`` order at the two
+    ends, comparable agent by agent (see ``engine._move_information``).  An
+    agent left equal is neither; an agent with some component lower is a
+    violator, incomparable when another component is higher; any other
+    agent who differs is a strict gainer.
+    """
+    gainers, violators = [], []
+    for agent, a, b in zip(agents, after, before):
+        if a == b:
+            continue
+        if not any(map(operator.lt, a, b)):
+            gainers.append(agent)
+        elif any(map(operator.gt, a, b)):
+            violators.append((agent, ViolationKind.INCOMPARABLE_INFO))
+        else:
+            violators.append((agent, ViolationKind.STRICTLY_WORSE))
+    return gainers, violators
+
+
+_Tally = tuple[list[int], list[tuple[int, ViolationKind]]]
+
+
+def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether the move from ``b`` to ``a`` improves, yes or no.
+
+    ``a`` and ``b`` hold every agent's information components in agent
+    order, flattened, as ints that compare as the information does: two
+    signatures of one ``SignatureTable``, or two readings made comparable
+    by ``_comparable`` (both in ``engine``).  This is the ``_tally``
+    verdict without its reasons.
+    """
+    return all(map(operator.ge, a, b)) and a != b
+
+
 class BoxGrid(_Value):
     """Every agent independently holds any of the per-commodity levels."""
 
@@ -374,32 +422,11 @@ def _allocations(scale: int, stream: Iterable[_Holdings]) -> Iterator[Allocation
 def feasible_holdings(fs: FeasibleSet, polity: Polity) -> tuple[int, Iterator[_Holdings]]:
     """Every state of the feasible set as int holdings, in enumeration order.
 
-    This is the one enumeration of a feasible set; ``enumerate_feasible``
-    and ``enumerate_upper_cone`` are views of it.  Returns a positive int
-    ``scale`` and an iterator over the states, each given as one tuple of
-    ints per agent: every quantity times ``scale``.  The scale is fixed
-    before any state is made: the least common multiple of the level
-    denominators for a box grid, the step's denominator for a fixed-total
-    lattice (each holding is then a count of steps times the step's
-    numerator) and the least common multiple of every listed quantity's
-    denominator for an explicit list.  A feasible set that does not fit the
-    polity raises ``InfeasibleConfig`` here, at the call, not at the first
-    state.
+    No quantity is negative, so this is ``_upper_cone`` of the zero floor:
+    a positive int ``scale`` and an iterator over the states, each given as
+    one tuple of ints per agent, every quantity times ``scale``.
     """
-    _check_shape(fs, polity)
-    if isinstance(fs, BoxGrid):
-        scale = math.lcm(*[q.denominator for levels in fs.levels for q in levels])
-        # Every bundle has the same length, so the n-fold product of the
-        # bundles in lexicographic order is the product of the flattened
-        # slots in the same order.
-        bundles = list(product(*[_scaled(levels, scale) for levels in fs.levels]))
-        return scale, product(bundles, repeat=polity.n_agents)
-    if isinstance(fs, FixedTotalLattice):
-        slots = polity.n_agents * polity.commodity_dim
-        units = tuple(_lattice_units(fs))
-        return fs.step.denominator, _lattice_holdings(fs, polity, (0,) * slots, units)
-    scale, holdings = _common_holdings(fs.states)
-    return scale, iter(holdings)
+    return _upper_cone(fs, polity, 1, ((0,) * polity.commodity_dim,) * polity.n_agents)
 
 
 def _lattice_holdings(
@@ -437,39 +464,51 @@ def enumerate_feasible(fs: FeasibleSet, polity: Polity) -> Iterator[Allocation]:
 def _upper_cone(
     fs: FeasibleSet, polity: Polity, unit: int, floor: _Holdings
 ) -> tuple[int, Iterator[_Holdings]]:
-    """The states of ``feasible_holdings(fs, polity)`` that hold at least
-    ``floor`` in every slot, on its scale and in its order.
+    """The feasible states that hold at least ``floor`` in every slot, as
+    int holdings on the set's scale, in enumeration order.
 
-    ``floor`` is int holdings on the positive scale ``unit``.  A holding h
-    on the set's scale is at least the quantity f / unit exactly when h is
-    at least ceil(f · scale / unit), so ``floor`` need not be in the set,
-    nor on its grid.
+    This is the one enumeration of a feasible set.  A set that does not fit
+    the polity raises ``InfeasibleConfig`` here, at the call, and the scale
+    is fixed before any state is made.  ``floor`` is int holdings on the
+    positive scale ``unit``.  A holding h on the set's scale is at least the
+    quantity f / unit exactly when h is at least ceil(f · scale / unit), so
+    ``floor`` need not be in the set, nor on its grid.
 
-    * Box grid: the product of each slot's levels at or above the floor.
-    * Fixed-total lattice: the floor rounded up onto the step grid, plus
-      every split of what the totals leave over; nothing when a commodity's
-      rounded floor already exceeds its total.
-    * Explicit list: the listed states that pass the test.
+    * Box grid, on the least common multiple of the level denominators: the
+      product of each slot's levels at or above the floor.
+    * Fixed-total lattice, on the step's denominator (a holding is a count
+      of steps times the step's numerator): the floor rounded up onto the
+      step grid, plus every split of what the totals leave over; nothing
+      when a commodity's rounded floor already exceeds its total.
+    * Explicit list, on ``_common_holdings``'s scale: the listed states that
+      pass the test.
     """
+    _check_shape(fs, polity)
     dim = polity.commodity_dim
-    scale, feasible = feasible_holdings(fs, polity)
-    low = [-(-f * scale // unit) for bundle in floor for f in bundle]
+
+    def lowest(scale: int) -> list[int]:
+        return [-(-f * scale // unit) for bundle in floor for f in bundle]
+
     if isinstance(fs, BoxGrid):
+        scale = math.lcm(*[q.denominator for levels in fs.levels for q in levels])
         slots = [_scaled(levels, scale) for levels in fs.levels] * polity.n_agents
-        options = [levels[bisect_left(levels, q) :] for levels, q in zip(slots, low)]
-        bundles = [list(product(*options[s : s + dim])) for s in range(0, len(low), dim)]
+        options = [levels[bisect_left(levels, q) :] for levels, q in zip(slots, lowest(scale))]
+        bundles = [list(product(*options[s : s + dim])) for s in range(0, len(slots), dim)]
         return scale, product(*bundles)
     if isinstance(fs, FixedTotalLattice):
-        base = tuple([-(-q // fs.step.numerator) for q in low])
+        scale = fs.step.denominator
+        base = tuple([-(-q // fs.step.numerator) for q in lowest(scale)])
         residual = tuple(
             units - sum(base[c::dim]) for c, units in enumerate(_lattice_units(fs))
         )
         if min(residual) < 0:
             return scale, iter(())  # a commodity's floor exceeds its total
         return scale, _lattice_holdings(fs, polity, base, residual)
+    scale, listed = _common_holdings(fs.states)
+    low = lowest(scale)
     return scale, (
         holdings
-        for holdings in feasible
+        for holdings in listed
         if all(map(operator.ge, [h for bundle in holdings for h in bundle], low))
     )
 

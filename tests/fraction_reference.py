@@ -11,16 +11,21 @@ transform computed on exact ``Fraction``s from the allocation's bundles.
 every state an ``Allocation``, every step decided by the neoclassical
 checker, every state's efficiency by ``is_pareto_efficient`` on its
 own-total lattice, and every gap a ``Fraction``.  The package computes the
-run on ints instead.
+run on ints instead.  ``compare_bundles``, ``classify_move_agents`` and
+``compare_info`` place values in the componentwise order by their own sign
+loop and comparisons, where the package reads that order from the one
+improvement tally (``polity._tally``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from paretoscope.compare import MoveClassification, PartialOrderResult
 from paretoscope.discovery import DiscoveryRun
 from paretoscope.engine import check_improvement_neoclassical, is_pareto_efficient
 from paretoscope.errors import (
+    DimensionMismatch,
     InfeasibleLattice,
     InvalidAgent,
     ValidationError,
@@ -168,3 +173,51 @@ def simulate_discovery(
         efficiency_verdicts=efficiency_verdicts,
         gap_series=gap_series,
     )
+
+
+def compare_bundles(a: Bundle, b: Bundle) -> PartialOrderResult:
+    """Compare two bundles under the componentwise partial order."""
+    if a.dimension != b.dimension:
+        raise DimensionMismatch(f"bundle dimensions differ: {a.dimension} vs {b.dimension}")
+    some_up = some_down = False
+    for x, y in zip(a.quantities, b.quantities):
+        if x == y:
+            continue
+        if x > y:
+            some_up = True
+        else:
+            some_down = True
+        if some_up and some_down:
+            return PartialOrderResult.INCOMPARABLE
+    if some_up:
+        return PartialOrderResult.STRICTLY_GREATER
+    if some_down:
+        return PartialOrderResult.STRICTLY_LESS
+    return PartialOrderResult.EQUAL
+
+
+def classify_move_agents(move: Move) -> MoveClassification:
+    """Partition agents into strict gainers, weak losers, and mixed changers."""
+    gainers, weak_losers, mixed = set(), set(), set()
+    for agent in move.polity.agents:
+        result = compare_bundles(move.after.bundle_for(agent), move.before.bundle_for(agent))
+        if result is PartialOrderResult.STRICTLY_GREATER:
+            gainers.add(agent)
+        elif result is PartialOrderResult.INCOMPARABLE:
+            mixed.add(agent)
+        else:
+            weak_losers.add(agent)
+    return MoveClassification(frozenset(gainers), frozenset(weak_losers), frozenset(mixed))
+
+
+def compare_info(a: PreferenceInfo, b: PreferenceInfo) -> PartialOrderResult:
+    """Compare two pieces of preference information of the same shape."""
+    if isinstance(a, Bundle) and isinstance(b, Bundle):
+        return compare_bundles(a, b)
+    if isinstance(a, Bundle) or isinstance(b, Bundle):
+        raise DimensionMismatch("cannot compare vector information with scalar")
+    if a > b:
+        return PartialOrderResult.STRICTLY_GREATER
+    if a < b:
+        return PartialOrderResult.STRICTLY_LESS
+    return PartialOrderResult.EQUAL

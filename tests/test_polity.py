@@ -36,6 +36,7 @@ from paretoscope import (
     as_quantity,
     classify_move_agents,
     compare_bundles,
+    compare_info,
     count_feasible,
     describe_feasible,
     enumerate_feasible,
@@ -46,6 +47,8 @@ from paretoscope import (
     unrank_feasible,
 )
 from paretoscope.polity import feasible_holdings
+
+import fraction_reference
 
 
 def test_as_quantity_parses_int_ratio_and_decimal():
@@ -203,6 +206,45 @@ def test_classify_move_agents_mixed():
     classes = classify_move_agents(move)
     assert classes.mixed == frozenset({1})
     assert classes.weak_losers == frozenset({2})
+
+
+# before is at least 1 and a step at most 1, so a lowered quantity stays >= 0
+_quantities = st.fractions(min_value=0, max_value=3, max_denominator=4)
+_steps = st.fractions(min_value=Fraction(1, 4), max_value=1, max_denominator=4)
+
+
+@st.composite
+def _changed_vectors(draw, dim):
+    """``(after, before)``, two quantity tuples of length ``dim``: left
+    equal, changed one way (up or down) in some components, or mixed."""
+    before = [q + 1 for q in draw(st.lists(_quantities, min_size=dim, max_size=dim))]
+    kind = draw(st.sampled_from([(0,), (0, 1), (-1, 0), (-1, 0, 1)]))
+    signs = draw(st.lists(st.sampled_from(kind), min_size=dim, max_size=dim))
+    steps = draw(st.lists(_steps, min_size=dim, max_size=dim))
+    after = [b + sign * step for b, sign, step in zip(before, signs, steps)]
+    return tuple(after), tuple(before)
+
+
+@given(st.integers(1, 3).flatmap(_changed_vectors))
+def test_componentwise_order_matches_the_reference(pair):
+    after, before = pair
+    a, b = Bundle(after), Bundle(before)
+    assert compare_bundles(a, b) is fraction_reference.compare_bundles(a, b)
+    assert compare_info(a, b) is fraction_reference.compare_info(a, b)
+    x, y = after[-1], before[-1]
+    assert compare_info(x, y) is fraction_reference.compare_info(x, y)
+
+
+@st.composite
+def _random_moves(draw):
+    dim = draw(st.integers(1, 3))
+    ends = draw(st.lists(_changed_vectors(dim), min_size=1, max_size=4))
+    return Move(alloc(*[b for _, b in ends]), alloc(*[a for a, _ in ends]))
+
+
+@given(_random_moves())
+def test_classify_move_agents_matches_the_reference(move):
+    assert classify_move_agents(move) == fraction_reference.classify_move_agents(move)
 
 
 def test_box_grid_shared_sorts_and_dedupes():
@@ -492,6 +534,19 @@ def test_upper_cone_is_the_filtered_enumeration(fs, polity):
     for floor in list(enumerate_feasible(fs, polity)) + _off_grid_floors(polity):
         expected = [s for s in states if all(y >= x for y, x in zip(s, floor.flat()))]
         assert [state.flat() for state in enumerate_upper_cone(fs, floor)] == expected
+
+
+@pytest.mark.parametrize(
+    "fs,polity",
+    [
+        (BoxGrid(((0, "1/2", "4/3"), ("1/3", 2))), Polity(2, 2)),
+        (FixedTotalLattice((Fraction(3), Fraction(9, 2)), Fraction(3, 2)), Polity(2, 2)),
+        (ExplicitList((alloc("1/2", "2/3"), alloc(1, "1/4"), alloc("5/6", 0))), Polity(2, 1)),
+    ],
+)
+def test_upper_cone_of_zero_is_the_whole_set(fs, polity):
+    zero = alloc(*[(0,) * polity.commodity_dim] * polity.n_agents)
+    assert list(enumerate_upper_cone(fs, zero)) == list(enumerate_feasible(fs, polity))
 
 
 def test_upper_cone_of_a_lattice_state_is_the_state_alone():

@@ -139,6 +139,15 @@ def test_transforms_for_has_one_definition():
     assert paretoscope._HOME["transforms_for"] == "transforms"
 
 
+def test_componentwise_order_has_one_definition():
+    from paretoscope import discovery, engine, polity
+
+    assert engine._tally is polity._tally and discovery._tally is polity._tally
+    assert engine._dominates is polity._dominates
+    assert engine.ViolationKind is polity.ViolationKind
+    assert paretoscope._HOME["ViolationKind"] == "polity"
+
+
 def test_cli_import_loads_every_traced_layer():
     found = _fresh(
         "import paretoscope.cli\n"
