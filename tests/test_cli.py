@@ -61,6 +61,25 @@ GOLDEN_RUNS = [
     # more than 100 improving moves, so only the first 100 are listed, and
     # one degenerate state
     ("scan", "scan_own_relmean", "table", [], "scan_own_relmean.table.txt"),
+    # an explicit list of fractional states over two commodities: a witness
+    # from the own-type cone, and shown moves
+    (
+        "efficient",
+        "explicit_fractional",
+        "csv",
+        ["--state", "1"],
+        "efficient_explicit_fractional.csv",
+    ),
+    ("scan", "explicit_fractional", "table", [], "scan_explicit_fractional.table.txt"),
+    # a fixed-total lattice whose step has a numerator other than 1
+    (
+        "efficient",
+        "lattice_two_thirds",
+        "table",
+        ["--state", "15"],
+        "efficient_lattice_two_thirds.table.txt",
+    ),
+    ("scan", "lattice_two_thirds", "table", [], "scan_lattice_two_thirds.table.txt"),
     ("discover", "discover", "csv", [], "discover.csv"),
     ("discover", "discover", "table", [], "discover.table.txt"),
     # fractional quantities, increment and lattice step over two commodities
@@ -96,6 +115,21 @@ GOLDEN_STDERR = {
     ),
     "scan_own_relmean.table.txt": (
         "WARNING: state 0 skipped in scan: reference mean for agent 3 is zero\n"
+    ),
+    "scan_lattice_two_thirds.table.txt": (
+        "WARNING: state 0 skipped in scan: reference mean for agent 3 is zero\n"
+        "WARNING: state 6 skipped in scan: reference mean for agent 2 is zero\n"
+        "WARNING: state 7 skipped in scan: reference mean for agent 3 is zero\n"
+        "WARNING: state 12 skipped in scan: reference mean for agent 2 is zero\n"
+        "WARNING: state 13 skipped in scan: reference mean for agent 3 is zero\n"
+        "WARNING: state 17 skipped in scan: reference mean for agent 2 is zero\n"
+        "WARNING: state 18 skipped in scan: reference mean for agent 3 is zero\n"
+        "WARNING: state 21 skipped in scan: reference mean for agent 2 is zero\n"
+        "WARNING: state 22 skipped in scan: reference mean for agent 3 is zero\n"
+        "WARNING: state 24 skipped in scan: reference mean for agent 2 is zero\n"
+        "WARNING: state 25 skipped in scan: reference mean for agent 3 is zero\n"
+        "WARNING: state 26 skipped in scan: reference mean for agent 2 is zero\n"
+        "WARNING: state 27 skipped in scan: reference mean for agent 2 is zero\n"
     ),
 }
 
