@@ -15,10 +15,10 @@ from . import __version__
 from .discovery import _windfall
 from .engine import (
     DEFAULT_SCAN_CAP,
+    _efficiency,
     _improved,
     _move_outcome,
     enumerate_frontier,
-    is_pareto_efficient,
     scan_all_moves,
 )
 from .errors import (
@@ -27,16 +27,8 @@ from .errors import (
     ParetoscopeError,
     ValidationError,
 )
-from .polity import describe_feasible, feasible_holdings, unrank_feasible
-from .report import (
-    RationalTexts,
-    Report,
-    emit_report,
-    render_allocation,
-    render_bool,
-    render_holdings,
-    render_move,
-)
+from .polity import _unrank, describe_feasible, feasible_holdings
+from .report import RationalTexts, Report, emit_report, render_bool, render_holdings
 from .scenario import Scenario, load_scenario
 from .transforms import OwnBundle, _readings, swf_label, transform_label, transforms_for
 from .welfare import _ranked, _welfare_ints
@@ -114,16 +106,19 @@ def _run_check_move(scenario: Scenario) -> Report:
 def _run_efficient(scenario: Scenario, state_id: int | None) -> Report:
     if state_id is None:
         raise MissingField("state")
+    fs, polity = scenario.feasible, scenario.polity
     try:
-        state = unrank_feasible(scenario.feasible, scenario.polity, state_id)
+        scale, state = _unrank(fs, polity, state_id)
     except IndexError as exc:
         raise ValidationError(str(exc), key="state") from exc
-    verdict = is_pareto_efficient(state, scenario.feasible, scenario.transforms)
+    specs = transforms_for(polity, scenario.transforms)
+    # the targets come on the feasible set's scale, the state's own
+    _, witness, skipped = _efficiency(fs, polity, specs, _readings(specs, polity), scale, state)
     diagnostics = []
-    if verdict.skipped_targets:
-        diagnostics.append(
-            f"skipped {verdict.skipped_targets} target(s) with undefined reference point"
-        )
+    if skipped:
+        diagnostics.append(f"skipped {skipped} target(s) with undefined reference point")
+    quantity = RationalTexts(scale).__getitem__
+    shown = render_holdings(state, quantity)
     return Report(
         command="efficient",
         header=_header(scenario),
@@ -131,9 +126,9 @@ def _run_efficient(scenario: Scenario, state_id: int | None) -> Report:
         rows=(
             (
                 str(state_id),
-                render_allocation(state),
-                render_bool(verdict.is_efficient),
-                render_move(verdict.witness) if verdict.witness else "",
+                shown,
+                render_bool(witness is None),
+                "" if witness is None else f"{shown} -> {render_holdings(witness, quantity)}",
             ),
         ),
         diagnostics=tuple(diagnostics),
@@ -183,18 +178,14 @@ def _run_scan(scenario: Scenario, cap: int | None) -> Report:
     )
     diagnostics = []
     # Only the shown moves are read off the bitsets, and only their states
-    # are made, each once.
-    rendered: dict[int, str] = {}
-
-    def render(state_id: int) -> str:
-        if state_id not in rendered:
-            state = unrank_feasible(scenario.feasible, scenario.polity, state_id)
-            rendered[state_id] = render_allocation(state)
-        return rendered[state_id]
-
+    # are rendered, each once, from one pass of the int state stream.
     shown = list(islice(result.iter_improving_moves(), _IMPROVING_MOVES_SHOWN))
+    ids = {i for move in shown for i in move}
+    unit, stream = feasible_holdings(scenario.feasible, scenario.polity)
+    quantity = RationalTexts(unit).__getitem__
+    rendered = {i: render_holdings(h, quantity) for i, h in enumerate(stream) if i in ids}
     for i, j in shown:
-        diagnostics.append(f"improving: {render(i)} -> {render(j)}")
+        diagnostics.append(f"improving: {rendered[i]} -> {rendered[j]}")
     hidden = result.improvements_found - len(shown)
     if hidden > 0:
         diagnostics.append(f"(+{hidden} more improving moves)")
@@ -220,13 +211,15 @@ def _run_scan(scenario: Scenario, cap: int | None) -> Report:
 
 
 def _run_discover(scenario: Scenario) -> Report:
-    for key in ("initial", "beneficiary", "steps"):
+    if scenario.initial_holdings is None:
+        raise MissingField("discover.initial")
+    for key in ("beneficiary", "steps"):
         if getattr(scenario, f"discover_{key}") is None:
             raise MissingField(f"discover.{key}")
-    # The rows are rendered from the run's int holdings: no Allocation.
+    # From the parsed holdings on, the run and its rows are ints: no Allocation.
     run = _windfall(
-        scenario.discover_initial, scenario.discover_beneficiary, scenario.discover_steps,
-        scenario.discover_increment, scenario.discover_lattice_step,
+        scenario.initial_scale, scenario.initial_holdings, scenario.discover_beneficiary,
+        scenario.discover_steps, scenario.discover_increment, scenario.discover_lattice_step,
     )
     quantity = RationalTexts(run.scale).__getitem__
     rows = tuple(

@@ -9,11 +9,11 @@ the gap between the beneficiary's aggregate holdings and the best-off other
 agent's, which grows linearly without ever breaking improvement or
 efficiency.
 
-``_windfall`` computes the run on int holdings and checks its two facts,
+``_windfall`` computes the run from int holdings and checks its two facts,
 raising ``InternalInvariant`` if either fails: each state is alone in its
 upper cone on its own-total lattice, and the gap grows by the increment
-times the commodity count a step.  ``discover`` renders from that run, and
-``simulate_discovery`` is a view of it.
+times the commodity count a step.  ``discover`` runs it on the scenario's
+parsed holdings, and ``simulate_discovery`` is a view of it.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 from .engine import EfficiencyVerdict, ImprovementVerdict, Method, _verdict
 from .errors import InfeasibleLattice, InternalInvariant, InvalidAgent, ValidationError
-from .polity import Allocation, FixedTotalLattice, Polity, _allocations, _Holdings, _scaled
-from .polity import _tally, _Tally, _upper_cone, as_quantity
+from .polity import Allocation, FixedTotalLattice, Polity, _allocations, _common_holdings
+from .polity import _Holdings, _tally, _Tally, _upper_cone, as_quantity
 
 
 class DiscoveryRun(NamedTuple):
@@ -55,12 +55,13 @@ class _Windfall(NamedTuple):
 
 
 def _windfall(
-    initial: Allocation, beneficiary: int, steps: int, increment, lattice_step
+    unit: int, initial: _Holdings, beneficiary: int, steps: int, increment, lattice_step
 ) -> _Windfall:
-    """``simulate_discovery``'s run on ints over one scale: the least common
-    multiple of the denominators of the quantities, increment and step."""
-    if not 1 <= beneficiary <= initial.n_agents:
-        raise InvalidAgent(f"beneficiary {beneficiary} not in 1..{initial.n_agents}")
+    """``simulate_discovery``'s run on ints, from ``initial`` holdings on
+    ``unit``, over the least common multiple of the increment's and the
+    step's denominators, which every quantity on the step grid divides."""
+    if not 1 <= beneficiary <= len(initial):
+        raise InvalidAgent(f"beneficiary {beneficiary} not in 1..{len(initial)}")
     if steps < 1:
         raise ValidationError("steps must be a positive integer")
     inc = as_quantity(increment)
@@ -71,19 +72,20 @@ def _windfall(
         raise ValidationError("lattice step must be strictly positive")
     if (inc / grid).denominator != 1:
         raise InfeasibleLattice(f"increment {inc} is not a multiple of step {grid}")
-    for q in initial.flat():
+    for q in [Fraction(h, unit) for bundle in initial for h in bundle]:
         if (q / grid).denominator != 1:
             raise InfeasibleLattice(f"initial quantity {q} is not a multiple of step {grid}")
 
-    scale = math.lcm(inc.denominator, grid.denominator, *[q.denominator for q in initial.flat()])
+    scale = math.lcm(inc.denominator, grid.denominator)
     units = inc.numerator * (scale // inc.denominator)
-    state = tuple([_scaled(bundle.quantities, scale) for bundle in initial.bundles])
+    state = tuple([tuple([h * scale // unit for h in bundle]) for bundle in initial])
     trajectory = [state]
     for _ in range(steps):
         gained = tuple([h + units for h in state[beneficiary - 1]])
         state = state[: beneficiary - 1] + (gained,) + state[beneficiary:]
         trajectory.append(state)
-    return _checked(initial.polity, beneficiary, grid, scale, units, trajectory)
+    polity = Polity(len(initial), len(initial[0]))
+    return _checked(polity, beneficiary, grid, scale, units, trajectory)
 
 
 def _checked(
@@ -124,7 +126,8 @@ def simulate_discovery(
     multiples; the initial quantities and the increment must sit on that
     grid.  This is a view of ``_windfall``'s run.
     """
-    run = _windfall(initial, beneficiary, steps, increment, lattice_step)
+    unit, (holdings,) = _common_holdings((initial,))
+    run = _windfall(unit, holdings, beneficiary, steps, increment, lattice_step)
     return DiscoveryRun(
         initial=initial,
         beneficiary=beneficiary,

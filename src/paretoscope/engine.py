@@ -36,9 +36,10 @@ from the feasible set's int state stream (``feasible_holdings``, with no
 (``_dominator_masks``) that gives each state the bitset of the states that
 dominate it.  A scan counts its improving moves from those bitsets and
 keeps them, so the moves are listed only on demand.
-``is_pareto_efficient`` reads the state and each target of that int stream,
-or of its upper cone (``_upper_cone``), by the same readings, makes the two
-ends comparable as a move's (``_comparable``) and decides by
+One int search (``_efficiency``), which ``efficient`` runs on unranked
+holdings and ``is_pareto_efficient`` wraps, reads the state and each
+target of that int stream, or of its upper cone (``_upper_cone``), by the
+same readings, makes the ends comparable (``_comparable``) and decides by
 ``_dominates``.  The tests hold every int route against a separate
 evaluation of the transforms on ``Fraction``s.  ``enumerate_frontier``
 certifies those bitsets on every call: each dominated state is checked by
@@ -411,6 +412,37 @@ def _own_type(specs: dict[int, TransformSpec], commodity_dim: int) -> bool:
     )
 
 
+def _efficiency(
+    fs: FeasibleSet, polity: Polity, specs: dict, readings: list, scale: int, holdings: _Holdings
+) -> tuple[int, _Holdings | None, int]:
+    """``is_pareto_efficient``'s search from int ``holdings`` on ``scale``,
+    given the polity's transform ``specs`` and their ``_readings``: the
+    targets' scale, the witness's holdings or ``None``, and the skipped count.
+
+    Targets stream through as int holdings on the feasible set's scale
+    rather than filling a table, and the search stops at the first witness.
+    """
+    try:
+        before = _read_state(readings, holdings, scale)
+    except ZeroReferencePoint as exc:
+        raise _tagged_zero_reference(exc, "from") from exc
+    if _own_type(specs, polity.commodity_dim):
+        unit, targets = _upper_cone(fs, polity, scale, holdings)
+    else:
+        unit, targets = feasible_holdings(fs, polity)
+    skipped = 0
+    for target in targets:
+        try:
+            after = _read_state(readings, target, unit)
+        except ZeroReferencePoint:
+            skipped += 1
+            continue
+        gained, kept = _comparable(after, before)
+        if _dominates(tuple(chain(*gained)), tuple(chain(*kept))):
+            return unit, target, skipped
+    return unit, None, skipped
+
+
 def is_pareto_efficient(
     state: Allocation, fs: FeasibleSet, transforms: Transforms
 ) -> EfficiencyVerdict:
@@ -427,10 +459,9 @@ def is_pareto_efficient(
     every redistribution is efficient, and this costs nothing to confirm.
     Other transforms search the whole int stream (``feasible_holdings``).
 
-    The state is read once on its own int scale and each target as int
-    holdings on the feasible set's scale, as ``check_move`` reads a move's
-    ends, and the two are compared by ``_comparable``.  No target is made an
-    ``Allocation`` but the witness, from its holdings.
+    This is a view of the int search ``_efficiency``, which the
+    ``efficient`` command runs on an unranked state's holdings; only the
+    witness is made an ``Allocation``, from its holdings.
 
     Raises ``InvalidAgent`` and ``DimensionMismatch`` for a bad transform in
     agent order before the state is read, as ``check_move`` does; then
@@ -452,29 +483,10 @@ def is_pareto_efficient(
             file=sys.stderr,
         )
     scale, (holdings,) = _common_holdings((state,))
-    try:
-        before = _read_state(readings, holdings, scale)
-    except ZeroReferencePoint as exc:
-        raise _tagged_zero_reference(exc, "from") from exc
-    if _own_type(specs, polity.commodity_dim):
-        unit, targets = _upper_cone(fs, polity, scale, holdings)
-    else:
-        unit, targets = feasible_holdings(fs, polity)
-    skipped = 0
-    # Targets stream through as int holdings rather than filling a table:
-    # memory stays flat on large sets, the search stops at the first
-    # witness, and only the witness is made an Allocation.
-    for holdings in targets:
-        try:
-            after = _read_state(readings, holdings, unit)
-        except ZeroReferencePoint:
-            skipped += 1
-            continue
-        gained, kept = _comparable(after, before)
-        if _dominates(tuple(chain(*gained)), tuple(chain(*kept))):
-            witness = next(_allocations(unit, (holdings,)))
-            return EfficiencyVerdict(False, Move(before=state, after=witness), skipped)
-    return EfficiencyVerdict(True, None, skipped)
+    unit, witness, skipped = _efficiency(fs, polity, specs, readings, scale, holdings)
+    if witness is None:
+        return EfficiencyVerdict(True, None, skipped)
+    return EfficiencyVerdict(False, Move(state, next(_allocations(unit, (witness,)))), skipped)
 
 
 class FrontierReport(NamedTuple):

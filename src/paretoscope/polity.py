@@ -12,8 +12,9 @@ quantity tuple (agent-major, commodity-minor), so witnesses are reproducible
 bit-for-bit across runs and platforms.  Each feasible set is enumerated once,
 by ``_upper_cone``, as int holdings on one common scale, above a floor given
 as int holdings on any scale; ``feasible_holdings``, the whole set, is the
-cone of the zero floor.  ``enumerate_feasible`` and ``enumerate_upper_cone``
-are views of that stream that make each state an ``Allocation``.
+cone of the zero floor, and ``_unrank`` finds one of its states by index.
+``enumerate_feasible``, ``enumerate_upper_cone`` and ``unrank_feasible`` are
+views of them that make each state an ``Allocation``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DimensionMismatch, InfeasibleConfig, InvalidAgent, ValidationError
@@ -342,19 +343,6 @@ def feasible_dimension(fs: FeasibleSet) -> int:
     return fs.states[0].dimension
 
 
-def _unchecked_state(flat: tuple[Fraction, ...], dim: int) -> Allocation:
-    """The allocation with quantities ``flat`` (agent-major), built unchecked.
-
-    Its callers take every quantity from a validated feasible set or
-    literal, so each is an exact non-negative ``Fraction`` and the bundles
-    share one dimension.  Building through ``_raw`` skips re-coercing every
-    quantity, which cost more than evaluating the transforms when a lattice
-    was listed.
-    """
-    bundles = map(Bundle._raw, [flat[start : start + dim] for start in range(0, len(flat), dim)])
-    return Allocation._raw(tuple(bundles))
-
-
 def _check_shape(fs: FeasibleSet, polity: Polity) -> None:
     if feasible_dimension(fs) != polity.commodity_dim:
         raise InfeasibleConfig(
@@ -394,6 +382,13 @@ _Holdings = tuple[tuple[int, ...], ...]
 def _scaled(quantities: Iterable[Fraction], scale: int) -> tuple[int, ...]:
     """``quantities`` times ``scale``, a common multiple of their denominators."""
     return tuple([q.numerator * (scale // q.denominator) for q in quantities])
+
+
+def _grid_levels(fs: BoxGrid) -> tuple[int, list[tuple[int, ...]]]:
+    """Each commodity's levels as ints on the grid's scale, the least common
+    multiple of every level's denominator: ``(scale, levels)``."""
+    scale = math.lcm(*[q.denominator for levels in fs.levels for q in levels])
+    return scale, [_scaled(levels, scale) for levels in fs.levels]
 
 
 def _common_holdings(states: Sequence[Allocation]) -> tuple[int, list[_Holdings]]:
@@ -490,8 +485,8 @@ def _upper_cone(
         return [-(-f * scale // unit) for bundle in floor for f in bundle]
 
     if isinstance(fs, BoxGrid):
-        scale = math.lcm(*[q.denominator for levels in fs.levels for q in levels])
-        slots = [_scaled(levels, scale) for levels in fs.levels] * polity.n_agents
+        scale, levels = _grid_levels(fs)
+        slots = levels * polity.n_agents
         options = [levels[bisect_left(levels, q) :] for levels, q in zip(slots, lowest(scale))]
         bundles = [list(product(*options[s : s + dim])) for s in range(0, len(slots), dim)]
         return scale, product(*bundles)
@@ -527,29 +522,32 @@ def enumerate_upper_cone(fs: FeasibleSet, floor: Allocation) -> Iterator[Allocat
     yield from _allocations(*_upper_cone(fs, floor.polity, unit, holdings))
 
 
-def unrank_feasible(fs: FeasibleSet, polity: Polity, index: int) -> Allocation:
-    """The state at position ``index`` of ``enumerate_feasible(fs, polity)``.
+def _unrank(fs: FeasibleSet, polity: Polity, index: int) -> tuple[int, _Holdings]:
+    """The state at position ``index`` of ``feasible_holdings(fs, polity)``,
+    as ``(scale, holdings)`` on that stream's scale.
 
     Computed without listing the states before it: a box grid reads
     ``index`` as mixed-radix digits, one per slot; a fixed-total lattice
     walks the agents and commodities in order and skips whole blocks of
     states, each counted by a binomial coefficient (the combinatorial number
-    system); an explicit list is indexed directly.  Raises ``IndexError``
-    outside ``0..count_feasible(fs, polity) - 1``.
+    system); an explicit list's stream is read up to the index.  Raises
+    ``IndexError`` outside ``0..count_feasible(fs, polity) - 1``.
     """
-    _check_shape(fs, polity)
     size = count_feasible(fs, polity)
     if not 0 <= index < size:
         raise IndexError(f"state id {index} not in 0..{size - 1}")
     if isinstance(fs, ExplicitList):
-        return fs.states[index]
+        scale, stream = feasible_holdings(fs, polity)
+        return scale, next(islice(stream, index, None))
     if isinstance(fs, BoxGrid):
+        scale, levels = _grid_levels(fs)
         flat = []
         # each flattened slot's levels, agent-major, from the last slot
-        for levels in reversed(fs.levels * polity.n_agents):
-            index, digit = divmod(index, len(levels))
-            flat.append(levels[digit])
-        return _unchecked_state(tuple(reversed(flat)), polity.commodity_dim)
+        for slot in reversed(levels * polity.n_agents):
+            index, digit = divmod(index, len(slot))
+            flat.append(slot[digit])
+        # dim references to one iterator: zip takes each agent's dim slots
+        return scale, tuple(zip(*[iter(flat[::-1])] * polity.commodity_dim))
     units = _lattice_units(fs)
     split: list[int] = []
     for agent in range(1, polity.n_agents):
@@ -570,38 +568,29 @@ def unrank_feasible(fs: FeasibleSet, polity: Polity, index: int) -> Allocation:
             split.append(take)
             units[c] -= take
             ways[c] = math.comb(units[c] + later - 1, later - 1)
-    split.extend(units)
-    return _unchecked_state(tuple(fs.step * k for k in split), polity.commodity_dim)
+    # a holding is its count of steps times the step's numerator
+    flat = [k * fs.step.numerator for k in split + units]
+    return fs.step.denominator, tuple(zip(*[iter(flat)] * polity.commodity_dim))
+
+
+def unrank_feasible(fs: FeasibleSet, polity: Polity, index: int) -> Allocation:
+    """The state at position ``index`` of ``enumerate_feasible(fs, polity)``:
+    ``_unrank``'s holdings made an ``Allocation``."""
+    scale, holdings = _unrank(fs, polity, index)
+    return next(_allocations(scale, (holdings,)))
 
 
 def feasible_contains(fs: FeasibleSet, state: Allocation) -> bool:
-    """Membership test, computed without enumerating the whole set."""
-    if isinstance(fs, BoxGrid):
-        if state.dimension != len(fs.levels):
-            return False
-        return all(
-            b.quantities[c] in fs.levels[c]
-            for b in state.bundles
-            for c in range(state.dimension)
-        )
-    if isinstance(fs, FixedTotalLattice):
-        if state.dimension != len(fs.totals):
-            return False
-        # On the state's own int scale s, a quantity h / s is a whole number
-        # of steps p / d when h·d is a multiple of p·s, and a sum of
-        # holdings H is the total n / m when H·m = n·s.
-        scale, (holdings,) = _common_holdings((state,))
-        d, cell = fs.step.denominator, fs.step.numerator * scale
-        if any(h * d % cell for bundle in holdings for h in bundle):
-            return False
-        return all(
-            sum(column) * total.denominator == total.numerator * scale
-            for column, total in zip(zip(*holdings), fs.totals)
-        )
-    if state.polity != fs.states[0].polity:
+    """Membership test, computed without enumerating the whole set: a member
+    is the first state of its own upper cone (``_upper_cone``), since every
+    other state there holds more somewhere and so comes later.  A state
+    whose shape does not fit the set is no member."""
+    unit, (holdings,) = _common_holdings((state,))
+    try:
+        cone = _upper_cone(fs, state.polity, unit, holdings)
+    except InfeasibleConfig:
         return False
-    flat = state.flat()
-    return any(s.flat() == flat for s in fs.states)
+    return next(_allocations(*cone), None) == state
 
 
 def count_feasible(fs: FeasibleSet, polity: Polity) -> int:

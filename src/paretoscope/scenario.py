@@ -9,8 +9,9 @@ Allocation literals are ``(1,2)`` for one commodity (one number per agent) or
 allowed around every parenthesis, comma and number.  Moves are written
 ``FROM -> TO`` and separated by semicolons.  Each literal is read by one
 pattern (``_Literals``); ``_Cursor`` parses only the literals that pattern
-rejects, to report the fault at its column.  Moves are kept as int holdings
-on one scale, the least common multiple of every move quantity's denominator.
+rejects, to report the fault at its column.  Moves, ``discover.initial`` and an
+explicit list are each read to int holdings on one scale, the least common
+multiple of their quantities' denominators.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .polity import (
     Polity,
     _allocations,
     _Holdings,
-    _unchecked_state,
     as_quantity,
 )
 from .transforms import (
@@ -79,7 +79,8 @@ class _ScenarioFields(NamedTuple):
     discover_beneficiary: int | None = None
     discover_steps: int | None = None
     discover_increment: Fraction = Fraction(1)
-    discover_initial: Allocation | None = None
+    initial_scale: int = 1
+    initial_holdings: _Holdings | None = None
     discover_lattice_step: Fraction = Fraction(1)
     scan_cap: int | None = None
     digest: str = ""
@@ -88,8 +89,9 @@ class _ScenarioFields(NamedTuple):
 class Scenario(_ScenarioFields):
     """A parsed scenario: the polity, its feasible set, and optional inputs
     for the individual commands.  Each move is kept as ``(before, after)``
-    int holdings in ``move_holdings``: every quantity times ``move_scale``.
-    Its ``polity`` and ``moves`` are made once, kept in this subclass's ``__dict__``."""
+    int holdings in ``move_holdings``: every quantity times ``move_scale``;
+    so is ``discover.initial``, in ``initial_holdings`` on ``initial_scale``.
+    Its ``polity``, ``moves`` and ``discover_initial`` are made once, in its ``__dict__``."""
 
     @cached_property
     def polity(self) -> Polity:
@@ -100,6 +102,13 @@ class Scenario(_ScenarioFields):
         """The moves as ``Move``s, made from ``move_holdings`` on first use."""
         states = _allocations(self.move_scale, (e for p in self.move_holdings for e in p))
         return tuple([Move(*pair) for pair in zip(states, states)])  # two states a move
+
+    @cached_property
+    def discover_initial(self) -> Allocation | None:
+        """``discover.initial`` as an ``Allocation``, made from ``initial_holdings``."""
+        if self.initial_holdings is None:
+            return None
+        return next(_allocations(self.initial_scale, (self.initial_holdings,)))
 
 
 class _Entry(NamedTuple):
@@ -278,10 +287,6 @@ class _Literals:
             f"the literal pattern rejects {text!r} but the cursor finds no fault"
         )
 
-    def parse(self, text: str, line: int, base_col: int, key: str) -> Allocation:
-        flat = map(self.quantities.__getitem__, self.tokens(text, line, base_col, key))
-        return _unchecked_state(tuple(flat), self.commodities)
-
     def holdings(self, literals: list[list[str]]) -> tuple[int, list[_Holdings]]:
         """Each of ``literals`` (from ``tokens``) as int holdings on one scale,
         the least common multiple of the denominators of all their quantities."""
@@ -426,9 +431,9 @@ def _build_feasible(
         if not part.strip():
             raise ValidationError("empty state entry", key="feasible.list")
         states.append(
-            literals.parse(part, entry.line, entry.column + offset, "feasible.list")
+            literals.tokens(part, entry.line, entry.column + offset, "feasible.list")
         )
-    return ExplicitList(tuple(states))
+    return ExplicitList(tuple(_allocations(*literals.holdings(states))))
 
 
 def _build_transforms(
@@ -535,24 +540,22 @@ def parse_scenario(text: str, digest: str = "") -> Scenario:
             raise ValidationError(
                 "must be strictly positive", key="discover.lattice_step"
             )
-    initial = None
+    initial_scale, initial_holdings, tokens = 1, None, []
     if "discover.initial" in entries:
         entry = entries["discover.initial"]
-        initial = literals.parse(
-            entry.value, entry.line, entry.column, "discover.initial"
-        )
+        tokens = literals.tokens(entry.value, entry.line, entry.column, "discover.initial")
+        initial_scale, (initial_holdings,) = literals.holdings([tokens])
     if (increment / lattice_step).denominator != 1:
         raise ValidationError(
             f"increment {increment} is not a multiple of lattice step {lattice_step}",
             key="discover.increment",
         )
-    if initial is not None:
-        for q in initial.flat():
-            if (q / lattice_step).denominator != 1:
-                raise ValidationError(
-                    f"quantity {q} is not a multiple of lattice step {lattice_step}",
-                    key="discover.initial",
-                )
+    for q in map(literals.quantities.__getitem__, tokens):
+        if (q / lattice_step).denominator != 1:
+            raise ValidationError(
+                f"quantity {q} is not a multiple of lattice step {lattice_step}",
+                key="discover.initial",
+            )
 
     scan_cap = None
     if "scan.cap" in entries:
@@ -569,7 +572,8 @@ def parse_scenario(text: str, digest: str = "") -> Scenario:
         discover_beneficiary=beneficiary,
         discover_steps=steps,
         discover_increment=increment,
-        discover_initial=initial,
+        initial_scale=initial_scale,
+        initial_holdings=initial_holdings,
         discover_lattice_step=lattice_step,
         scan_cap=scan_cap,
         digest=digest,

@@ -71,6 +71,13 @@ GOLDEN_RUNS = [
         "efficient_explicit_fractional.csv",
     ),
     ("scan", "explicit_fractional", "table", [], "scan_explicit_fractional.table.txt"),
+    (
+        "frontier",
+        "explicit_fractional",
+        "table",
+        [],
+        "frontier_explicit_fractional.table.txt",
+    ),
     # a fixed-total lattice whose step has a numerator other than 1
     (
         "efficient",
@@ -408,37 +415,25 @@ def test_check_move_errors_print_nothing_on_stdout(tmp_path, capsys, body, code,
 
 
 @pytest.mark.parametrize(
-    "scenario", ["check_move_literals", "check_move_mixed", "check_move_weighted", "own_box"]
+    "command,scenario,fmt,extra,golden",
+    GOLDEN_RUNS,
+    ids=[g for *_, g in GOLDEN_RUNS],
 )
-def test_check_move_command_makes_no_allocation(monkeypatch, tmp_path, scenario):
-    # every move is parsed to int holdings, decided from them and rendered
-    # from them: neither the scenario nor the command makes an Allocation
-    def no_state(*args, **kwargs):
-        raise AssertionError("Allocation built")
-
-    monkeypatch.setattr(Allocation, "_raw", no_state)
-    monkeypatch.setattr(Allocation, "__init__", no_state)
-    out = tmp_path / "out.csv"
-    assert _run("check-move", scenario, "csv", [], out) == 0
-    golden = "check_move_own_box.csv" if scenario == "own_box" else f"{scenario}.csv"
-    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
-
-
-@pytest.mark.parametrize("scenario", ["discover", "discover_fractional"])
-@pytest.mark.parametrize("fmt,suffix", [("csv", "csv"), ("table", "table.txt")])
-def test_discover_command_makes_no_allocation(monkeypatch, scenario, fmt, suffix):
-    # the run is computed, checked and rendered on int holdings; the
-    # scenario parses its one initial state at load, and the command makes
-    # no Allocation from it
-    loaded = load_scenario(DATA / f"{scenario}.scn")
+def test_no_command_makes_an_allocation(monkeypatch, command, scenario, fmt, extra, golden):
+    # every command runs on int holdings from the parsed scenario to its
+    # rendered rows; an explicit list holds its states as Allocations, so
+    # only its scenario is loaded before Allocations are refused
+    path = DATA / f"{scenario}.scn"
+    explicit = load_scenario(path) if "explicit_list" in path.read_text() else None
 
     def no_state(*args, **kwargs):
         raise AssertionError("Allocation built")
 
     monkeypatch.setattr(Allocation, "_raw", no_state)
     monkeypatch.setattr(Allocation, "__init__", no_state)
-    report = run_command(loaded, "discover")
-    assert emit_report(report, fmt) == (GOLDEN / f"{scenario}.{suffix}").read_bytes()
+    loaded = load_scenario(path) if explicit is None else explicit
+    report = run_command(loaded, command, state_id=int(extra[1]) if extra else None)
+    assert emit_report(report, fmt) == (GOLDEN / golden).read_bytes()
 
 
 def test_cap_exceeded_exits_3(capsys):

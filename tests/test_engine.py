@@ -1127,33 +1127,15 @@ def test_signature_table_reads_no_fraction_information(monkeypatch):
     diagnostics = run_command(mixed, "efficient", state_id=7).diagnostics
     assert diagnostics == ("skipped 6 target(s) with undefined reference point",)
 
-    # Nor does scan make an Allocation: the table reads the int state
-    # stream, and the command makes only the states of the moves it shows.
+    # nor does the scan command, which renders the moves it shows from
+    # the int state stream
     scenario = load_scenario(DATA / "scan_own_relmean.scn")
-    made = []
-    raw = Allocation._raw
-
-    def counted_state(*values):
-        made.append(raw(*values))
-        return made[-1]
-
-    def checked_allocation(*args):
-        raise AssertionError("Allocation built")
-
-    monkeypatch.setattr(Allocation, "_raw", counted_state)
-    monkeypatch.setattr(Allocation, "__init__", checked_allocation)
     report = scan_all_moves(scenario.feasible, scenario.polity, scenario.transforms)
     assert report.improvements_found > 100 and report.degenerate_states == 1
-    assert made == []
     diagnostics = run_command(scenario, "scan").diagnostics
     shown = [d for d in diagnostics if d.startswith("improving: ")]
     assert len(shown) == 100
     assert f"(+{report.improvements_found - 100} more improving moves)" in diagnostics
-    # each rendered state is made once, so at most two per shown move
-    assert len(made) == len(set(made)) <= 200
-    assert {render_allocation(state) for state in made} == {
-        side for d in shown for side in d[len("improving: ") :].split(" -> ")
-    }
 
 
 _EXPLICIT_SCENARIO = """\
@@ -1165,25 +1147,9 @@ transform = relative_mean
 """
 
 
-def test_frontier_command_makes_no_allocation(monkeypatch):
-    # the command classifies every state from the signature table and
-    # renders every row from the int state stream, as welfare does
-    scenarios = [
-        load_scenario(DATA / f"{name}.scn")
-        for name in ("check_move_mixed", "check_move_weighted", "maximin_lattice", "own_box")
-    ]
-    scenarios.append(parse_scenario(_EXPLICIT_SCENARIO))
-
-    def no_state(*args, **kwargs):
-        raise AssertionError("Allocation built")
-
-    monkeypatch.setattr(Allocation, "_raw", no_state)
-    monkeypatch.setattr(Allocation, "__init__", no_state)
-    for scenario in scenarios:
-        report = run_command(scenario, "frontier")
-        assert [row[0] for row in report.rows] == [
-            str(i) for i in range(count_feasible(scenario.feasible, scenario.polity))
-        ]
+def test_frontier_rows_on_an_explicit_list():
+    # a degenerate listed state is flagged, and the rows follow the sorted list
+    report = run_command(parse_scenario(_EXPLICIT_SCENARIO), "frontier")
     assert [row[1:] for row in report.rows] == [
         ("(0,0)", "n/a"),
         ("(1/2,1)", "true"),
@@ -1192,31 +1158,40 @@ def test_frontier_command_makes_no_allocation(monkeypatch):
     ]
 
 
-def test_full_efficiency_search_makes_only_the_state_and_its_witness(monkeypatch):
-    # the targets stream as int holdings: the command makes the unranked
-    # state, and the search makes the one witness from its holdings
-    mixed = load_scenario(DATA / "check_move_mixed.scn")
-    made = []
-    raw = Allocation._raw
-
-    def counted_state(*values):
-        made.append(raw(*values))
-        return made[-1]
-
-    def no_state(*args, **kwargs):
-        raise AssertionError("Allocation built")
-
-    monkeypatch.setattr(Allocation, "_raw", counted_state)
-    monkeypatch.setattr(Allocation, "__init__", no_state)
-    row = run_command(mixed, "efficient", state_id=40).rows[0]
-    state, witness = made
-    assert state.flat() == (Fraction(1, 2), 0, 2)
-    assert witness.flat() == (Fraction(1, 2), 0, 3)
-    assert row == ("40", render_allocation(state), "false", render_move(Move(state, witness)))
-    # an efficient state makes no witness
-    made.clear()
-    row = run_command(mixed, "efficient", state_id=215).rows[0]
-    assert row[2:] == ("true", "") and len(made) == 1
+@pytest.mark.parametrize(
+    "scenario,state_ids",
+    [
+        # relative transforms: the full search, with skipped targets
+        ("check_move_mixed", (7, 40, 100, 215)),
+        # own: the upper cone
+        ("own_box", range(9)),
+        ("explicit_fractional", range(6)),
+        ("lattice_two_thirds", (3, 9, 15, 20)),
+    ],
+)
+def test_efficient_command_rows_match_the_public_verdict(scenario, state_ids):
+    # the command searches from unranked int holdings; the public function
+    # from an Allocation: the rows agree with the public verdict
+    loaded = load_scenario(DATA / f"{scenario}.scn")
+    outcomes = set()
+    for k in state_ids:
+        state = unrank_feasible(loaded.feasible, loaded.polity, k)
+        verdict = is_pareto_efficient(state, loaded.feasible, loaded.transforms)
+        outcomes.add(verdict.is_efficient)
+        report = run_command(loaded, "efficient", state_id=k)
+        assert report.rows == (
+            (
+                str(k),
+                render_allocation(state),
+                "true" if verdict.is_efficient else "false",
+                render_move(verdict.witness) if verdict.witness else "",
+            ),
+        )
+        skipped = verdict.skipped_targets
+        assert report.diagnostics == (
+            (f"skipped {skipped} target(s) with undefined reference point",) if skipped else ()
+        )
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize(
@@ -1441,21 +1416,22 @@ def test_every_redistribution_is_efficient_under_own(fs, polity):
 
 def test_redistribution_efficiency_needs_no_enumeration(monkeypatch):
     # a 3-agent lattice of total 10^6 holds about 5 * 10^11 states; under
-    # own the search reads the state's upper cone, the state alone
+    # own the search reads the state's upper cone, the state alone, and so
+    # does the membership test: each cone stream yields at most the state
     lattice_holdings = polity_module._lattice_holdings
     streamed = []
 
     def counted(*args):
-        for holdings in lattice_holdings(*args):
+        for n, holdings in enumerate(lattice_holdings(*args)):
+            assert n == 0, "lattice streamed past the state's cone"
             streamed.append(holdings)
-            assert len(streamed) == 1, "lattice streamed past the state's cone"
             yield holdings
 
     monkeypatch.setattr(polity_module, "_lattice_holdings", counted)
     lattice = FixedTotalLattice.shared(10**6)
     verdict = is_pareto_efficient(alloc(1, 2, 10**6 - 3), lattice, OwnBundle())
     assert verdict.is_efficient and verdict.witness is None
-    assert streamed == [((1,), (2,), (10**6 - 3,))]
+    assert streamed == [((1,), (2,), (10**6 - 3,))] * 2
 
 
 # --- The int efficiency search against a Fraction reference ----------------

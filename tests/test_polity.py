@@ -46,7 +46,7 @@ from paretoscope import (
     scan_all_moves,
     unrank_feasible,
 )
-from paretoscope.polity import feasible_holdings
+from paretoscope.polity import _unrank, feasible_holdings
 
 import fraction_reference
 
@@ -393,8 +393,17 @@ def test_feasible_contains():
     assert not feasible_contains(pairs, alloc(1, 2, 3, 4))
 
 
+def _members(fs, polity):
+    """The flat quantities of every state of ``fs`` for ``polity``, by
+    enumeration; none when ``fs`` does not fit ``polity``."""
+    try:
+        return {state.flat() for state in enumerate_feasible(fs, polity)}
+    except InfeasibleConfig:
+        return set()
+
+
 @pytest.mark.parametrize(
-    "lattice,polity,levels",
+    "fs,polity,levels",
     [
         (
             FixedTotalLattice.shared(2, step="1/3"),
@@ -407,21 +416,40 @@ def test_feasible_contains():
             Polity(3, 2),
             (0, "1/3", "2/3", "4/3", 2),
         ),
+        (BoxGrid.shared([0, "1/2", 2]), Polity(2, 1), (0, "1/3", "1/2", 1, 2, 3)),
+        (BoxGrid(((0, 1), ("1/3", 2))), Polity(2, 2), (0, "1/3", 1, 2)),
+        (
+            ExplicitList((alloc("1/2", "2/3"), alloc(1, "1/4"))),
+            Polity(2, 1),
+            (0, "1/4", "1/2", "2/3", 1),
+        ),
+        (
+            ExplicitList((alloc((1, 2), (3, 4)), alloc((0, "1/2"), (1, 1)))),
+            Polity(2, 2),
+            (0, "1/2", 1, 2, 3, 4),
+        ),
     ],
 )
-def test_lattice_membership_matches_enumeration(lattice, polity, levels):
-    # every state of a box around the lattice: states on it, off its grid,
-    # and on its grid with the wrong totals
-    members = {state.flat() for state in enumerate_feasible(lattice, polity)}
+def test_membership_matches_enumeration(fs, polity, levels):
+    # every state of a box around the set: states in it, off its grid, and
+    # on its grid but outside it; each also with one more agent, and with
+    # several commodities spread over one agent each (4 agents of 1
+    # commodity are not 2 agents of 2, though their quantities agree)
+    members: dict[Polity, set] = {}
     box = BoxGrid.shared(levels, commodities=polity.commodity_dim)
-    outcomes = set()
+    outcomes: dict[Polity, set] = {}
     for state in enumerate_feasible(box, polity):
-        contained = feasible_contains(lattice, state)
-        assert contained == (state.flat() in members)
-        outcomes.add(contained)
-    assert outcomes == {True, False}
+        more = Allocation(state.bundles + state.bundles[-1:])
+        spread = Allocation(tuple(Bundle((q,)) for q in state.flat()))
+        for probe in (state, more, spread):
+            if probe.polity not in members:
+                members[probe.polity] = _members(fs, probe.polity)
+            contained = feasible_contains(fs, probe)
+            assert contained == (probe.flat() in members[probe.polity])
+            outcomes.setdefault(probe.polity, set()).add(contained)
+    assert outcomes[polity] == {True, False}
     # a state of another dimension is never a member
-    assert not feasible_contains(lattice, alloc(*[(0,) * (polity.commodity_dim + 1)] * 2))
+    assert not feasible_contains(fs, alloc(*[(0,) * (polity.commodity_dim + 1)] * 2))
 
 
 # Small sets of every kind, with several commodities and fractional steps.
@@ -494,10 +522,13 @@ def test_unrank_matches_enumeration_at_every_index(fs, polity):
     expected = _reference_enumeration(fs, polity)
     states = list(enumerate_feasible(fs, polity))
     assert len(states) == len(expected) == count_feasible(fs, polity)
-    for k, state in enumerate(states):
+    scale, stream = feasible_holdings(fs, polity)
+    for k, (state, holdings) in enumerate(zip(states, stream, strict=True)):
         unranked = unrank_feasible(fs, polity, k)
         assert unranked == state
         assert unranked.flat() == expected[k]
+        # the int unranking is on the int stream's scale
+        assert _unrank(fs, polity, k) == (scale, holdings)
     for k in (-1, len(states)):
         with pytest.raises(IndexError, match=f"not in 0..{len(states) - 1}"):
             unrank_feasible(fs, polity, k)

@@ -347,7 +347,15 @@ def test_discover_keys():
         + "discover.initial = (1,1)\ndiscover.beneficiary = 1\n"
         + "discover.steps = 10\ndiscover.increment = 1\n"
     )
-    assert scenario.discover_initial.flat() == (Fraction(1), Fraction(1))
+    assert (scenario.initial_scale, scenario.initial_holdings) == (1, ((1,), (1,)))
+    assert scenario.discover_initial == alloc(1, 1)
+    assert scenario.discover_initial is scenario.discover_initial  # made once
+    fractional = parse_scenario(
+        MINIMAL + "discover.initial = (1/2, 0.75)\ndiscover.lattice_step = 1/4\n"
+    )
+    assert (fractional.initial_scale, fractional.initial_holdings) == (4, ((2,), (3,)))
+    assert fractional.discover_initial == alloc("1/2", "3/4")
+    assert parse_scenario(MINIMAL).discover_initial is None
     assert scenario.discover_beneficiary == 1
     assert scenario.discover_steps == 10
     assert scenario.discover_increment == Fraction(1)
@@ -660,7 +668,7 @@ def test_mutated_literals_raise_only_scenario_errors(case):
     # error, or the same error at the same column
     agents, commodities, text = case
     literals = _Literals(agents, commodities)
-    assert _literal_outcome(lambda: literals.parse(text, 5, 9, "moves")) == _literal_outcome(
+    assert _literal_outcome(lambda: literals.tokens(text, 5, 9, "moves")) == _literal_outcome(
         lambda: _parse_allocation(text, 5, 9, agents, commodities, "moves")
     )
     try:

