@@ -126,6 +126,348 @@ def test_swf_errors_name_the_key(value, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# The exact error of each key-level check in the scenario reader: the text,
+# the key the error names, and str(error), which the CLI prints after
+# "error: ".  One case a check; cases that hold two faults pin which check
+# runs first.  The swf checks and the transform.N duplicates are pinned by
+# their own tests, and literal faults by _MALFORMED.  CI runs every case
+# through the installed script and reads this list with ast, so it stays
+# one literal.
+KEY_ERRORS = [
+    # lines of the file
+    ("agents = 2\nagents = 3\n", "agents", "agents: duplicate key"),
+    ("agents = 2\ncolour = blue\n", "colour", "colour: unknown key"),
+    ("agents =\ncommodities = 1\n", "agents", "agents: empty value"),
+    # the counts
+    ("commodities = 1\n", "agents", "agents: missing required key"),
+    ("agents = two\n", "agents", "agents: expected an integer, got 'two'"),
+    ("agents = 0\n", "agents", "agents: must be at least 1, got 0"),
+    ("agents = -3\n", "agents", "agents: must be at least 1, got -3"),
+    ("agents = 2\n", "commodities", "commodities: missing required key"),
+    (
+        "agents = 2\ncommodities = 1.5\n",
+        "commodities",
+        "commodities: expected an integer, got '1.5'",
+    ),
+    ("agents = 2\ncommodities = 0\n", "commodities", "commodities: must be at least 1, got 0"),
+    # the kind of feasible set and the keys it takes
+    ("agents = 2\ncommodities = 1\n", "feasible.kind", "feasible.kind: missing required key"),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = sphere\n",
+        "feasible.kind",
+        "feasible.kind: unknown kind 'sphere'; expected box_grid, "
+        "fixed_total_lattice, or explicit_list",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = fixed_total_lattice\n"
+        "feasible.total = 2\nfeasible.levels = 0,1\n",
+        "feasible.levels",
+        "feasible.levels: not valid for kind fixed_total_lattice",
+    ),
+    # box_grid
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\n",
+        "feasible.levels",
+        "feasible.levels: missing required key",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,,1\n",
+        "feasible.levels",
+        "feasible.levels: empty level entry in '0,,1'",
+    ),
+    (
+        "agents = 2\ncommodities = 2\nfeasible.kind = box_grid\nfeasible.levels = 0,1; 2,\n",
+        "feasible.levels",
+        "feasible.levels: empty level entry in '2,'",
+    ),
+    (
+        "agents = 2\ncommodities = 2\nfeasible.kind = box_grid\nfeasible.levels = x; 2,\n",
+        "feasible.levels",
+        "feasible.levels: cannot parse quantity 'x': Invalid literal for Fraction: 'x'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,-1/2\n",
+        "feasible.levels",
+        "feasible.levels: quantity must be non-negative, got -1/2",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 1/0\n",
+        "feasible.levels",
+        "feasible.levels: cannot parse quantity '1/0': Fraction(1, 0)",
+    ),
+    (
+        "agents = 2\ncommodities = 3\nfeasible.kind = box_grid\nfeasible.levels = 0; 1\n",
+        "feasible.levels",
+        "feasible.levels: 2 level groups for 3 commodities",
+    ),
+    # fixed_total_lattice
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = fixed_total_lattice\n",
+        "feasible.total",
+        "feasible.total: missing required key",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = fixed_total_lattice\n"
+        "feasible.total = x,\n",
+        "feasible.total",
+        "feasible.total: empty total entry",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = fixed_total_lattice\n"
+        "feasible.total = x\n",
+        "feasible.total",
+        "feasible.total: cannot parse quantity 'x': Invalid literal for Fraction: 'x'",
+    ),
+    (
+        "agents = 2\ncommodities = 3\nfeasible.kind = fixed_total_lattice\n"
+        "feasible.total = 1,2\n",
+        "feasible.total",
+        "feasible.total: 2 totals for 3 commodities",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = fixed_total_lattice\n"
+        "feasible.total = 2\nfeasible.step = x\n",
+        "feasible.step",
+        "feasible.step: cannot parse quantity 'x': Invalid literal for Fraction: 'x'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = fixed_total_lattice\n"
+        "feasible.total = 2\nfeasible.step = 0\n",
+        "feasible.step",
+        "feasible.step: lattice step must be strictly positive",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = fixed_total_lattice\n"
+        "feasible.total = 3\nfeasible.step = 2\n",
+        "feasible.step",
+        "feasible.step: step 2 does not divide total 3",
+    ),
+    # an absent step is the default step 1, and its fault is named as the key's
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = fixed_total_lattice\n"
+        "feasible.total = 1/2\n",
+        "feasible.step",
+        "feasible.step: step 1 does not divide total 1/2",
+    ),
+    # explicit_list
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = explicit_list\n",
+        "feasible.list",
+        "feasible.list: missing required key",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = explicit_list\n"
+        "feasible.list = (0,1);;(1,0)\n",
+        "feasible.list",
+        "feasible.list: empty state entry",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = explicit_list\n"
+        "feasible.list = (0,1,2)\n",
+        "feasible.list",
+        "feasible.list: allocation lists 3 agents, scenario declares 2",
+    ),
+    # transforms
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform = foo\n",
+        "transform",
+        "transform: unknown transform 'foo'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform.2 = weighted_own(1,,2)\n",
+        "transform.2",
+        "transform.2: empty entry in weight list: '1,,2'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform = relative_nbhd(0)\n",
+        "transform",
+        "transform: neighbor id must be a positive integer, got '0'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform = relative_nbhd(3)\n",
+        "transform",
+        "transform: neighborhood names agent(s) [3] beyond the 2-agent polity",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform.1 = relative_nbhd(2,5,4)\n",
+        "transform.1",
+        "transform.1: neighborhood names agent(s) [4, 5] beyond the 2-agent polity",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform.3 = foo\n",
+        "transform.3",
+        "transform.3: agent 3 not in 1..2",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform.0 = own\n",
+        "transform.0",
+        "transform.0: agent 0 not in 1..2",
+    ),
+    # the shared transform is read before any agent's
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform.3 = own\ntransform = foo\n",
+        "transform",
+        "transform: unknown transform 'foo'",
+    ),
+    # moves
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "moves = (0,0) -> (1,1);\n",
+        "moves",
+        "moves: empty move entry",
+    ),
+    # discover
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.beneficiary = x\n",
+        "discover.beneficiary",
+        "discover.beneficiary: expected an integer, got 'x'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.beneficiary = 0\n",
+        "discover.beneficiary",
+        "discover.beneficiary: must be at least 1, got 0",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.beneficiary = 3\n",
+        "discover.beneficiary",
+        "discover.beneficiary: agent 3 not in 1..2",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.steps = 2.5\n",
+        "discover.steps",
+        "discover.steps: expected an integer, got '2.5'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.steps = 0\n",
+        "discover.steps",
+        "discover.steps: must be at least 1, got 0",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.increment = x\n",
+        "discover.increment",
+        "discover.increment: cannot parse quantity 'x': Invalid literal for Fraction: 'x'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.increment = -1\n",
+        "discover.increment",
+        "discover.increment: quantity must be non-negative, got -1",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.increment = 0\n",
+        "discover.increment",
+        "discover.increment: must be strictly positive",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.lattice_step = 1/0\n",
+        "discover.lattice_step",
+        "discover.lattice_step: cannot parse quantity '1/0': Fraction(1, 0)",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.lattice_step = 0.0\n",
+        "discover.lattice_step",
+        "discover.lattice_step: must be strictly positive",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.increment = 1/2\n",
+        "discover.increment",
+        "discover.increment: increment 1/2 is not a multiple of lattice step 1",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.initial = (1/2,1)\ndiscover.lattice_step = 1/3\n",
+        "discover.initial",
+        "discover.initial: quantity 1/2 is not a multiple of lattice step 1/3",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.initial = (1,1,1)\n",
+        "discover.initial",
+        "discover.initial: allocation lists 3 agents, scenario declares 2",
+    ),
+    # the increment is checked against the step before the initial state
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.initial = (1/2,1)\ndiscover.increment = 1/2\n",
+        "discover.increment",
+        "discover.increment: increment 1/2 is not a multiple of lattice step 1",
+    ),
+    # scan
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "scan.cap = many\n",
+        "scan.cap",
+        "scan.cap: expected an integer, got 'many'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "scan.cap = 0\n",
+        "scan.cap",
+        "scan.cap: must be at least 1, got 0",
+    ),
+    # keys are read in a fixed order, whatever their order in the file
+    (
+        "scan.cap = 0\ndiscover.steps = 0\nfeasible.kind = sphere\n"
+        "commodities = 0\nagents = 0\n",
+        "agents",
+        "agents: must be at least 1, got 0",
+    ),
+    (
+        "scan.cap = 0\ndiscover.steps = 0\nswf = product\nagents = 2\ncommodities = 1\n"
+        "feasible.kind = box_grid\nfeasible.levels = 0,1\ntransform.1 = foo\n",
+        "transform.1",
+        "transform.1: unknown transform 'foo'",
+    ),
+    (
+        "scan.cap = 0\ndiscover.steps = 0\nswf = product\nagents = 2\ncommodities = 1\n"
+        "feasible.kind = box_grid\nfeasible.levels = 0,1\n",
+        "swf",
+        "swf: unknown welfare functional 'product'",
+    ),
+    (
+        "scan.cap = 0\ndiscover.steps = 0\nmoves = (0,0) -> (1,1);\nagents = 2\n"
+        "commodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n",
+        "moves",
+        "moves: empty move entry",
+    ),
+    (
+        "scan.cap = 0\ndiscover.steps = 0\ndiscover.beneficiary = 3\nagents = 2\n"
+        "commodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n",
+        "discover.beneficiary",
+        "discover.beneficiary: agent 3 not in 1..2",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, key, message", KEY_ERRORS, ids=[m for *_, m in KEY_ERRORS])
+def test_key_errors_name_the_key(text, key, message, tmp_path, capsys):
+    with pytest.raises(ValidationError) as caught:
+        parse_scenario(text)
+    assert (str(caught.value), caught.value.key) == (message, key)
+    path = tmp_path / "bad.scn"
+    path.write_text(text, encoding="utf-8")
+    assert main(["frontier", "--scenario", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_swf_parses():
     scenario = parse_scenario(MINIMAL + "swf = maximin\n")
     assert scenario.swf.combiner == Maximin()
