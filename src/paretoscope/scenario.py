@@ -325,27 +325,52 @@ def _collect(text: str) -> dict[str, _Entry]:
     return entries
 
 
-def _require(entries: dict[str, _Entry], key: str) -> _Entry:
-    if key not in entries:
-        raise ValidationError("missing required key", key=key)
-    return entries[key]
+_REQUIRED = object()
 
 
-def _int_value(entry: _Entry, key: str, minimum: int) -> int:
+def _read(entries: dict[str, _Entry], key: str, read, default=_REQUIRED):
+    """``read`` applied to the value of ``key``, raising its
+    ``ValidationError`` or ``InfeasibleConfig`` again as a ``ValidationError``
+    that names the key.  An absent key is refused unless it has a default:
+    a default text is read as if written, a ``None`` default is returned."""
+    entry = entries.get(key)
+    if entry is None:
+        if default is _REQUIRED:
+            raise ValidationError("missing required key", key=key)
+        if default is None:
+            return None
     try:
-        value = int(entry.value)
+        return read(default if entry is None else entry.value)
+    except (ValidationError, InfeasibleConfig) as exc:
+        raise ValidationError(str(exc), key=key)
+
+
+def _integer(text: str) -> int:
+    """A count: an integer of at least 1."""
+    try:
+        value = int(text)
     except ValueError:
-        raise ValidationError(f"expected an integer, got {entry.value!r}", key=key)
-    if value < minimum:
-        raise ValidationError(f"must be at least {minimum}, got {value}", key=key)
+        raise ValidationError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise ValidationError(f"must be at least 1, got {value}")
     return value
 
 
-def _quantity_value(entry: _Entry, key: str) -> Fraction:
-    try:
-        return as_quantity(entry.value)
-    except ValidationError as exc:
-        raise ValidationError(str(exc), key=key)
+def _positive(text: str) -> Fraction:
+    value = as_quantity(text)
+    if value <= 0:
+        raise ValidationError("must be strictly positive")
+    return value
+
+
+def _per_commodity(items: list, commodities: int, noun: str) -> tuple:
+    """One of ``items`` for each commodity: a single item applies to every
+    commodity, and otherwise there must be one per commodity."""
+    if len(items) == 1:
+        return tuple(items) * commodities
+    if len(items) != commodities:
+        raise ValidationError(f"{len(items)} {noun} for {commodities} commodities")
+    return tuple(items)
 
 
 def _split_segments(value: str) -> list[tuple[str, int]]:
@@ -361,7 +386,7 @@ def _split_segments(value: str) -> list[tuple[str, int]]:
 def _build_feasible(
     entries: dict[str, _Entry], commodities: int, literals: _Literals
 ) -> FeasibleSet:
-    kind = _require(entries, "feasible.kind").value
+    kind = _read(entries, "feasible.kind", str)
     allowed = {
         "box_grid": {"feasible.levels"},
         "fixed_total_lattice": {"feasible.total", "feasible.step"},
@@ -378,54 +403,31 @@ def _build_feasible(
             if key not in allowed[kind]:
                 raise ValidationError(f"not valid for kind {kind}", key=key)
     if kind == "box_grid":
-        entry = _require(entries, "feasible.levels")
-        groups = []
-        for part, _ in _split_segments(entry.value):
-            values = [p.strip() for p in part.split(",")]
-            if any(not v for v in values):
-                raise ValidationError(
-                    f"empty level entry in {part.strip()!r}", key="feasible.levels"
-                )
-            try:
-                levels = sorted({as_quantity(v) for v in values})
-            except ValidationError as exc:
-                raise ValidationError(str(exc), key="feasible.levels")
-            groups.append(tuple(levels))
-        if len(groups) == 1:
-            groups = groups * commodities
-        if len(groups) != commodities:
-            raise ValidationError(
-                f"{len(groups)} level groups for {commodities} commodities",
-                key="feasible.levels",
-            )
-        try:
-            return BoxGrid(tuple(groups))
-        except InfeasibleConfig as exc:
-            raise ValidationError(str(exc), key="feasible.levels")
+
+        def grid(text: str) -> BoxGrid:
+            groups = []
+            for part in text.split(";"):
+                values = [p.strip() for p in part.split(",")]
+                if not all(values):
+                    raise ValidationError(f"empty level entry in {part.strip()!r}")
+                groups.append(tuple(sorted({as_quantity(v) for v in values})))
+            return BoxGrid(_per_commodity(groups, commodities, "level groups"))
+
+        return _read(entries, "feasible.levels", grid)
     if kind == "fixed_total_lattice":
-        entry = _require(entries, "feasible.total")
-        parts = [p.strip() for p in entry.value.split(",")]
-        if any(not p for p in parts):
-            raise ValidationError("empty total entry", key="feasible.total")
-        try:
-            totals = [as_quantity(p) for p in parts]
-        except ValidationError as exc:
-            raise ValidationError(str(exc), key="feasible.total")
-        if len(totals) == 1:
-            totals = totals * commodities
-        if len(totals) != commodities:
-            raise ValidationError(
-                f"{len(totals)} totals for {commodities} commodities",
-                key="feasible.total",
-            )
-        step = Fraction(1)
-        if "feasible.step" in entries:
-            step = _quantity_value(entries["feasible.step"], "feasible.step")
-        try:
-            return FixedTotalLattice(tuple(totals), step)
-        except InfeasibleConfig as exc:
-            raise ValidationError(str(exc), key="feasible.step")
-    entry = _require(entries, "feasible.list")
+
+        def totals(text: str) -> tuple[Fraction, ...]:
+            parts = [p.strip() for p in text.split(",")]
+            if not all(parts):
+                raise ValidationError("empty total entry")
+            return _per_commodity([as_quantity(p) for p in parts], commodities, "totals")
+
+        total = _read(entries, "feasible.total", totals)
+        return _read(
+            entries, "feasible.step", lambda step: FixedTotalLattice(total, as_quantity(step)), "1"
+        )
+    _read(entries, "feasible.list", str)  # refuses an absent list
+    entry = entries["feasible.list"]
     states = []
     for part, offset in _split_segments(entry.value):
         if not part.strip():
@@ -439,63 +441,54 @@ def _build_feasible(
 def _build_transforms(
     entries: dict[str, _Entry], agents: int
 ) -> dict[int, TransformSpec]:
-    def parsed(entry: _Entry, key: str) -> TransformSpec:
-        try:
-            spec = parse_transform(entry.value)
-        except ValidationError as exc:
-            raise ValidationError(str(exc), key=key)
+    def transform(text: str) -> TransformSpec:
+        spec = parse_transform(text)
         if isinstance(spec, RelativeToNeighborhood):
             bad = sorted(a for a in spec.neighbors if a > agents)
             if bad:
                 raise ValidationError(
-                    f"neighborhood names agent(s) {bad} beyond the {agents}-agent polity",
-                    key=key,
+                    f"neighborhood names agent(s) {bad} beyond the {agents}-agent polity"
                 )
         return spec
 
-    default: TransformSpec | None = None
-    if "transform" in entries:
-        default = parsed(entries["transform"], "transform")
+    shared = _read(entries, "transform", transform, "own")
     overrides: dict[int, TransformSpec] = {}
-    for key, entry in entries.items():
+    for key in entries:
         match = _TRANSFORM_KEY.match(key)
         if not match:
             continue
         agent = int(match.group(1))
         if not 1 <= agent <= agents:
-            raise ValidationError(
-                f"agent {agent} not in 1..{agents}", key=key
-            )
+            raise ValidationError(f"agent {agent} not in 1..{agents}", key=key)
         if agent in overrides:
             # transform.1 and transform.01 name one agent: one key twice
             raise ValidationError("duplicate key", key=key)
-        overrides[agent] = parsed(entry, key)
-    if default is None:
-        default = parse_transform("own")
-    return {a: overrides.get(a, default) for a in range(1, agents + 1)}
+        overrides[agent] = _read(entries, key, transform)
+    return {a: overrides.get(a, shared) for a in range(1, agents + 1)}
 
 
 def parse_scenario(text: str, digest: str = "") -> Scenario:
     """Parse scenario text into a validated ``Scenario``."""
     entries = _collect(text)
-    agents = _int_value(_require(entries, "agents"), "agents", 1)
-    commodities = _int_value(_require(entries, "commodities"), "commodities", 1)
+    agents = _read(entries, "agents", _integer)
+    commodities = _read(entries, "commodities", _integer)
     literals = _Literals(agents, commodities)
     feasible = _build_feasible(entries, commodities, literals)
     transforms = _build_transforms(entries, agents)
 
-    swf = None
-    if "swf" in entries:
-        entry = entries["swf"]
-        try:
-            swf = parse_swf(entry.value)
-        except ValidationError as exc:
-            raise ValidationError(str(exc), key="swf")
-        if isinstance(swf.combiner, WeightedSum) and len(swf.combiner.weights) != agents:
-            raise ValidationError(
-                f"{len(swf.combiner.weights)} weights for {agents} agents", key="swf"
-            )
+    def welfare(text: str) -> SwfSpec:
+        spec = parse_swf(text)
+        if isinstance(spec.combiner, WeightedSum) and len(spec.combiner.weights) != agents:
+            raise ValidationError(f"{len(spec.combiner.weights)} weights for {agents} agents")
+        return spec
 
+    def agent(text: str) -> int:
+        value = _integer(text)
+        if value > agents:
+            raise ValidationError(f"agent {value} not in 1..{agents}")
+        return value
+
+    swf = _read(entries, "swf", welfare, None)
     ends: list[list[str]] = []  # every move's two literals in turn
     if "moves" in entries:
         entry = entries["moves"]
@@ -514,32 +507,10 @@ def parse_scenario(text: str, digest: str = "") -> Scenario:
                 ends.append(literals.tokens(end, entry.line, at, "moves"))
     move_scale, holdings = literals.holdings(ends)
 
-    beneficiary = None
-    if "discover.beneficiary" in entries:
-        beneficiary = _int_value(
-            entries["discover.beneficiary"], "discover.beneficiary", 1
-        )
-        if beneficiary > agents:
-            raise ValidationError(
-                f"agent {beneficiary} not in 1..{agents}", key="discover.beneficiary"
-            )
-    steps = None
-    if "discover.steps" in entries:
-        steps = _int_value(entries["discover.steps"], "discover.steps", 1)
-    increment = Fraction(1)
-    if "discover.increment" in entries:
-        increment = _quantity_value(entries["discover.increment"], "discover.increment")
-        if increment <= 0:
-            raise ValidationError("must be strictly positive", key="discover.increment")
-    lattice_step = Fraction(1)
-    if "discover.lattice_step" in entries:
-        lattice_step = _quantity_value(
-            entries["discover.lattice_step"], "discover.lattice_step"
-        )
-        if lattice_step <= 0:
-            raise ValidationError(
-                "must be strictly positive", key="discover.lattice_step"
-            )
+    beneficiary = _read(entries, "discover.beneficiary", agent, None)
+    steps = _read(entries, "discover.steps", _integer, None)
+    increment = _read(entries, "discover.increment", _positive, "1")
+    lattice_step = _read(entries, "discover.lattice_step", _positive, "1")
     initial_scale, initial_holdings, tokens = 1, None, []
     if "discover.initial" in entries:
         entry = entries["discover.initial"]
@@ -557,9 +528,7 @@ def parse_scenario(text: str, digest: str = "") -> Scenario:
                 key="discover.initial",
             )
 
-    scan_cap = None
-    if "scan.cap" in entries:
-        scan_cap = _int_value(entries["scan.cap"], "scan.cap", 1)
+    scan_cap = _read(entries, "scan.cap", _integer, None)
 
     return Scenario(
         n_agents=agents,
