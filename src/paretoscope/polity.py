@@ -36,14 +36,17 @@ Quantity = Fraction
 def as_quantity(value: int | str | Fraction) -> Fraction:
     """Coerce a literal to an exact non-negative quantity.
 
-    Accepts ints, Fractions, and strings in decimal (``"0.5"``) or ratio
-    (``"3/2"``) form.  Floats are rejected: binary floats cannot represent
-    decimal inputs exactly.
+    Accepts ints, Fractions, and strings of ASCII digits in integer, decimal
+    (``"0.5"``) or ratio (``"3/2"``) form, blanks and tabs around them.  Floats
+    are rejected: binary floats cannot represent decimal inputs exactly.
     """
     if isinstance(value, float):
         raise ValidationError(f"float literal {value!r} not accepted; quantities are exact")
     try:
         q = Fraction(value)
+        sign = "-" if q < 0 else ""  # Fraction reads exponents, underscores, other digits
+        if isinstance(value, str) and value.strip(" \t").removeprefix(sign).strip("0123456789./"):
+            raise ValueError(f"Invalid literal for Fraction: {value!r}")
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse quantity {value!r}: {exc}") from exc
     if q < 0:

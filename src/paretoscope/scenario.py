@@ -346,11 +346,11 @@ def _read(entries: dict[str, _Entry], key: str, read, default=_REQUIRED):
 
 
 def _integer(text: str) -> int:
-    """A count: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
+    """A count: ASCII digits, an integer of at least 1."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
         raise ValidationError(f"expected an integer, got {text!r}")
+    value = int(text)
     if value < 1:
         raise ValidationError(f"must be at least 1, got {value}")
     return value
@@ -399,9 +399,8 @@ def _build_feasible(
             key="feasible.kind",
         )
     for key in entries:
-        if key.startswith("feasible.") and key != "feasible.kind":
-            if key not in allowed[kind]:
-                raise ValidationError(f"not valid for kind {kind}", key=key)
+        if key.startswith("feasible.") and key not in {"feasible.kind", *allowed[kind]}:
+            raise ValidationError(f"not valid for kind {kind}", key=key)
     if kind == "box_grid":
 
         def grid(text: str) -> BoxGrid:
@@ -438,9 +437,7 @@ def _build_feasible(
     return ExplicitList(tuple(_allocations(*literals.holdings(states))))
 
 
-def _build_transforms(
-    entries: dict[str, _Entry], agents: int
-) -> dict[int, TransformSpec]:
+def _build_transforms(entries: dict[str, _Entry], agents: int) -> dict[int, TransformSpec]:
     def transform(text: str) -> TransformSpec:
         spec = parse_transform(text)
         if isinstance(spec, RelativeToNeighborhood):

@@ -318,7 +318,7 @@ def parse_transform(text: str) -> TransformSpec:
         ids = []
         for part in head.split(","):
             part = part.strip()
-            if not part.isdigit() or int(part) < 1:
+            if not (part.isascii() and part.isdigit()) or int(part) < 1:
                 raise ValidationError(f"neighbor id must be a positive integer, got {part!r}")
             ids.append(int(part))
         weights = _parse_numbers(tail, "weight") if sep else None

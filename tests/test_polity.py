@@ -69,6 +69,34 @@ def test_as_quantity_rejects_negative_float_and_garbage():
         as_quantity("1/0")
 
 
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("007", 7), (" 1/2\t", Fraction(1, 2)), ("1.", 1), (".5", Fraction(1, 2)), ("1.50", Fraction(3, 2))],
+)
+def test_as_quantity_reads_ascii_digits_points_and_slashes(text, value):
+    assert as_quantity(text) == value
+
+
+# Fraction reads all of these (some only on some Python versions); a
+# quantity is ASCII digits, '.' and '/' with blanks and tabs around them
+@pytest.mark.parametrize(
+    "text", ["1e1", "1E0", "2e-1", "1_0", "+3", "\u0663", "\uff11", "1 / 2", "-0", "-1e1", "\n1", ""]
+)
+def test_as_quantity_refuses_the_rest_of_the_fraction_grammar(text):
+    with pytest.raises(ValidationError) as caught:
+        as_quantity(text)
+    assert str(caught.value) == (
+        f"cannot parse quantity {text!r}: Invalid literal for Fraction: {text!r}"
+    )
+
+
+@pytest.mark.parametrize("text, shown", [("-1/2", "-1/2"), ("-0.5", "-1/2"), (" -3\t", "-3")])
+def test_as_quantity_refuses_a_negative_as_such(text, shown):
+    with pytest.raises(ValidationError) as caught:
+        as_quantity(text)
+    assert str(caught.value) == f"quantity must be non-negative, got {shown}"
+
 def test_bundle_coerces_and_rejects_empty():
     b = Bundle(("1/2", 1))
     assert b.quantities == (Fraction(1, 2), Fraction(1))

@@ -423,6 +423,92 @@ KEY_ERRORS = [
         "scan.cap",
         "scan.cap: must be at least 1, got 0",
     ),
+    # quantities and counts are ASCII digits (and '.' and '/' for a quantity)
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\n"
+        "feasible.levels = 0,1e1\n",
+        "feasible.levels",
+        "feasible.levels: cannot parse quantity '1e1': Invalid literal for Fraction: '1e1'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\n"
+        "feasible.levels = 1_0\n",
+        "feasible.levels",
+        "feasible.levels: cannot parse quantity '1_0': Invalid literal for Fraction: '1_0'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\n"
+        "feasible.levels = +3\n",
+        "feasible.levels",
+        "feasible.levels: cannot parse quantity '+3': Invalid literal for Fraction: '+3'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\n"
+        "feasible.levels = \u0663\n",
+        "feasible.levels",
+        "feasible.levels: cannot parse quantity '\u0663': Invalid literal for Fraction: '\u0663'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\n"
+        "feasible.levels = -0\n",
+        "feasible.levels",
+        "feasible.levels: cannot parse quantity '-0': Invalid literal for Fraction: '-0'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = fixed_total_lattice\nfeasible.total = 2\n"
+        "feasible.step = 1 / 2\n",
+        "feasible.step",
+        "feasible.step: cannot parse quantity '1 / 2': Invalid literal for Fraction: '1 / 2'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.increment = 1E0\n",
+        "discover.increment",
+        "discover.increment: cannot parse quantity '1E0': Invalid literal for Fraction: '1E0'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform = weighted_own(1e1)\n",
+        "transform",
+        "transform: cannot parse quantity '1e1': Invalid literal for Fraction: '1e1'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "swf = weighted_sum(1_0,1)\n",
+        "swf",
+        "swf: cannot parse quantity '1_0': Invalid literal for Fraction: '1_0'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform = relative_nbhd(\u00b2)\n",
+        "transform",
+        "transform: neighbor id must be a positive integer, got '\u00b2'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform.1 = relative_nbhd(\u0663)\n",
+        "transform.1",
+        "transform.1: neighbor id must be a positive integer, got '\u0663'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "discover.steps = +2\n",
+        "discover.steps",
+        "discover.steps: expected an integer, got '+2'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "scan.cap = 1_000\n",
+        "scan.cap",
+        "scan.cap: expected an integer, got '1_000'",
+    ),
+    ("agents = 1_0\n", "agents", "agents: expected an integer, got '1_0'"),
+    ("agents = +3\n", "agents", "agents: expected an integer, got '+3'"),
+    (
+        "agents = 2\ncommodities = \u0663\n",
+        "commodities",
+        "commodities: expected an integer, got '\u0663'",
+    ),
     # keys are read in a fixed order, whatever their order in the file
     (
         "scan.cap = 0\ndiscover.steps = 0\nfeasible.kind = sphere\n"
@@ -467,6 +553,78 @@ def test_key_errors_name_the_key(text, key, message, tmp_path, capsys):
     assert main(["frontier", "--scenario", str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
+
+
+# Values for generated scenario texts: for each key, values that some
+# scenario accepts, then values that it refuses or that no scenario accepts.
+_POOLS = {
+    "agents": (["1", "2", "3"], ["0", "-1", "x", "2.5", "1_0", "+2"]),
+    "commodities": (["1", "2"], ["0", "x", "\u0663"]),
+    "feasible.kind": (["box_grid", "fixed_total_lattice", "explicit_list"], ["sphere"]),
+    "feasible.levels": (["0,1", "0, 1/2, 2", "0,1; 0.5,2"], ["0,,1", "x", "-1", "1/0", "1e1", "0;"]),
+    "feasible.total": (["2", "3/2", "2,4"], ["x,", "-1", "1E0"]),
+    "feasible.step": (["1", "1/2"], ["0", "x", "1_0"]),
+    "feasible.list": (
+        ["(0,1);(1,0)", "((0,1),(1,0)); ((1,1),(0,0))", "(1/2,1,0)"],
+        ["(0,1);;(1,0)", "(x,1)", "(0,1e1)"],
+    ),
+    "transform": (
+        ["own", "relative_mean", "relative_nbhd(1,2)", "weighted_own(1,2)"],
+        ["foo", "own(1)", "relative_nbhd(0)", "relative_nbhd(\u00b2)", "weighted_own(+1)"],
+    ),
+    "swf": (["maximin", "sum", "weighted_sum(1,2)"], ["product", "weighted_sum(0,0)", "sum(1)"]),
+    "moves": (
+        ["(0,0) -> (1,1)", "((1,0),(0,1)) -> ((1,1),(1,1)); (1,1)->(2,1)"],
+        ["(0,0) -> (1,1);", "(0,1e1) -> (1,1)", "(0,0), (1,1)"],
+    ),
+    "discover.initial": (["(1,1)", "(1/2,1)", "((1,1),(0,1))"], ["(x,1)", "(1,1"]),
+    "discover.beneficiary": (["1", "2"], ["0", "x", "9"]),
+    "discover.steps": (["1", "10"], ["0", "+3"]),
+    "discover.increment": (["1", "1/2"], ["0", "-1", "1e0"]),
+    "discover.lattice_step": (["1", "1/4"], ["0", "1/0"]),
+    "scan.cap": (["100"], ["0", "1_000"]),
+}
+_POOLS.update({f"transform.{n}": _POOLS["transform"] for n in (1, 3)})
+_NEEDED = {"agents", "commodities", "feasible.kind", "feasible.levels", "feasible.total"}
+
+
+@st.composite
+def _scenario_texts(draw):
+    """A scenario text in any line order, each key absent, valid, or given one
+    bad value; the keys every scenario of its kind needs are seldom absent."""
+    lines = []
+    for key, (valid, bad) in _POOLS.items():
+        if draw(st.integers(0, 9)) < (9 if key in _NEEDED else 5):
+            pool = bad if draw(st.integers(0, 5)) == 0 else valid
+            lines.append(f"{key} = {draw(st.sampled_from(pool))}\n")
+    return "".join(draw(st.permutations(lines)))
+
+
+@given(_scenario_texts())
+def test_every_validation_error_names_its_key(text):
+    try:
+        parse_scenario(text)
+    except ParseError:
+        pass
+    except ValidationError as exc:
+        assert exc.key is not None
+        assert str(exc).startswith(f"{exc.key}: ")
+
+
+@given(st.text("0123456789./-+eE_ \t\u0663", max_size=6))
+def test_a_quantity_reads_alike_in_a_key_and_in_a_literal(token):
+    def read(lines, value):
+        header = "agents = 1\ncommodities = 1\nfeasible.kind = box_grid\n"
+        try:
+            return value(parse_scenario(header + lines))
+        except (ParseError, ValidationError):
+            return None
+
+    in_key = read(f"feasible.levels = {token}\n", lambda s: s.feasible.levels[0])
+    in_literal = read(
+        f"feasible.levels = 0\nmoves = ({token}) -> (0)\n", lambda s: s.moves[0].before.flat()
+    )
+    assert in_key == in_literal
 
 def test_swf_parses():
     scenario = parse_scenario(MINIMAL + "swf = maximin\n")
