@@ -2,12 +2,12 @@
 
 Blank lines and ``#`` comments are ignored.  Keys may appear once each.
 Syntax problems raise ``ParseError`` with a 1-based line and column; every
-other fault raises ``ValidationError`` as ``<key>: <message>``.  Each key is
-read by ``_read``.  Counts are integers of at least 1 and quantities are
-integers, decimals or ratios, all in ASCII digits.  Optional keys read as
-their defaults: ``transform`` own, ``feasible.step`` 1, ``discover.increment``
-1 and ``discover.lattice_step`` 1; ``swf``, ``moves``, ``scan.cap`` and the
-other ``discover.*`` keys have none.
+other fault raises ``ValidationError`` as ``<key>: <message>``.  ``_read``
+reads every value but the literals.  Counts are integers of at least 1 and
+quantities are integers, decimals or ratios, all in ASCII digits.  Optional
+keys read as their defaults: ``transform`` own, ``feasible.step`` 1,
+``discover.increment`` 1 and ``discover.lattice_step`` 1; ``swf``,
+``moves``, ``scan.cap`` and the other ``discover.*`` keys have none.
 
 Allocation literals are ``(1,2)`` for one commodity (one number per agent) or
 ``((1,0),(2,1))`` for several (one group per agent), with blanks and tabs

@@ -128,11 +128,11 @@ def test_swf_errors_name_the_key(value, message, tmp_path, capsys):
 
 # The exact error of each key-level check in the scenario reader: the text,
 # the key the error names, and str(error), which the CLI prints after
-# "error: ".  One case a check; cases that hold two faults pin which check
-# runs first.  The swf checks and the transform.N duplicates are pinned by
-# their own tests, and literal faults by _MALFORMED.  CI runs every case
-# through the installed script and reads this list with ast, so it stays
-# one literal.
+# "error: ".  One case a check, then inputs that only Fraction's or int's
+# wider grammar would read; cases that hold two faults pin which check runs
+# first.  The swf checks and the transform.N duplicates are pinned by their
+# own tests, and literal faults by _MALFORMED.  CI runs every case through
+# the installed script and reads this list with ast, so it stays one literal.
 KEY_ERRORS = [
     # lines of the file
     ("agents = 2\nagents = 3\n", "agents", "agents: duplicate key"),
