@@ -2,6 +2,9 @@
 
 ``paretoscope <command> --scenario <path>`` with commands ``check-move``,
 ``efficient``, ``frontier``, ``scan``, ``discover``, and ``welfare``.
+``_COMMANDS`` is the one list of commands: ``build_parser`` builds the
+subcommands from it, and ``run_command`` dispatches through it and builds
+every command's report.
 Exit codes: 0 success, 1 scenario, argument or file problem, 2 engine error,
 3 scan cap exceeded; a package error's code is its class's ``exit_code``.
 """
@@ -29,7 +32,7 @@ from .errors import (
 )
 from .polity import _unrank, describe_feasible, feasible_holdings
 from .report import RationalTexts, Report, emit_report, render_bool, render_holdings
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, _is_integer, load_scenario
 from .transforms import OwnBundle, _readings, swf_label, transform_label, transforms_for
 from .welfare import _ranked, _welfare_ints
 
@@ -41,24 +44,18 @@ from itertools import islice
 _IMPROVING_MOVES_SHOWN = 100
 
 
-def _header(scenario: Scenario, extra: tuple[tuple[str, str], ...] = ()) -> tuple:
-    pairs = [
+def _header(scenario: Scenario, extra: tuple[tuple[str, str], ...]) -> tuple:
+    transforms = sorted(scenario.transforms.items())
+    return (
         ("scenario", scenario.digest or "-"),
         ("engine", __version__),
         ("feasible", describe_feasible(scenario.feasible, scenario.polity)),
-        (
-            "transforms",
-            "; ".join(
-                f"{agent}={transform_label(spec)}"
-                for agent, spec in sorted(scenario.transforms.items())
-            ),
-        ),
-    ]
-    pairs.extend(extra)
-    return tuple(pairs)
+        ("transforms", "; ".join(f"{agent}={transform_label(spec)}" for agent, spec in transforms)),
+        *extra,
+    )
 
 
-def _run_check_move(scenario: Scenario) -> Report:
+def _run_check_move(scenario: Scenario, **_) -> tuple:
     if not scenario.move_holdings:
         raise MissingField("moves")
     polity = scenario.polity
@@ -94,16 +91,11 @@ def _run_check_move(scenario: Scenario) -> Report:
         gainers = ",".join(str(a) for a in tally[0])
         violators = ",".join(f"{agent}:{kind.value}" for agent, kind in tally[1])
         diagnostics.append(f"move {idx}: strict_gainers=[{gainers}] violators=[{violators}]")
-    return Report(
-        command="check-move",
-        header=_header(scenario),
-        columns=("move_id", "move", "definitional", "neoclassical", "ratio_form", "agree"),
-        rows=tuple(rows),
-        diagnostics=tuple(diagnostics),
-    )
+    columns = ("move_id", "move", "definitional", "neoclassical", "ratio_form", "agree")
+    return columns, rows, diagnostics, ()
 
 
-def _run_efficient(scenario: Scenario, state_id: int | None) -> Report:
+def _run_efficient(scenario: Scenario, state_id: int | None, **_) -> tuple:
     if state_id is None:
         raise MissingField("state")
     fs, polity = scenario.feasible, scenario.polity
@@ -119,23 +111,16 @@ def _run_efficient(scenario: Scenario, state_id: int | None) -> Report:
         diagnostics.append(f"skipped {skipped} target(s) with undefined reference point")
     quantity = RationalTexts(scale).__getitem__
     shown = render_holdings(state, quantity)
-    return Report(
-        command="efficient",
-        header=_header(scenario),
-        columns=("state_id", "allocation", "efficient", "witness"),
-        rows=(
-            (
-                str(state_id),
-                shown,
-                render_bool(witness is None),
-                "" if witness is None else f"{shown} -> {render_holdings(witness, quantity)}",
-            ),
-        ),
-        diagnostics=tuple(diagnostics),
+    row = (
+        str(state_id),
+        shown,
+        render_bool(witness is None),
+        "" if witness is None else f"{shown} -> {render_holdings(witness, quantity)}",
     )
+    return ("state_id", "allocation", "efficient", "witness"), (row,), diagnostics, ()
 
 
-def _run_frontier(scenario: Scenario) -> Report:
+def _run_frontier(scenario: Scenario, **_) -> tuple:
     frontier = enumerate_frontier(scenario.feasible, scenario.polity, scenario.transforms)
     # The rows are rendered from the int state stream, as welfare's are.
     unit, stream = feasible_holdings(scenario.feasible, scenario.polity)
@@ -157,16 +142,10 @@ def _run_frontier(scenario: Scenario) -> Report:
             f"degenerate: {len(frontier.degenerate_ids)} state(s) "
             "with undefined reference point"
         )
-    return Report(
-        command="frontier",
-        header=_header(scenario),
-        columns=("state_id", "allocation", "efficient"),
-        rows=rows,
-        diagnostics=tuple(diagnostics),
-    )
+    return ("state_id", "allocation", "efficient"), rows, diagnostics, ()
 
 
-def _run_scan(scenario: Scenario, cap: int | None) -> Report:
+def _run_scan(scenario: Scenario, cap: int | None, **_) -> tuple:
     effective_cap = cap if cap is not None else (
         scenario.scan_cap if scenario.scan_cap is not None else DEFAULT_SCAN_CAP
     )
@@ -194,23 +173,16 @@ def _run_scan(scenario: Scenario, cap: int | None) -> Report:
             f"degenerate: {result.degenerate_states} state(s) skipped, "
             f"{result.skipped_moves} move(s) not evaluated"
         )
-    return Report(
-        command="scan",
-        header=_header(scenario),
-        columns=("states", "moves", "improvements", "efficient_states"),
-        rows=(
-            (
-                str(result.states_examined),
-                str(result.moves_examined),
-                str(result.improvements_found),
-                str(result.efficient_state_count),
-            ),
-        ),
-        diagnostics=tuple(diagnostics),
+    row = (
+        str(result.states_examined),
+        str(result.moves_examined),
+        str(result.improvements_found),
+        str(result.efficient_state_count),
     )
+    return ("states", "moves", "improvements", "efficient_states"), (row,), diagnostics, ()
 
 
-def _run_discover(scenario: Scenario) -> Report:
+def _run_discover(scenario: Scenario, **_) -> tuple:
     if scenario.initial_holdings is None:
         raise MissingField("discover.initial")
     for key in ("beneficiary", "steps"):
@@ -232,18 +204,14 @@ def _run_discover(scenario: Scenario) -> Report:
         )
         for t, state in enumerate(run.trajectory)
     )
-    return Report(
-        command="discover",
-        header=_header(scenario, (
-            ("beneficiary", str(scenario.discover_beneficiary)),
-            ("increment", str(scenario.discover_increment)),
-        )),
-        columns=("step", "allocation", "step_improvement", "efficient", "gap"),
-        rows=rows,
+    extra = (
+        ("beneficiary", str(scenario.discover_beneficiary)),
+        ("increment", str(scenario.discover_increment)),
     )
+    return ("step", "allocation", "step_improvement", "efficient", "gap"), rows, (), extra
 
 
-def _run_welfare(scenario: Scenario) -> Report:
+def _run_welfare(scenario: Scenario, **_) -> tuple:
     if scenario.swf is None:
         raise MissingField("swf")
     # Every row is rendered from the int state stream: no Allocation, and a
@@ -263,45 +231,64 @@ def _run_welfare(scenario: Scenario) -> Report:
         )
         for rank, i in enumerate(order, 1)
     )
-    return Report(
-        command="welfare",
-        header=_header(scenario, (("swf", swf_label(scenario.swf)),)),
-        columns=("rank", "state_id", "allocation", "value", "tied"),
-        rows=rows,
-    )
+    extra = (("swf", swf_label(scenario.swf)),)
+    return ("rank", "state_id", "allocation", "value", "tied"), rows, (), extra
 
 
-def run_command(
-    scenario: Scenario,
-    command: str,
-    state_id: int | None = None,
-    cap: int | None = None,
-) -> Report:
-    """Execute one CLI command against a parsed scenario."""
-    if command == "check-move":
-        return _run_check_move(scenario)
-    if command == "efficient":
-        return _run_efficient(scenario, state_id)
-    if command == "frontier":
-        return _run_frontier(scenario)
-    if command == "scan":
-        return _run_scan(scenario, cap)
-    if command == "discover":
-        return _run_discover(scenario)
-    if command == "welfare":
-        return _run_welfare(scenario)
-    raise ValidationError(f"unknown command {command!r}")
+def _flag_int(minimum: int | None = None):
+    """An argparse type: an int in a count's grammar, at least ``minimum`` if given."""
 
-
-def _int_at_least(minimum: int):
     def parse(text: str) -> int:
+        if not _is_integer(text):
+            raise ValueError(text)
         value = int(text)
-        if value < minimum:
+        if minimum is not None and value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
     return parse
+
+
+# The one list of commands, in the order ``--help`` shows them: each name's
+# runner, help string, and the flags only it takes.  A runner is called with
+# the scenario and ``run_command``'s ``state_id`` and ``cap``, and returns
+# the report's columns, rows, diagnostics and extra header pairs.
+_COMMANDS = {
+    "check-move": (_run_check_move, "check the scenario's moves", {}),
+    "efficient": (
+        _run_efficient,
+        "check one state for efficiency",
+        {"--state": dict(type=_flag_int(), help="state id (enumeration index) to check")},
+    ),
+    "frontier": (_run_frontier, "classify every feasible state", {}),
+    "scan": (
+        _run_scan,
+        "evaluate every ordered move",
+        {
+            "--parallel": dict(
+                type=_flag_int(1),
+                default=1,
+                help="accepted for compatibility and ignored; N must be at least 1",
+            ),
+            "--cap": dict(type=_flag_int(1), help="move-count cap override"),
+        },
+    ),
+    "discover": (_run_discover, "run the accumulation simulation", {}),
+    "welfare": (_run_welfare, "rank feasible states by welfare", {}),
+}
+
+
+def run_command(
+    scenario: Scenario, command: str, state_id: int | None = None, cap: int | None = None
+) -> Report:
+    """Execute one CLI command against a parsed scenario."""
+    if command not in _COMMANDS:
+        raise ValidationError(f"unknown command {command!r}")
+    run = _COMMANDS[command][0]
+    columns, rows, diagnostics, extra = run(scenario, state_id=state_id, cap=cap)
+    # the header is read after the run, so a run's own error comes first
+    return Report(command, _header(scenario, extra), columns, tuple(rows), tuple(diagnostics))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -323,34 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", help="write the report here instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "check-move", parents=[common], help="check the scenario's moves"
-    )
-    efficient = sub.add_parser(
-        "efficient", parents=[common], help="check one state for efficiency"
-    )
-    efficient.add_argument(
-        "--state", type=int, help="state id (enumeration index) to check"
-    )
-    sub.add_parser(
-        "frontier", parents=[common], help="classify every feasible state"
-    )
-    scan = sub.add_parser(
-        "scan", parents=[common], help="evaluate every ordered move"
-    )
-    scan.add_argument(
-        "--parallel",
-        type=_int_at_least(1),
-        default=1,
-        help="accepted for compatibility and ignored; N must be at least 1",
-    )
-    scan.add_argument("--cap", type=_int_at_least(1), help="move-count cap override")
-    sub.add_parser(
-        "discover", parents=[common], help="run the accumulation simulation"
-    )
-    sub.add_parser(
-        "welfare", parents=[common], help="rank feasible states by welfare"
-    )
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, options in flags.items():
+            command.add_argument(flag, **options)
     return parser
 
 
@@ -369,10 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         report = run_command(
-            scenario,
-            args.command,
-            state_id=getattr(args, "state", None),
-            cap=getattr(args, "cap", None),
+            scenario, args.command, getattr(args, "state", None), getattr(args, "cap", None)
         )
         payload = emit_report(report, args.format)
         if args.output:

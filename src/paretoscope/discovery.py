@@ -18,14 +18,13 @@ parsed holdings, and ``simulate_discovery`` is a view of it.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .engine import EfficiencyVerdict, ImprovementVerdict, Method, _verdict
 from .errors import InfeasibleLattice, InternalInvariant, InvalidAgent, ValidationError
 from .polity import Allocation, FixedTotalLattice, Polity, _allocations, _common_holdings
-from .polity import _Holdings, _tally, _Tally, _upper_cone, as_quantity
+from .polity import _Holdings, _on_one_scale, _tally, _Tally, _upper_cone, as_quantity
 
 
 class DiscoveryRun(NamedTuple):
@@ -76,8 +75,7 @@ def _windfall(
         if (q / grid).denominator != 1:
             raise InfeasibleLattice(f"initial quantity {q} is not a multiple of step {grid}")
 
-    scale = math.lcm(inc.denominator, grid.denominator)
-    units = inc.numerator * (scale // inc.denominator)
+    scale, (units, _) = _on_one_scale((inc, grid))
     state = tuple([tuple([h * scale // unit for h in bundle]) for bundle in initial])
     trajectory = [state]
     for _ in range(steps):

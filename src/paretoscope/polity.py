@@ -382,27 +382,32 @@ def _splits(units: tuple[int, ...], agents: int) -> Iterator[tuple[int, ...]]:
 _Holdings = tuple[tuple[int, ...], ...]
 
 
-def _scaled(quantities: Iterable[Fraction], scale: int) -> tuple[int, ...]:
-    """``quantities`` times ``scale``, a common multiple of their denominators."""
-    return tuple([q.numerator * (scale // q.denominator) for q in quantities])
+def _on_one_scale(quantities: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``quantities`` as ints on one scale: ``(scale, ints)``.
+
+    The scale is the least common multiple of the quantities' denominators,
+    and each int is a quantity times it.  This is the one place a set of
+    quantities is put on ints: grid levels, allocations, the scenario's
+    literals and transform and welfare weights alike.
+    """
+    scale = math.lcm(*[q.denominator for q in quantities])
+    return scale, [q.numerator * (scale // q.denominator) for q in quantities]
 
 
 def _grid_levels(fs: BoxGrid) -> tuple[int, list[tuple[int, ...]]]:
-    """Each commodity's levels as ints on the grid's scale, the least common
-    multiple of every level's denominator: ``(scale, levels)``."""
-    scale = math.lcm(*[q.denominator for levels in fs.levels for q in levels])
-    return scale, [_scaled(levels, scale) for levels in fs.levels]
+    """Each commodity's levels as ints on one scale: ``(scale, levels)``."""
+    scale, ints = _on_one_scale([q for levels in fs.levels for q in levels])
+    flat = iter(ints)
+    return scale, [tuple(islice(flat, len(levels))) for levels in fs.levels]
 
 
 def _common_holdings(states: Sequence[Allocation]) -> tuple[int, list[_Holdings]]:
-    """``states``' bundles as ints on one scale: ``(scale, holdings)``.
-
-    The scale is the least common multiple of every quantity's denominator
-    in every state, and each holding is a quantity times it.  This is the
-    one place the int scale of a set of allocations is chosen.
-    """
-    scale = math.lcm(*[q.denominator for s in states for b in s.bundles for q in b.quantities])
-    return scale, [tuple([_scaled(b.quantities, scale) for b in s.bundles]) for s in states]
+    """``states``' bundles as ints on one scale: ``(scale, holdings)``."""
+    scale, ints = _on_one_scale([q for s in states for b in s.bundles for q in b.quantities])
+    flat = iter(ints)
+    return scale, [
+        tuple([tuple(islice(flat, len(b.quantities))) for b in s.bundles]) for s in states
+    ]
 
 
 def _allocations(scale: int, stream: Iterable[_Holdings]) -> Iterator[Allocation]:

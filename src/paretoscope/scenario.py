@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import codecs
 import hashlib
-import math
 import re
 from fractions import Fraction
 from functools import cached_property
@@ -40,6 +39,7 @@ from .polity import (
     Polity,
     _allocations,
     _Holdings,
+    _on_one_scale,
     as_quantity,
 )
 from .transforms import (
@@ -294,10 +294,10 @@ class _Literals:
 
     def holdings(self, literals: list[list[str]]) -> tuple[int, list[_Holdings]]:
         """Each of ``literals`` (from ``tokens``) as int holdings on one scale,
-        the least common multiple of the denominators of all their quantities."""
-        quantities = [(t, self.quantities[t]) for t in set().union(*literals)]
-        scale = math.lcm(*[q.denominator for _, q in quantities])
-        ints = {t: q.numerator * (scale // q.denominator) for t, q in quantities}
+        ``polity._on_one_scale``'s, each distinct token converted once."""
+        tokens = list(set().union(*literals))
+        scale, values = _on_one_scale([self.quantities[t] for t in tokens])
+        ints = dict(zip(tokens, values))
         # commodities references to one iterator: zip takes each agent's in turn
         return scale, [
             tuple(zip(*[map(ints.__getitem__, tokens)] * self.commodities))
@@ -350,10 +350,16 @@ def _read(entries: dict[str, _Entry], key: str, read, default=_REQUIRED):
         raise ValidationError(str(exc), key=key)
 
 
+def _is_integer(text: str) -> bool:
+    """Whether ``text`` is ASCII digits after at most one leading ``-``: how
+    a count, and each int flag of the CLI, is written."""
+    digits = text.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
+
+
 def _integer(text: str) -> int:
     """A count: ASCII digits, an integer of at least 1."""
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
+    if not _is_integer(text):
         raise ValidationError(f"expected an integer, got {text!r}")
     value = int(text)
     if value < 1:

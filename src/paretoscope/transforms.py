@@ -39,7 +39,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .errors import DimensionMismatch, InvalidAgent, ValidationError, ZeroReferencePoint
-from .polity import Allocation, Bundle, Polity, _common_holdings, _Holdings, _Value, as_quantity
+from .polity import Allocation, Bundle, Polity, _common_holdings, _Holdings, _on_one_scale, _Value
+from .polity import as_quantity
 
 PreferenceInfo = Union[Fraction, Bundle]
 
@@ -142,15 +143,6 @@ def neighborhood_members(
     return group
 
 
-def _int_weights(weights: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
-    """Positive weights scaled to ints, with the factor they were scaled by.
-
-    The factor is the least common multiple of the weights' denominators.
-    """
-    scale = math.lcm(*[w.denominator for w in weights])
-    return tuple([w.numerator * (scale // w.denominator) for w in weights]), scale
-
-
 _Reader = Callable[[_Holdings, int], tuple[tuple[int, ...], int]]
 
 
@@ -183,7 +175,7 @@ def _reading(spec: TransformSpec, agent: int, n_agents: int, dimension: int) -> 
         aggregate, weight_scale = sum, 1
     else:
         check_weight_count(spec.weights, dimension)
-        weights, weight_scale = _int_weights(spec.weights)
+        weight_scale, weights = _on_one_scale(spec.weights)
 
         def aggregate(holding: tuple[int, ...]) -> int:
             return sum(map(operator.mul, weights, holding))

@@ -37,7 +37,7 @@ from itertools import groupby
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, ValidationError, VectorValuedAgentInfo, ZeroReferencePoint
-from .polity import Allocation, Polity, _common_holdings, _Holdings
+from .polity import Allocation, Polity, _common_holdings, _Holdings, _on_one_scale
 from .transforms import (
     Combiner,
     Maximin,
@@ -45,7 +45,6 @@ from .transforms import (
     SwfSpec,
     WeightedOwn,
     WeightedSum,
-    _int_weights,
     _read_state,
     _readings,
     _signatures,
@@ -53,16 +52,16 @@ from .transforms import (
 )
 
 
-def _int_combiner(combiner: Combiner, n_agents: int) -> tuple[tuple[int, ...] | None, int]:
-    """``combiner``'s weights scaled to ints, with the factor they were scaled
-    by (``_int_weights``); ``None`` and 1 for an unweighted combiner.
+def _int_combiner(combiner: Combiner, n_agents: int) -> tuple[int, list[int] | None]:
+    """``combiner``'s weights as ints on one scale, ``(scale, weights)``
+    (``polity._on_one_scale``); 1 and ``None`` for an unweighted combiner.
     """
     if isinstance(combiner, WeightedSum):
         if len(combiner.weights) != n_agents:
             raise DimensionMismatch(f"{len(combiner.weights)} weights for {n_agents} agents")
-        return _int_weights(combiner.weights)
+        return _on_one_scale(combiner.weights)
     if isinstance(combiner, (Sum, Maximin)):
-        return None, 1
+        return 1, None
     raise ValidationError(f"unknown combiner {combiner!r}")
 
 
@@ -93,7 +92,7 @@ def _welfare_ints(
     """
     assignment = spec.agent_values if spec.agent_values is not None else WeightedOwn()
     readings = _readings(transforms_for(polity, assignment), polity)
-    weights, weight_scale = _int_combiner(spec.combiner, polity.n_agents)
+    weight_scale, weights = _int_combiner(spec.combiner, polity.n_agents)
     # the first agent whose information is its bundle, when that is a vector
     vector = polity.commodity_dim > 1 and next((a for a, r in readings if r is None), None)
     if vector and holdings:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from paretoscope import transforms as transforms_module
 from paretoscope.cli import main, run_command
+from paretoscope.errors import ValidationError
 from paretoscope.polity import Allocation
 from paretoscope.report import emit_report
 from paretoscope.scenario import load_scenario
@@ -475,6 +477,94 @@ def test_bad_scan_flag_values_exit_1(capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert flag in err
+
+
+# Flag texts that int() reads but the scenario's count grammar refuses:
+# ASCII digits after at most one leading "-".  Each exits 1 with argparse's
+# message for a text that is not an int, and nothing on stdout.
+FLAG_ERRORS = [
+    ("efficient", "own_box", "--state", "0_3", "argument --state: invalid int value: '0_3'"),
+    ("efficient", "own_box", "--state", "\u0663", "argument --state: invalid int value: '\u0663'"),
+    ("efficient", "own_box", "--state", "\uff13", "argument --state: invalid int value: '\uff13'"),
+    ("efficient", "own_box", "--state", "+3", "argument --state: invalid int value: '+3'"),
+    ("efficient", "own_box", "--state", " 3", "argument --state: invalid int value: ' 3'"),
+    ("efficient", "own_box", "--state", "3 ", "argument --state: invalid int value: '3 '"),
+    ("scan", "own_box", "--cap", "\u0662", "argument --cap: invalid int value: '\u0662'"),
+    ("scan", "own_box", "--cap", "1_0", "argument --cap: invalid int value: '1_0'"),
+    ("scan", "own_box", "--cap", "+5", "argument --cap: invalid int value: '+5'"),
+    ("scan", "own_box", "--parallel", "+2", "argument --parallel: invalid int value: '+2'"),
+    ("scan", "own_box", "--parallel", "\u0662", "argument --parallel: invalid int value: '\u0662'"),
+    ("scan", "own_box", "--parallel", " 2", "argument --parallel: invalid int value: ' 2'"),
+    ("scan", "own_box", "--parallel", "1_0", "argument --parallel: invalid int value: '1_0'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,scenario,flag,text,message", FLAG_ERRORS, ids=[m for *_, m in FLAG_ERRORS]
+)
+def test_flag_texts_outside_the_count_grammar_exit_1(
+    capsys, command, scenario, flag, text, message
+):
+    assert main([command, "--scenario", str(DATA / f"{scenario}.scn"), flag, text]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_run_command_refuses_an_unknown_command():
+    with pytest.raises(ValidationError, match="^unknown command 'nope'$"):
+        run_command(load_scenario(DATA / "own_box.scn"), "nope")
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("frontier", ["--state", "1"]), ("efficient", ["--cap", "5"]), ("welfare", ["--parallel", "2"])],
+)
+def test_a_flag_of_another_command_exits_1(capsys, command, flag):
+    assert main([command, "--scenario", str(DATA / "own_box.scn"), *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+
+
+# Each command and its help string, in the order --help lists them, with
+# the flags and flag help strings only that command takes.
+_COMMAND_HELP = [
+    ("check-move", "check the scenario's moves", {}),
+    ("efficient", "check one state for efficiency", {
+        "--state": "state id (enumeration index) to check",
+    }),
+    ("frontier", "classify every feasible state", {}),
+    ("scan", "evaluate every ordered move", {
+        "--parallel": "accepted for compatibility and ignored; N must be at least 1",
+        "--cap": "move-count cap override",
+    }),
+    ("discover", "run the accumulation simulation", {}),
+    ("welfare", "rank feasible states by welfare", {}),
+]
+
+
+def _help_text(capsys, argv) -> str:
+    # whitespace is normalised: argparse's layout differs across versions
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return " ".join(captured.out.split())
+
+
+def test_help_lists_the_commands_in_order(capsys):
+    text = _help_text(capsys, ["--help"])
+    names = [name for name, _, _ in _COMMAND_HELP]
+    assert "{" + ",".join(names) + "}" in text
+    at = [text.index(f" {name} {help_string}") for name, help_string, _ in _COMMAND_HELP]
+    assert at == sorted(at)
+
+
+@pytest.mark.parametrize("command,flags", [(c, f) for c, _, f in _COMMAND_HELP])
+def test_command_help_lists_exactly_its_flags(capsys, command, flags):
+    text = _help_text(capsys, [command, "--help"])
+    common = {"--help", "--scenario", "--format", "--output"}
+    assert set(re.findall(r"--[a-z]+", text)) == common | set(flags)
+    for help_string in flags.values():
+        assert help_string in text
 
 
 def test_module_entry_point_runs():
