@@ -3,9 +3,9 @@ accumulation runs, and welfare rankings over finite allocation spaces.
 
 Every quantity is a ``fractions.Fraction``; every enumeration is
 deterministic; the test suite holds every optimized code path against a
-naive oracle.  Every frontier call also certifies its dominator bitsets:
-each dominated state is checked by definition against one dominator, and
-no efficient state may dominate another.
+naive oracle.  Every frontier call also certifies its answer: each
+dominated state is checked by definition against one dominator, and no
+efficient state may dominate another.
 
 Importing the package loads none of its modules.  Each exported name loads
 its home module on first use (PEP 562), as does each submodule name, such

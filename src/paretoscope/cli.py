@@ -269,6 +269,7 @@ _COMMANDS = {
             "--parallel": dict(
                 type=_flag_int(1),
                 default=1,
+                metavar="N",
                 help="accepted for compatibility and ignored; N must be at least 1",
             ),
             "--cap": dict(type=_flag_int(1), help="move-count cap override"),

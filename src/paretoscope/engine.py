@@ -24,32 +24,42 @@ checkers from its ``(before, after)`` int holdings on one scale:
 (``_common_holdings``), resolving the readings once per polity shape, and
 wraps it in ``MoveVerdicts``; the ``check-move`` command gives it the
 scenario's parsed ints and renders its rows from them, with no
-``Allocation`` made; ``check_improvement`` and
-``check_improvement_ratio_form`` are views of ``check_move``.  The checkers
+``Allocation`` made.  ``check_improvement`` and
+``check_improvement_ratio_form`` each decide only their own verdict, by
+``_tally`` on ``_move_information`` of the move's ``_common_holdings``,
+with no other checker's work.  The checkers
 share one definition of improvement with reasons, ``polity._tally``;
 ``polity._dominates`` is its yes/no form on flat int signatures, for the
 loops that need no reasons.  Frontiers and scans read one ``SignatureTable``:
 each state's flat signature, read and scaled to exact ints by one common
 factor (``transforms._signatures``, the core that welfare ranks by too)
 from the feasible set's int state stream (``feasible_holdings``, with no
-``Allocation`` made), and one dominance layer over it
-(``_dominator_masks``) that gives each state the bitset of the states that
-dominate it.  A scan counts its improving moves from those bitsets and
-keeps them, so the moves are listed only on demand.
+``Allocation`` made).  Under one shared ``relative_mean``
+(``_shared_mean``, read from the transforms alone) every live signature
+sums to the agent count times the scale, which is checked row by row, and
+no state dominates another: the frontier keeps every live state and the
+scan finds no move, with no dominance work.  Otherwise the frontier gives
+each dominated state one witness that dominates it, by a staircase sweep
+(``_frontier_sweep``) for signatures of at most three components and by
+the dominator bitsets (``_dominator_masks``) for longer ones.  A scan
+reads the bitsets, which give each state the set of states dominating it,
+counts its improving moves from them and keeps them, so the moves are
+listed only on demand.
 One int search (``_efficiency``), which ``efficient`` runs on unranked
 holdings and ``is_pareto_efficient`` wraps, reads the state and each
 target of that int stream, or of its upper cone (``_upper_cone``), by the
 same readings, makes the ends comparable (``_comparable``) and decides by
 ``_dominates``.  The tests hold every int route against a separate
 evaluation of the transforms on ``Fraction``s.  ``enumerate_frontier``
-certifies those bitsets on every call: each dominated state is checked by
-``_dominates`` against one dominator, and no efficient state may dominate
-another.
+certifies its split on every call, whatever the route: each dominated
+state is checked by ``_dominates`` against its witness, and no kept state
+may dominate another, which is tested over the kept states only.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from enum import Enum
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -75,6 +85,7 @@ from .polity import (
 from .report import render_allocation
 from .transforms import (
     OwnBundle,
+    RelativeToMean,
     TransformSpec,
     Transforms,
     WeightedOwn,
@@ -175,12 +186,23 @@ def _comparable(
     return after_components, before_components
 
 
+def _information(
+    move: Move, transforms: Transforms, holdings: Sequence[_Holdings]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """``_move_information`` of ``move``'s ``holdings`` under ``transforms``,
+    every agent's reading resolved first."""
+    polity = move.polity
+    return _move_information(_readings(transforms_for(polity, transforms), polity), holdings)
+
+
 def check_improvement(move: Move, transforms: Transforms) -> ImprovementVerdict:
     """Decide by definition whether ``move`` improves on its starting state.
 
     Raises what ``check_move`` raises.
     """
-    return check_move(move, transforms).definitional
+    _, holdings = _common_holdings((move.before, move.after))
+    after, before = _information(move, transforms, holdings)
+    return _verdict(_tally(move.polity.agents, after, before), Method.DEFINITIONAL)
 
 
 def check_improvement_neoclassical(move: Move) -> ImprovementVerdict:
@@ -249,13 +271,15 @@ def check_improvement_ratio_form(move: Move, transforms: Transforms) -> Improvem
     unchanged holding are vacuously satisfied.  Only the sign of each ratio
     is read, so it is taken as the product of the signs of its two changes
     and nothing is divided.  Both hypotheses are checked before any
-    transform is resolved; the verdict is then ``check_move``'s.
+    transform is resolved; the verdict and its reasons are then ``check_move``'s.
     """
     _, holdings = _common_holdings((move.before, move.after))
     movers = _ratio_movers(move.polity, holdings)
     if isinstance(movers, HypothesisViolated):
         raise movers
-    return check_move(move, transforms).ratio_form
+    after, before = _information(move, transforms, holdings)
+    tally = _tally(move.polity.agents, after, before)
+    return _verdict(tally, Method.RATIO_FORM, _ratio_improves(movers, after, before))
 
 
 class MoveVerdicts(NamedTuple):
@@ -356,9 +380,9 @@ class SignatureTable(NamedTuple):
     dominance between their signatures (``_dominates``): per-agent weak
     rises concatenate to a componentwise weak rise, and any strict
     component makes exactly one agent strictly better off.
-    ``_dominator_masks`` reads the signatures dimension by dimension; strict
-    dominance also implies a strictly larger signature sum, which is what
-    lets the frontier's antichain check skip most pairs.
+    Strict dominance also implies a strictly larger signature sum, so
+    signatures that share one sum form an antichain, as they do under one
+    shared ``relative_mean`` (the agent count times ``scale``).
     """
 
     scale: int
@@ -546,69 +570,178 @@ def _dominator_masks(table: SignatureTable) -> Iterator[tuple[int, int]]:
         yield i, weakly & strictly
 
 
+def _shared_mean(specs: dict[int, TransformSpec]) -> bool:
+    """Whether every agent reads ``RelativeToMean`` with the same weights.
+
+    Each agent's information is then n·aggₖ / Σ agg, so at every live state
+    the n agents' information sums to n, and no state dominates another.
+    """
+    first = next(iter(specs.values()))
+    return isinstance(first, RelativeToMean) and all(spec == first for spec in specs.values())
+
+
+def _check_shared_mean(table: SignatureTable, n_agents: int) -> None:
+    """Raise ``InternalInvariant`` unless every live signature sums to
+    ``n_agents`` times the table's scale, as ``_shared_mean`` implies."""
+    total = n_agents * table.scale
+    for i, signature in enumerate(table.signatures):
+        if signature is not None and sum(signature) != total:
+            raise InternalInvariant(
+                f"state {i}'s information sums to {sum(signature)}/{table.scale}, "
+                f"not the agent count {n_agents}, under a shared relative_mean"
+            )
+
+
+def _frontier_sweep(table: SignatureTable) -> dict[int, int]:
+    """Each dominated live state's index with a live state dominating it,
+    for signatures of at most three components, padded to three.
+
+    This is the 3-D maxima sweep, the base case of Kung, Luccio & Preparata
+    ("On finding the maxima of a set of vectors", JACM 22(4), 1975), in
+    O(n log n) comparisons.  The states are swept in descending
+    lexicographic order, so each state swept before a state is at least as
+    large in the first component, and differs from it unless the two are
+    equal.  A signature equal to the previous one takes its twin's fate.
+    Any other state is dominated exactly when a kept state swept before it
+    is at least its (y, z).  The staircase of the kept pairs that no kept
+    pair covers is held y ascending and z descending, in lists searched
+    with ``bisect``: the state is dominated exactly when the first entry
+    with y′ ≥ y has z′ ≥ z, and that entry's state is its witness.
+    Otherwise it is kept and replaces the entries it covers.
+    """
+    signatures, live = table.signatures, table.live
+    if not live:
+        return {}
+    pad = (0,) * (3 - len(signatures[live[0]]))
+    ys: list[int] = []
+    zs: list[int] = []
+    owners: list[int] = []
+    witnesses: dict[int, int] = {}
+    previous = witness = None
+    for i in sorted(live, key=signatures.__getitem__, reverse=True):
+        signature = signatures[i]
+        if signature == previous:
+            if witness is not None:
+                witnesses[i] = witness
+            continue
+        previous = signature
+        _, y, z = signature + pad
+        at = bisect_left(ys, y)
+        if at < len(ys) and zs[at] >= z:
+            witness = witnesses[i] = owners[at]
+            continue
+        witness = None
+        # the entries with y′ ≤ y and z′ ≤ z: one at ``at`` with y′ = y, and
+        # the run before ``at`` whose z′ is at most z
+        end = at + 1 if at < len(ys) and ys[at] == y else at
+        start = at
+        while start and zs[start - 1] <= z:
+            start -= 1
+        ys[start:end], zs[start:end], owners[start:end] = [y], [z], [i]
+    return witnesses
+
+
+def _kept_dominated(
+    signatures: list[tuple[int, ...] | None], kept: list[int]
+) -> Iterator[tuple[int, int]]:
+    """Each kept state that a kept state dominates, with one that does,
+    by ``_dominator_masks`` over a table of the kept states only."""
+    # the bitsets read no scale
+    for position, mask in _dominator_masks(SignatureTable(1, [signatures[i] for i in kept])):
+        if mask:
+            yield kept[position], kept[mask.bit_length() - 1]
+
+
+def _kept_dominated_by_rank(
+    signatures: list[tuple[int, ...] | None], kept: list[int]
+) -> Iterator[tuple[int, int]]:
+    """``_kept_dominated`` by ``_dominates`` alone, with no bitset.
+
+    Strict dominance implies a strictly larger signature sum, so each kept
+    state is tested only against the kept states of strictly larger sum.
+    """
+    ranked = sorted(((sum(signatures[i]), i) for i in kept), reverse=True)
+    higher, previous = 0, None  # ranked[:higher] have a strictly larger sum
+    for position, (total, i) in enumerate(ranked):
+        if total != previous:
+            higher, previous = position, total
+        for _, k in ranked[:higher]:
+            if _dominates(signatures[k], signatures[i]):
+                yield i, k
+
+
 def enumerate_frontier(
     fs: FeasibleSet, polity: Polity, transforms: Transforms
 ) -> FrontierReport:
     """Classify every feasible state as efficient or not.
 
-    The efficient states are the live states whose dominator bitset is
-    empty (``_dominator_masks``).  Every call certifies that split, in the
-    sense of McConnell, Mehlhorn, Näher & Schweitzer ("Certifying
-    algorithms", Computer Science Review 5(2), 2011), in two parts:
+    The route is chosen before any state is read.  When every agent reads
+    one shared ``relative_mean`` (``_shared_mean``), every live state is
+    efficient, and each live signature is checked to sum to the agent count
+    times the table's scale (``_check_shared_mean``); no dominance test is
+    made.  Otherwise each dominated state gets one state that dominates it,
+    its witness: from the staircase sweep (``_frontier_sweep``) for
+    signatures of at most three components, and from the lowest set bit of
+    its dominator bitset (``_dominator_masks``) for longer ones.  The
+    efficient states are the live states with no witness.
 
-    * (a) witnesses: each state with a non-empty bitset is checked by
-      ``_dominates`` on the signatures, not by the bitsets, against one
-      dominator, the bitset's lowest set bit;
-    * (b) antichain: no kept state dominates another.  Strict dominance
-      implies a strictly larger signature sum, so each kept state is tested
-      only against kept states of strictly larger sum; when every sum is
-      equal, as under ``relative_mean``, no test is made.
+    Every call certifies that split, whatever the route, in the sense of
+    McConnell, Mehlhorn, Näher & Schweitzer ("Certifying algorithms",
+    Computer Science Review 5(2), 2011), in two parts:
+
+    * (a) witnesses: each dominated state is checked by ``_dominates`` on
+      the signatures against its witness;
+    * (b) antichain: no kept state dominates another.  After the sweep
+      this is ``_dominator_masks`` over a table of the kept states only
+      (``_kept_dominated``).  After the bitsets it is ``_dominates`` against
+      the kept states of larger sum (``_kept_dominated_by_rank``), so no
+      check reads the bitsets it checks.  Strict dominance implies a
+      strictly larger signature sum, so (b) is skipped when every kept sum
+      is equal.
 
     By (a) every truly undominated state is kept.  A kept state that is
     truly dominated is dominated by some undominated state, which is kept
-    too, and that breaks (b).  The certificate covers which bitsets are
-    empty, not every bit of them.  A failed check raises
-    ``InternalInvariant``; so does an empty frontier, which cannot happen on
-    a finite non-empty set unless every state is degenerate.  The report
-    holds state ids only, so no ``Allocation`` is made: a caller that shows
-    the states reads them from ``feasible_holdings``, in the table's order.
+    too, and that breaks (b).  A failed check raises ``InternalInvariant``;
+    so does an empty frontier, which cannot happen on a finite non-empty
+    set unless every state is degenerate.  The report holds state ids only,
+    so no ``Allocation`` is made: a caller that shows the states reads them
+    from ``feasible_holdings``, in the table's order.
     """
-    table = build_signature_table(fs, polity, transforms, "excluded from frontier")
-    signatures = table.signatures
-    efficient = []  # in enumeration order, as the masks come
-    for i, mask in _dominator_masks(table):
-        if not mask:
-            efficient.append(i)
-            continue
-        witness = (mask & -mask).bit_length() - 1
+    specs = transforms_for(polity, transforms)
+    table = build_signature_table(fs, polity, specs, "excluded from frontier")
+    signatures, live = table.signatures, table.live
+    degenerate = tuple([i for i, signature in enumerate(signatures) if signature is None])
+    if not live:
+        raise InternalInvariant(
+            "every feasible state has an undefined reference point; frontier is empty"
+        )
+    if _shared_mean(specs):
+        _check_shared_mean(table, polity.n_agents)
+        return FrontierReport(len(signatures), tuple(live), degenerate)
+    swept = len(signatures[live[0]]) <= 3
+    if swept:
+        witnesses = _frontier_sweep(table)
+    else:
+        witnesses = {
+            i: (mask & -mask).bit_length() - 1 for i, mask in _dominator_masks(table) if mask
+        }
+    for i, witness in witnesses.items():
         if not _dominates(signatures[witness], signatures[i]):
             raise InternalInvariant(
                 f"state {witness} is marked as dominating state {i} "
                 "but does not improve on it"
             )
-    ranked = sorted(((sum(signatures[i]), i) for i in efficient), reverse=True)
-    higher, previous = 0, None  # ranked[:higher] have a strictly larger sum
-    for position, (total, i) in enumerate(ranked):
-        if total != previous:
-            higher, previous = position, total
-        signature = signatures[i]
-        for _, k in ranked[:higher]:
-            if _dominates(signatures[k], signature):
-                raise InternalInvariant(
-                    f"frontier keeps state {i} though kept state {k} dominates it"
-                )
-    if not table.live:
-        raise InternalInvariant(
-            "every feasible state has an undefined reference point; frontier is empty"
-        )
+    efficient = [i for i in live if i not in witnesses]
     if not efficient:
         raise InternalInvariant("non-empty state set produced an empty frontier")
-
-    return FrontierReport(
-        len(signatures),
-        tuple(efficient),
-        tuple([i for i, signature in enumerate(signatures) if signature is None]),
-    )
+    if len({sum(signatures[i]) for i in efficient}) > 1:
+        dominated = _kept_dominated if swept else _kept_dominated_by_rank
+        found = next(dominated(signatures, efficient), None)
+        if found is not None:
+            raise InternalInvariant(
+                "frontier keeps state {} though kept state {} dominates it".format(*found)
+            )
+    return FrontierReport(len(signatures), tuple(efficient), degenerate)
 
 
 class ScanReport(NamedTuple):
@@ -669,16 +802,23 @@ def scan_all_moves(
     ``cap``.  The moves from state i that improve are the set bits of i's
     dominator bitset (``_dominator_masks``), so the improvements are counted
     as the bitsets' population counts, and the states that have one are the
-    non-empty bitsets.  The cap still counts ordered pairs, though the work
-    follows the bitsets.
+    non-empty bitsets.  Under one shared ``relative_mean`` (``_shared_mean``)
+    no move improves: each live signature is checked to sum to the agent
+    count times the table's scale, and no bitset is built.  The cap still
+    counts ordered pairs, though the work follows the bitsets.
     """
     n = count_feasible(fs, polity)
     required = n * (n - 1)
     if required > cap:
         raise CapExceeded(cap, required)
-    table = build_signature_table(fs, polity, transforms, "skipped in scan")
+    specs = transforms_for(polity, transforms)
+    table = build_signature_table(fs, polity, specs, "skipped in scan")
     live = len(table.live)
-    dominators = tuple((i, mask) for i, mask in _dominator_masks(table) if mask)
+    if _shared_mean(specs):
+        _check_shared_mean(table, polity.n_agents)
+        dominators = ()
+    else:
+        dominators = tuple((i, mask) for i, mask in _dominator_masks(table) if mask)
     examined = live * (live - 1)
     return ScanReport(
         states_examined=n,

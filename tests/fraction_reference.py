@@ -14,7 +14,9 @@ own-total lattice, and every gap a ``Fraction``.  The package computes the
 run on ints instead.  ``compare_bundles``, ``classify_move_agents`` and
 ``compare_info`` place values in the componentwise order by their own sign
 loop and comparisons, where the package reads that order from the one
-improvement tally (``polity._tally``).
+improvement tally (``polity._tally``).  ``dominated_points`` is the
+frontier's dominance by brute force: every pair of points compared on
+``Fraction``s, where the package sweeps a staircase or reads bitsets.
 """
 
 from __future__ import annotations
@@ -221,3 +223,19 @@ def compare_info(a: PreferenceInfo, b: PreferenceInfo) -> PartialOrderResult:
     if a < b:
         return PartialOrderResult.STRICTLY_LESS
     return PartialOrderResult.EQUAL
+
+
+def dominated_points(points: list[tuple[Fraction, ...] | None]) -> set[int]:
+    """The indices of the points that some other point strictly dominates.
+
+    Each pair is compared component by component: ``q`` dominates ``p``
+    when no component of ``q`` is below ``p``'s and the two differ.  A
+    ``None`` point is neither dominated nor dominating.
+    """
+    live = [(i, p) for i, p in enumerate(points) if p is not None]
+    return {
+        i
+        for i, p in live
+        for _, q in live
+        if q != p and all(x >= y for x, y in zip(q, p))
+    }

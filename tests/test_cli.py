@@ -567,6 +567,11 @@ def test_command_help_lists_exactly_its_flags(capsys, command, flags):
         assert help_string in text
 
 
+def test_scan_help_names_the_parallel_value_n(capsys):
+    # the value is named N, as its help string says
+    assert "[--parallel N]" in _help_text(capsys, ["scan", "--help"])
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [

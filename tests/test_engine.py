@@ -65,6 +65,7 @@ from paretoscope import (
 )
 
 from fraction_reference import compare_bundles as reference_compare_bundles
+from fraction_reference import dominated_points as reference_dominated_points
 from fraction_reference import evaluate_transform as reference_transform
 
 DATA = Path(__file__).parent / "data"
@@ -971,20 +972,28 @@ def test_frontier_and_scan_match_the_pairwise_reference_on_grids(fs, polity, spe
     assert scan_all_moves(fs, polity, spec).improving_moves == moves
 
 
-def test_frontier_empty_masks_fail_the_antichain_check(monkeypatch):
-    # empty dominator bitsets keep every state, but the top corner (2,2)
-    # dominates the others: the antichain check must catch it
-    monkeypatch.setattr(
-        engine, "_dominator_masks", lambda table: ((i, 0) for i in table.live)
-    )
+def test_frontier_cleared_witnesses_fail_the_antichain_check(monkeypatch):
+    # a sweep that finds no witness keeps every state, but the top corner
+    # (2,2) dominates the others: the antichain check must catch it
+    monkeypatch.setattr(engine, "_frontier_sweep", lambda table: {})
     with pytest.raises(InternalInvariant, match="though kept state 8 dominates it"):
         enumerate_frontier(BoxGrid.shared([0, 1, 2]), Polity(2, 1), OwnBundle())
 
 
+def test_frontier_empty_masks_fail_the_antichain_check(monkeypatch):
+    # the bitset route, on four-component signatures: empty bitsets keep
+    # every state, but the top corner dominates the others
+    monkeypatch.setattr(
+        engine, "_dominator_masks", lambda table: ((i, 0) for i in table.live)
+    )
+    with pytest.raises(InternalInvariant, match="though kept state 15 dominates it"):
+        enumerate_frontier(BoxGrid.shared([0, 1], commodities=2), Polity(2, 2), OwnBundle())
+
+
 def test_frontier_false_witness_raises(monkeypatch):
-    # a bitset that marks (0,1) as dominated by (3,0), which does not
+    # a sweep that marks (0,1) as dominated by (3,0), which does not
     # improve on it: the witness check by definition must catch it
-    monkeypatch.setattr(engine, "_dominator_masks", lambda table: iter([(0, 0), (1, 0b1)]))
+    monkeypatch.setattr(engine, "_frontier_sweep", lambda table: {1: 0})
     fs = ExplicitList((alloc(3, 0), alloc(0, 1)))
     with pytest.raises(InternalInvariant, match="does not improve on it"):
         enumerate_frontier(fs, Polity(2, 1), OwnBundle())
@@ -993,15 +1002,71 @@ def test_frontier_false_witness_raises(monkeypatch):
 def test_frontier_all_dominated_raises(monkeypatch):
     # witnesses that pass for every state still leave an empty frontier
     # over live states, which must fail
-    monkeypatch.setattr(
-        engine, "_dominator_masks", lambda table: ((i, 1) for i in table.live)
-    )
+    monkeypatch.setattr(engine, "_frontier_sweep", lambda table: dict.fromkeys(table.live, 1))
     monkeypatch.setattr(engine, "_dominates", lambda a, b: True)
     with pytest.raises(InternalInvariant, match="empty frontier"):
         enumerate_frontier(BoxGrid.shared([0, 1]), Polity(2, 1), OwnBundle())
 
 
+def _sweep_route(spec, polity, table):
+    """Whether ``enumerate_frontier`` decides ``table`` by the sweep."""
+    live = table.live
+    return (
+        bool(live)
+        and not engine._shared_mean(transforms_for(polity, spec))
+        and len(table.signatures[live[0]]) <= 3
+    )
+
+
 @given(_FRONTIER_CASES, st.data())
+def test_frontier_certificate_catches_every_single_witness_corruption(case, data):
+    # One state's sweep witness is corrupted in one of three ways: a
+    # dominated state's witness cleared, a kept state given a witness, or a
+    # dominated state given a witness that does not dominate it.  Each
+    # changes which states are kept or which witness is checked, so the
+    # certificate must raise every time.
+    spec, states = case
+    fs = ExplicitList(states)
+    polity = fs.states[0].polity
+    table = engine.build_signature_table(fs, polity, spec)
+    assume(_sweep_route(spec, polity, table))
+    live, signatures = table.live, table.signatures
+    witnesses = engine._frontier_sweep(table)
+    corruptions = []
+    for i in live:
+        if i in witnesses:
+            corruptions.append((i, None))
+            corruptions += [
+                (i, j) for j in live if not engine._dominates(signatures[j], signatures[i])
+            ]
+        else:
+            corruptions += [(i, j) for j in live]
+    assume(corruptions)
+    state, witness = data.draw(st.sampled_from(corruptions))
+    corrupt = {i: w for i, w in witnesses.items() if i != state}
+    if witness is not None:
+        corrupt[state] = witness
+
+    with mock.patch.object(engine, "_frontier_sweep", lambda table: corrupt):
+        with pytest.raises(InternalInvariant):
+            enumerate_frontier(fs, polity, spec)
+
+
+# Signatures of more than three components, which the frontier decides by
+# its dominator bitsets.
+_MASK_ROUTE_CASES = st.one_of(
+    st.tuples(st.just(OwnBundle()), _explicit_states(2, commodities=2)),
+    st.tuples(
+        st.just(OwnBundle()), _explicit_states(2, commodities=2, level=_FRACTIONAL_LEVEL)
+    ),
+    st.tuples(
+        st.just({1: OwnBundle(), 2: OwnBundle(), 3: RelativeToMean()}),
+        _explicit_states(3, commodities=2),
+    ),
+)
+
+
+@given(_MASK_ROUTE_CASES, st.data())
 def test_frontier_certificate_catches_every_single_mask_corruption(case, data):
     # One state's dominator bitset is corrupted in one of three ways: a
     # non-empty bitset cleared, an empty one given a bit, or a non-empty
@@ -1013,6 +1078,7 @@ def test_frontier_certificate_catches_every_single_mask_corruption(case, data):
     polity = fs.states[0].polity
     table = engine.build_signature_table(fs, polity, spec)
     live, masks = table.live, dict(engine._dominator_masks(table))
+    assume(live and len(table.signatures[live[0]]) > 3)
     corruptions = []
     for i, mask in masks.items():
         if mask:
@@ -1030,6 +1096,73 @@ def test_frontier_certificate_catches_every_single_mask_corruption(case, data):
     with mock.patch.object(engine, "_dominator_masks", corrupted):
         with pytest.raises(InternalInvariant):
             enumerate_frontier(fs, polity, spec)
+
+
+def _points(dimension):
+    # few values per component, so duplicates and ties are common
+    point = st.tuples(*[st.integers(min_value=-1, max_value=3)] * dimension)
+    return st.lists(st.one_of(st.none(), point, point), max_size=30)
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(_points), st.integers(1, 6))
+@example([(1, 1, 1), (1, 1, 1), (2, 2, 2), (2, 2, 2), (0, 3, 0), None], 1)
+@example([(2, 0), (0, 2), (1, 1), (2, 0), (1, 1)], 3)
+@example([(1,), (3,), None, (3,), (0,)], 2)
+def test_frontier_sweep_matches_the_pairwise_reference(signatures, scale):
+    # the sweep's dominated states are those some other point dominates
+    # over exact Fractions, and every witness dominates by _dominates
+    witnesses = engine._frontier_sweep(engine.SignatureTable(scale, signatures))
+    points = [None if s is None else tuple(Fraction(c, scale) for c in s) for s in signatures]
+    assert set(witnesses) == reference_dominated_points(points)
+    for i, witness in witnesses.items():
+        assert signatures[witness] is not None
+        assert engine._dominates(signatures[witness], signatures[i])
+
+
+def test_shared_mean_is_read_from_the_transforms():
+    three = Polity(3, 2)
+    weighted = RelativeToMean((1, 2))
+    assert engine._shared_mean(transforms_for(three, RelativeToMean()))
+    assert engine._shared_mean({1: weighted, 2: RelativeToMean((1, 2)), 3: weighted})
+    assert not engine._shared_mean({1: weighted, 2: RelativeToMean(), 3: weighted})
+    assert not engine._shared_mean({1: weighted, 2: OwnBundle(), 3: weighted})
+    assert not engine._shared_mean(
+        transforms_for(three, RelativeToNeighborhood(frozenset({1, 2, 3})))
+    )
+
+
+def test_shared_mean_builds_no_masks_and_sweeps_nothing(monkeypatch):
+    # every live state is efficient and no move improves, with no dominance work
+    def refuse(table):
+        raise AssertionError("dominance work under a shared relative_mean")
+
+    monkeypatch.setattr(engine, "_dominator_masks", refuse)
+    monkeypatch.setattr(engine, "_frontier_sweep", refuse)
+    fs, polity = BoxGrid.shared([0, 1, 3]), Polity(3, 1)
+    report = enumerate_frontier(fs, polity, RelativeToMean())
+    assert report.efficient_ids == tuple(range(1, 27))
+    assert report.degenerate_ids == (0,)
+    scan = scan_all_moves(fs, polity, {a: RelativeToMean((2,)) for a in polity.agents})
+    assert (scan.improvements_found, scan.efficient_state_count) == (0, 27)
+    assert scan.dominators == ()
+
+
+@pytest.mark.parametrize("run", [enumerate_frontier, scan_all_moves])
+def test_shared_mean_row_corruption_raises(monkeypatch, run):
+    # one live signature that does not sum to the agent count times the
+    # scale breaks the shared-mean invariant
+    build = engine.build_signature_table
+
+    def corrupted(*args):
+        table = build(*args)
+        signatures = list(table.signatures)
+        i = table.live[-1]
+        signatures[i] = (signatures[i][0] + 1, *signatures[i][1:])
+        return engine.SignatureTable(table.scale, signatures)
+
+    monkeypatch.setattr(engine, "build_signature_table", corrupted)
+    with pytest.raises(InternalInvariant, match="not the agent count 3, under a shared"):
+        run(BoxGrid.shared([0, 1, 2]), Polity(3, 1), RelativeToMean())
 
 
 @given(_FRONTIER_CASES)
