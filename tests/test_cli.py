@@ -321,6 +321,45 @@ def test_missing_command_field_exits_1(capsys):
     assert "discover.initial" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, body, field",
+    [
+        ("discover", "discover.initial = (1,1)\ndiscover.steps = 2\n", "discover.beneficiary"),
+        ("discover", "discover.initial = (1,1)\ndiscover.beneficiary = 1\n", "discover.steps"),
+        ("welfare", "", "swf"),
+    ],
+)
+def test_each_missing_command_field_is_named(tmp_path, capsys, command, body, field):
+    scn = tmp_path / "missing.scn"
+    scn.write_text(
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n" + body
+    )
+    assert main([command, "--scenario", str(scn)]) == 1
+    assert capsys.readouterr() == ("", f"error: missing required field: {field}\n")
+
+
+def test_frontier_of_only_degenerate_states_exits_2(tmp_path, capsys):
+    # the one state's reference mean is zero, so no state is left to rank
+    scn = tmp_path / "zero.scn"
+    scn.write_text(
+        "agents = 2\ncommodities = 1\nfeasible.kind = explicit_list\n"
+        "feasible.list = (0,0)\ntransform = relative_mean\n"
+    )
+    assert main(["frontier", "--scenario", str(scn)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "WARNING: state 0 excluded from frontier: reference mean for agent 1 is zero\n"
+        "error: every feasible state has an undefined reference point; frontier is empty\n",
+    )
+
+
+def test_emit_report_refuses_an_unknown_format():
+    report = run_command(load_scenario(DATA / "own_box.scn"), "scan")
+    with pytest.raises(ValidationError) as caught:
+        emit_report(report, "xml")
+    assert str(caught.value) == "unknown format 'xml'; expected table or csv"
+
+
 def test_efficient_without_state_exits_1(capsys):
     assert main(["efficient", "--scenario", str(DATA / "own_box.scn")]) == 1
     assert "missing required field: state" in capsys.readouterr().err

@@ -1358,6 +1358,14 @@ def test_scan_own_small_box_counts():
     assert len(report.improving_moves) == 5
 
 
+def test_scan_report_repr_leaves_out_the_bitsets():
+    report = scan_all_moves(BoxGrid.shared([0, 1]), Polity(2, 1), OwnBundle())
+    assert repr(report) == (
+        "ScanReport(states_examined=4, moves_examined=12, improvements_found=5, "
+        "efficient_state_count=1, skipped_moves=0, degenerate_states=0)"
+    )
+
+
 def test_scan_counts_moves_without_listing_them():
     # own on 4 agents x levels 0..7: 36^4 - 8^4 improving moves and one
     # efficient state, the top corner.  Listing every move as a tuple

@@ -310,6 +310,91 @@ KEY_ERRORS = [
         "transform.0",
         "transform.0: agent 0 not in 1..2",
     ),
+    # each form of the transform and welfare grammars that it refuses
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform = own()\n",
+        "transform",
+        "transform: own takes no arguments",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform = own(\n",
+        "transform",
+        "transform: cannot parse transform 'own('",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform.2 = weighted_own\n",
+        "transform.2",
+        "transform.2: weighted_own requires a weight list",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform = weighted_own(0)\n",
+        "transform",
+        "transform: aggregation weights must be strictly positive",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform = relative_mean(1,)\n",
+        "transform",
+        "transform: empty entry in weight list: '1,'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform = relative_nbhd\n",
+        "transform",
+        "transform: relative_nbhd requires a neighbor list",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform.1 = relative_nbhd(;1)\n",
+        "transform.1",
+        "transform.1: neighbor id must be a positive integer, got ''",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "transform = relative_nbhd(1;)\n",
+        "transform",
+        "transform: empty entry in weight list: ''",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "swf = sum(1)\n",
+        "swf",
+        "swf: sum takes no arguments",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "swf = maximin()\n",
+        "swf",
+        "swf: maximin takes no arguments",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "swf = weighted_sum\n",
+        "swf",
+        "swf: weighted_sum requires a weight list",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "swf = weighted_sum(1,,2)\n",
+        "swf",
+        "swf: empty entry in weight list: '1,,2'",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "swf = weighted_sum(0,0)\n",
+        "swf",
+        "swf: weighted_sum weights are all zero",
+    ),
+    (
+        "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
+        "swf = Sum\n",
+        "swf",
+        "swf: cannot parse welfare functional 'Sum'",
+    ),
     # the shared transform is read before any agent's
     (
         "agents = 2\ncommodities = 1\nfeasible.kind = box_grid\nfeasible.levels = 0,1\n"
@@ -818,6 +903,13 @@ def test_parse_error_carries_line_number():
         parse_scenario("agents = 2\ncommodities = 1\nthis line has no equals\n")
     assert exc.value.line == 3
     assert "line 3" in str(exc.value)
+
+
+def test_parse_error_names_a_missing_key():
+    with pytest.raises(ParseError) as exc:
+        parse_scenario("agents = 2\n= 3\n")
+    assert (exc.value.line, exc.value.column) == (2, 1)
+    assert str(exc.value) == "line 2, column 1: missing key before '='"
 
 
 def test_parse_error_carries_column_for_bad_literal():

@@ -13,6 +13,7 @@ from paretoscope import (
     Bundle,
     DimensionMismatch,
     InvalidAgent,
+    Maximin,
     OwnBundle,
     ParetoscopeError,
     PartialOrderResult,
@@ -20,14 +21,18 @@ from paretoscope import (
     RelativeToNeighborhood,
     Sign,
     Sum,
+    SwfSpec,
     ValidationError,
     WeightedOwn,
+    WeightedSum,
     ZeroReferencePoint,
     alloc,
     compare_info,
     cross_effect_sign,
     evaluate_transform,
+    parse_swf,
     parse_transform,
+    swf_label,
     transform_label,
     verify_own_monotonicity,
 )
@@ -225,21 +230,34 @@ def test_parse_transform_grammar():
     )
 
 
-def test_parse_transform_errors():
-    for bad in (
-        "unknown",
-        "own(1)",
-        "weighted_own",
-        "weighted_own()",
-        "weighted_own(0)",
-        "relative_nbhd",
-        "relative_nbhd(0)",
-        "relative_nbhd(x)",
-        "relative_mean(1,)",
-        "",
-    ):
-        with pytest.raises(ValidationError):
-            parse_transform(bad)
+def test_parse_transform_accepts_blank_mean_weights_and_padding():
+    assert parse_transform("relative_mean()") == RelativeToMean()
+    assert parse_transform(" own ") == OwnBundle()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("", "cannot parse transform ''"),
+        ("unknown", "unknown transform 'unknown'"),
+        ("own()", "own takes no arguments"),
+        ("own(1)", "own takes no arguments"),
+        ("weighted_own", "weighted_own requires a weight list"),
+        ("weighted_own()", "weighted_own requires a weight list"),
+        ("weighted_own(0)", "aggregation weights must be strictly positive"),
+        ("relative_nbhd", "relative_nbhd requires a neighbor list"),
+        ("relative_nbhd(0)", "neighbor id must be a positive integer, got '0'"),
+        ("relative_nbhd(x)", "neighbor id must be a positive integer, got 'x'"),
+        ("relative_nbhd(;1)", "neighbor id must be a positive integer, got ''"),
+        ("relative_nbhd(1;)", "empty entry in weight list: ''"),
+        ("relative_mean(1,)", "empty entry in weight list: '1,'"),
+    ],
+)
+def test_parse_transform_errors(bad, message):
+    with pytest.raises(ValidationError) as caught:
+        parse_transform(bad)
+    assert str(caught.value) == message
+    assert caught.value.key is None
 
 
 def test_transform_label_round_trips():
@@ -260,3 +278,34 @@ def test_transform_label_of_unit_weights():
     # labelled by the bare name, as for relative_mean
     assert transform_label(WeightedOwn()) == "weighted_own"
     assert transform_label(RelativeToMean()) == "relative_mean"
+
+
+_weights = st.lists(
+    st.fractions(min_value=Fraction(1, 6), max_value=8, max_denominator=6), min_size=1, max_size=3
+).map(tuple)
+_neighbors = st.frozensets(st.integers(1, 9), min_size=1, max_size=3)
+
+
+@settings(max_examples=200)
+@given(
+    st.just(OwnBundle())
+    | _weights.map(WeightedOwn)
+    | st.just(RelativeToMean())
+    | _weights.map(RelativeToMean)
+    | st.builds(RelativeToNeighborhood, _neighbors, st.none() | _weights)
+    | st.just(SwfSpec(Sum()))
+    | st.just(SwfSpec(Maximin()))
+    | st.lists(st.fractions(0, 8, max_denominator=6), min_size=1, max_size=3)
+    .filter(any)
+    .map(lambda weights: SwfSpec(WeightedSum(tuple(weights))))
+)
+def test_label_and_parse_round_trip(spec):
+    """Every kind of transform and welfare functional, with fractional
+    weights and one to three neighbour ids, reads back from its label."""
+    if isinstance(spec, SwfSpec):
+        parse, label = parse_swf, swf_label
+    else:
+        parse, label = parse_transform, transform_label
+    text = label(spec)
+    assert parse(text) == spec
+    assert label(parse(text)) == text

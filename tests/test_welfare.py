@@ -343,6 +343,12 @@ def test_welfare_error_order():
         assert type(exc) is error and str(exc) == text
 
 
+def test_welfare_rank_refuses_an_unknown_combiner():
+    with pytest.raises(ValidationError) as caught:
+        welfare_rank(SwfSpec(OwnBundle()), [alloc(1, 1)])
+    assert str(caught.value) == "unknown combiner OwnBundle()"
+
+
 def test_welfare_rank_of_no_states_is_empty():
     bad = SwfSpec(WeightedSum((1, 2, 3)), RelativeToNeighborhood(frozenset({9})))
     assert welfare_rank(bad, []).entries == ()
