@@ -702,8 +702,10 @@ def enumerate_frontier(
     By (a) every truly undominated state is kept.  A kept state that is
     truly dominated is dominated by some undominated state, which is kept
     too, and that breaks (b).  A failed check raises ``InternalInvariant``;
-    so does an empty frontier, which cannot happen on a finite non-empty
-    set unless every state is degenerate.  The report holds state ids only,
+    so does an empty frontier over live states, which cannot happen on a
+    finite set.  When every feasible state is degenerate no state is left
+    to rank, a fact of the input, and ``ZeroReferencePoint`` is raised
+    after each state's warning.  The report holds state ids only,
     so no ``Allocation`` is made: a caller that shows the states reads them
     from ``feasible_holdings``, in the table's order.
     """
@@ -712,7 +714,7 @@ def enumerate_frontier(
     signatures, live = table.signatures, table.live
     degenerate = tuple([i for i, signature in enumerate(signatures) if signature is None])
     if not live:
-        raise InternalInvariant(
+        raise ZeroReferencePoint(
             "every feasible state has an undefined reference point; frontier is empty"
         )
     if _shared_mean(specs):

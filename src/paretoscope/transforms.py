@@ -24,10 +24,15 @@ one-state form: it reads one allocation on its own int scale and returns
 the information as an exact ``Fraction`` or the agent's bundle.
 
 A welfare functional (``SwfSpec``) combines per-agent scalar values with
-``Sum``, ``WeightedSum`` or ``Maximin``.  Its specs and their grammar
-(``parse_swf``, ``swf_label``) live here beside the transform grammar, so
-that reading a scenario loads no ranking code; ``welfare`` ranks states
-by them.
+``Sum``, ``WeightedSum`` or ``Maximin``.  Its specs live here beside the
+transform specs, so that reading a scenario loads no ranking code;
+``welfare`` ranks states by them.
+
+Each grammar is declared once, as a table: ``_TRANSFORMS`` and ``_SWFS``
+map each name to its spec type and to what its argument list holds.  One
+reader (``_parse_spec``) and one writer (``_label``) serve both tables:
+``parse_transform``, ``transform_label``, ``parse_swf`` and ``swf_label``
+are each one call of them.
 """
 
 from __future__ import annotations
@@ -98,7 +103,21 @@ TransformSpec = Union[OwnBundle, WeightedOwn, RelativeToMean, RelativeToNeighbor
 
 Transforms = Union[TransformSpec, Mapping[int, TransformSpec]]
 
-_SPEC_TYPES = (OwnBundle, WeightedOwn, RelativeToMean, RelativeToNeighborhood)
+# What a grammar name's argument list holds: nothing, a weight list, an
+# optional weight list, or neighbour ids with an optional weight list after
+# ";".  A list that must be there is named as its "requires a ... list"
+# message names it.
+_NO_ARGS, _WEIGHTS, _OPTIONAL_WEIGHTS, _NEIGHBORS = "none", "weight", "optional", "neighbor"
+
+# The transform grammar: each name with its spec type and its argument list.
+_TRANSFORMS = {
+    "own": (OwnBundle, _NO_ARGS),
+    "weighted_own": (WeightedOwn, _WEIGHTS),
+    "relative_mean": (RelativeToMean, _OPTIONAL_WEIGHTS),
+    "relative_nbhd": (RelativeToNeighborhood, _NEIGHBORS),
+}
+
+_SPEC_TYPES = tuple(spec_type for spec_type, _ in _TRANSFORMS.values())
 
 
 def transforms_for(polity: Polity, transforms: Transforms) -> dict[int, TransformSpec]:
@@ -117,30 +136,6 @@ def transforms_for(polity: Polity, transforms: Transforms) -> dict[int, Transfor
     if extra:
         raise InvalidAgent(f"transform assigned to unknown agent(s) {extra}")
     return {a: mapping[a] for a in polity.agents}
-
-
-def check_weight_count(weights: tuple[Fraction, ...], dimension: int) -> None:
-    """Raise ``DimensionMismatch`` unless there is one weight per commodity."""
-    if len(weights) != dimension:
-        raise DimensionMismatch(f"{len(weights)} weights for a {dimension}-commodity bundle")
-
-
-def neighborhood_members(
-    spec: RelativeToNeighborhood, agent: int, n_agents: int
-) -> list[int]:
-    """The sorted reference group of ``agent`` under ``spec``.
-
-    Raises ``InvalidAgent`` for a member outside the ``n_agents``-agent
-    polity.
-    """
-    group = sorted(spec.neighbors)
-    for member in group:
-        if member > n_agents:
-            raise InvalidAgent(
-                f"neighborhood of agent {agent} names agent {member} "
-                f"but the polity has {n_agents}"
-            )
-    return group
 
 
 _Reader = Callable[[_Holdings, int], tuple[tuple[int, ...], int]]
@@ -168,13 +163,21 @@ def _reading(spec: TransformSpec, agent: int, n_agents: int, dimension: int) -> 
     elif isinstance(spec, RelativeToMean):
         group = range(n_agents)
     elif isinstance(spec, RelativeToNeighborhood):
-        group = [m - 1 for m in neighborhood_members(spec, agent, n_agents)]
+        group = sorted(spec.neighbors)
+        for member in group:
+            if member > n_agents:
+                raise InvalidAgent(
+                    f"neighborhood of agent {agent} names agent {member} "
+                    f"but the polity has {n_agents}"
+                )
+        group = [m - 1 for m in group]
     else:
         raise ValidationError(f"unknown transform spec {spec!r}")
     if spec.weights is None:
         aggregate, weight_scale = sum, 1
+    elif len(spec.weights) != dimension:
+        raise DimensionMismatch(f"{len(spec.weights)} weights for a {dimension}-commodity bundle")
     else:
-        check_weight_count(spec.weights, dimension)
         weight_scale, weights = _on_one_scale(spec.weights)
 
         def aggregate(holding: tuple[int, ...]) -> int:
@@ -270,72 +273,6 @@ def evaluate_transform(
     return Fraction(value, den)
 
 
-_WEIGHTS_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\((.*)\))?\s*$")
-
-
-def _parse_numbers(text: str, what: str) -> tuple[Fraction, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if any(not p for p in parts):
-        raise ValidationError(f"empty entry in {what} list: {text!r}")
-    return tuple(as_quantity(p) for p in parts)
-
-
-def parse_transform(text: str) -> TransformSpec:
-    """Parse the textual transform grammar.
-
-    ``own`` | ``weighted_own(w1,...)`` | ``relative_mean`` |
-    ``relative_mean(w1,...)`` | ``relative_nbhd(id1,id2,...)`` |
-    ``relative_nbhd(id1,...;w1,...)``
-    """
-    match = _WEIGHTS_RE.match(text)
-    if not match:
-        raise ValidationError(f"cannot parse transform {text!r}")
-    name, args = match.group(1), match.group(2)
-    if name == "own":
-        if args is not None:
-            raise ValidationError("own takes no arguments")
-        return OwnBundle()
-    if name == "weighted_own":
-        if args is None or not args.strip():
-            raise ValidationError("weighted_own requires a weight list")
-        return WeightedOwn(_parse_numbers(args, "weight"))
-    if name == "relative_mean":
-        if args is None or not args.strip():
-            return RelativeToMean()
-        return RelativeToMean(_parse_numbers(args, "weight"))
-    if name == "relative_nbhd":
-        if args is None or not args.strip():
-            raise ValidationError("relative_nbhd requires a neighbor list")
-        head, sep, tail = args.partition(";")
-        ids = []
-        for part in head.split(","):
-            part = part.strip()
-            if not (part.isascii() and part.isdigit()) or int(part) < 1:
-                raise ValidationError(f"neighbor id must be a positive integer, got {part!r}")
-            ids.append(int(part))
-        weights = _parse_numbers(tail, "weight") if sep else None
-        return RelativeToNeighborhood(frozenset(ids), weights)
-    raise ValidationError(f"unknown transform {name!r}")
-
-
-def transform_label(spec: TransformSpec) -> str:
-    """Stable textual form of a transform (inverse of ``parse_transform``)."""
-    if isinstance(spec, OwnBundle):
-        return "own"
-    if isinstance(spec, WeightedOwn):
-        if spec.weights is None:
-            return "weighted_own"
-        return f"weighted_own({','.join(str(w) for w in spec.weights)})"
-    if isinstance(spec, RelativeToMean):
-        if spec.weights is None:
-            return "relative_mean"
-        return f"relative_mean({','.join(str(w) for w in spec.weights)})"
-    ids = ",".join(str(i) for i in sorted(spec.neighbors))
-    if spec.weights is None:
-        return f"relative_nbhd({ids})"
-    return f"relative_nbhd({ids};{','.join(str(w) for w in spec.weights)})"
-
-
 class Sum(_Value):
     """Unweighted total of agent values."""
 
@@ -364,6 +301,13 @@ class Maximin(_Value):
 
 Combiner = Union[Sum, WeightedSum, Maximin]
 
+# The welfare functional grammar, declared as the transform grammar is.
+_SWFS = {
+    "sum": (Sum, _NO_ARGS),
+    "weighted_sum": (WeightedSum, _WEIGHTS),
+    "maximin": (Maximin, _NO_ARGS),
+}
+
 
 class SwfSpec(NamedTuple):
     """A combiner plus the per-agent value transforms it combines.
@@ -377,31 +321,80 @@ class SwfSpec(NamedTuple):
     agent_values: object = None
 
 
+
+
+_SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\((.*)\))?\s*$")
+
+
+def _parse_weights(text: str) -> tuple[Fraction, ...]:
+    parts = [p.strip() for p in text.split(",")]
+    if any(not p for p in parts):
+        raise ValidationError(f"empty entry in weight list: {text!r}")
+    return tuple(as_quantity(p) for p in parts)
+
+
+def _parse_spec(text: str, table: dict, what: str):
+    """The spec that ``text``, ``name`` or ``name(args)``, names in ``table``
+    (``_TRANSFORMS`` or ``_SWFS``); ``what`` names the grammar in messages."""
+    match = _SPEC_RE.match(text)
+    if not match:
+        raise ValidationError(f"cannot parse {what} {text!r}")
+    name, args = match.groups()
+    if name not in table:
+        raise ValidationError(f"unknown {what} {name!r}")
+    spec_type, takes = table[name]
+    if takes == _NO_ARGS:
+        if args is not None:
+            raise ValidationError(f"{name} takes no arguments")
+        return spec_type()
+    if args is None or not args.strip():
+        if takes == _OPTIONAL_WEIGHTS:
+            return spec_type()
+        raise ValidationError(f"{name} requires a {takes} list")
+    if takes != _NEIGHBORS:
+        return spec_type(_parse_weights(args))
+    head, sep, tail = args.partition(";")
+    ids = []
+    for part in head.split(","):
+        part = part.strip()
+        if not (part.isascii() and part.isdigit()) or int(part) < 1:
+            raise ValidationError(f"neighbor id must be a positive integer, got {part!r}")
+        ids.append(int(part))
+    return spec_type(frozenset(ids), _parse_weights(tail) if sep else None)
+
+
+def _label(spec, table: dict) -> str:
+    """``spec``'s name in ``table`` and, in brackets, each of its fields that
+    is set as a comma list, neighbour ids sorted, the lists split by ``;``."""
+    (name,) = [name for name, (spec_type, _) in table.items() if type(spec) is spec_type]
+    lists = [
+        ",".join(map(str, sorted(field) if isinstance(field, frozenset) else field))
+        for field in [getattr(spec, slot) for slot in spec.__slots__]
+        if field is not None
+    ]
+    return f"{name}({';'.join(lists)})" if lists else name
+
+
+def parse_transform(text: str) -> TransformSpec:
+    """Parse the textual transform grammar.
+
+    ``own`` | ``weighted_own(w1,...)`` | ``relative_mean`` |
+    ``relative_mean(w1,...)`` | ``relative_nbhd(id1,id2,...)`` |
+    ``relative_nbhd(id1,...;w1,...)``
+    """
+    return _parse_spec(text, _TRANSFORMS, "transform")
+
+
+def transform_label(spec: TransformSpec) -> str:
+    """Stable textual form of a transform (inverse of ``parse_transform``)."""
+    return _label(spec, _TRANSFORMS)
+
+
 def parse_swf(text: str) -> SwfSpec:
     """Parse ``sum`` | ``weighted_sum(w1,...)`` | ``maximin``."""
-    match = _WEIGHTS_RE.match(text)
-    if not match:
-        raise ValidationError(f"cannot parse welfare functional {text!r}")
-    name, args = match.group(1), match.group(2)
-    if name == "sum":
-        if args is not None:
-            raise ValidationError("sum takes no arguments")
-        return SwfSpec(Sum())
-    if name == "maximin":
-        if args is not None:
-            raise ValidationError("maximin takes no arguments")
-        return SwfSpec(Maximin())
-    if name == "weighted_sum":
-        if args is None or not args.strip():
-            raise ValidationError("weighted_sum requires a weight list")
-        return SwfSpec(WeightedSum(_parse_numbers(args, "weight")))
-    raise ValidationError(f"unknown welfare functional {name!r}")
+    return SwfSpec(_parse_spec(text, _SWFS, "welfare functional"))
 
 
 def swf_label(spec: SwfSpec) -> str:
     """Stable textual form of a welfare functional."""
-    if isinstance(spec.combiner, Sum):
-        return "sum"
-    if isinstance(spec.combiner, Maximin):
-        return "maximin"
-    return f"weighted_sum({','.join(str(w) for w in spec.combiner.weights)})"
+    return _label(spec.combiner, _SWFS)

@@ -41,8 +41,6 @@ from paretoscope.transforms import (
     RelativeToNeighborhood,
     TransformSpec,
     WeightedOwn,
-    check_weight_count,
-    neighborhood_members,
 )
 
 
@@ -50,7 +48,10 @@ def aggregate(bundle: Bundle, weights: tuple[Fraction, ...] | None) -> Fraction:
     """Weighted sum of a bundle's quantities (unit weights when ``None``)."""
     terms = bundle.quantities
     if weights is not None:
-        check_weight_count(weights, bundle.dimension)
+        if len(weights) != bundle.dimension:
+            raise DimensionMismatch(
+                f"{len(weights)} weights for a {bundle.dimension}-commodity bundle"
+            )
         terms = tuple(w * q for w, q in zip(weights, terms))
     # A bundle is never empty; starting from the first term saves adding 0.
     return sum(terms[1:], terms[0])
@@ -86,7 +87,13 @@ def evaluate_transform(
     if isinstance(spec, RelativeToMean):
         members = allocation.bundles
     elif isinstance(spec, RelativeToNeighborhood):
-        group = neighborhood_members(spec, agent, allocation.n_agents)
+        group = sorted(spec.neighbors)
+        for member in group:
+            if member > allocation.n_agents:
+                raise InvalidAgent(
+                    f"neighborhood of agent {agent} names agent {member} "
+                    f"but the polity has {allocation.n_agents}"
+                )
         members = tuple(allocation.bundle_for(m) for m in group)
     else:
         raise ValidationError(f"unknown transform spec {spec!r}")

@@ -746,10 +746,15 @@ def test_frontier_flags_degenerate_states():
     assert report.efficient_ids == (1, 2, 3)
 
 
-def test_frontier_every_state_degenerate_is_an_invariant_error():
+def test_frontier_every_state_degenerate_is_a_zero_reference_error():
+    # a fact of the input, not a broken invariant
     fs = ExplicitList((alloc(0, 0),))
-    with pytest.raises(InternalInvariant):
+    with pytest.raises(ZeroReferencePoint) as caught:
         enumerate_frontier(fs, Polity(2, 1), RelativeToMean())
+    assert str(caught.value) == (
+        "every feasible state has an undefined reference point; frontier is empty"
+    )
+    assert caught.value.agent is None
 
 
 def test_frontier_matches_per_state_efficiency():
@@ -856,7 +861,7 @@ def test_frontier_routes_agree_on_random_explicit_lists(case):
     assert live - improvable == efficient
 
     if not live:
-        with pytest.raises(InternalInvariant):
+        with pytest.raises(ZeroReferencePoint):
             enumerate_frontier(fs, polity, spec)
         return
     report = enumerate_frontier(fs, polity, spec)
@@ -912,7 +917,7 @@ def test_frontier_and_scan_match_the_pairwise_reference(case):
     assert scan.degenerate_states == len(degenerate)
     assert scan.efficient_state_count == len(fs.states) - len({i for i, _ in moves})
     if not efficient:
-        with pytest.raises(InternalInvariant):
+        with pytest.raises(ZeroReferencePoint):
             enumerate_frontier(fs, polity, spec)
         return
     report = enumerate_frontier(fs, polity, spec)
