@@ -103,10 +103,9 @@ TransformSpec = Union[OwnBundle, WeightedOwn, RelativeToMean, RelativeToNeighbor
 
 Transforms = Union[TransformSpec, Mapping[int, TransformSpec]]
 
-# What a grammar name's argument list holds: nothing, a weight list, an
-# optional weight list, or neighbour ids with an optional weight list after
-# ";".  A list that must be there is named as its "requires a ... list"
-# message names it.
+# What a grammar name's argument list holds: nothing, weights, optional
+# weights, or neighbour ids with optional weights after ";".  A required
+# list's word is the one its "requires a ... list" message names.
 _NO_ARGS, _WEIGHTS, _OPTIONAL_WEIGHTS, _NEIGHBORS = "none", "weight", "optional", "neighbor"
 
 # The transform grammar: each name with its spec type and its argument list.
@@ -321,8 +320,6 @@ class SwfSpec(NamedTuple):
     agent_values: object = None
 
 
-
-
 _SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\((.*)\))?\s*$")
 
 
@@ -364,8 +361,8 @@ def _parse_spec(text: str, table: dict, what: str):
 
 
 def _label(spec, table: dict) -> str:
-    """``spec``'s name in ``table`` and, in brackets, each of its fields that
-    is set as a comma list, neighbour ids sorted, the lists split by ``;``."""
+    """``spec``'s name in ``table``, then its set fields as comma lists
+    (neighbour ids sorted) split by ``;`` in brackets: ``_parse_spec``'s form."""
     (name,) = [name for name, (spec_type, _) in table.items() if type(spec) is spec_type]
     lists = [
         ",".join(map(str, sorted(field) if isinstance(field, frozenset) else field))
